@@ -204,7 +204,8 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     except ParameterError as exc:
         raise UsageError(str(exc)) from exc
 
-    print(f"distance_km = {format_value(values['distance'])}")
+    # Compute every line before printing any, so a failure leaves no partial output.
+    lines = [f"distance_km = {format_value(values['distance'])}"]
     if "ecs" in protocols:
         if values["mu"] is None:
             optimum = optimize_mu(
@@ -213,23 +214,25 @@ def _cmd_rates(args: argparse.Namespace) -> int:
             )
             mu = optimum.mu_star
             if optimum.flagged:
-                print("optimizer_flagged = True")
+                lines.append("optimizer_flagged = True")
         else:
             mu = float(values["mu"])
         stats = ecs_misaligned_stats(mu, eta, values["p_d"], values["e_d"])
-        print(f"mu = {format_value(mu)}")
-        print(f"q_zz = {format_value(stats.q_zz)}")
-        print(f"s = {format_value(stats.s)}")
-        print(f"e_zz = {format_value(stats.e_zz)}")
-        print(f"rate_ecs = {format_value(key_rate(stats))}")
+        lines.append(f"mu = {format_value(mu)}")
+        lines.append(f"q_zz = {format_value(stats.q_zz)}")
+        lines.append(f"s = {format_value(stats.s)}")
+        lines.append(f"e_zz = {format_value(stats.e_zz)}")
+        lines.append(f"rate_ecs = {format_value(key_rate(stats))}")
     if "bell" in protocols:
         stats = bell_state_stats(eta, values["p_d"])
-        print(f"bell_q_zz = {format_value(stats.q_zz)}")
-        print(f"bell_s = {format_value(stats.s)}")
-        print(f"bell_e_zz = {format_value(stats.e_zz)}")
-        print(f"rate_bell = {format_value(key_rate(stats))}")
+        lines.append(f"bell_q_zz = {format_value(stats.q_zz)}")
+        lines.append(f"bell_s = {format_value(stats.s)}")
+        lines.append(f"bell_e_zz = {format_value(stats.e_zz)}")
+        lines.append(f"rate_bell = {format_value(key_rate(stats))}")
     if "plob" in protocols:
-        print(f"rate_plob = {format_value(plob_bound(values['distance'], values['beta'], values['eta_d']))}")
+        plob = plob_bound(values["distance"], values["beta"], values["eta_d"])
+        lines.append(f"rate_plob = {format_value(plob)}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -362,6 +365,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except (OverflowError, ZeroDivisionError) as exc:
+        print(f"error: arithmetic failure ({type(exc).__name__}: {exc}); "
+              "the inputs are outside the range the model can evaluate", file=sys.stderr)
         return EXIT_COMPUTE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

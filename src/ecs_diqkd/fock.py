@@ -7,7 +7,10 @@ this file knows about cat states or the closed forms.
 
 Conventions:
     * A state over k modes is a complex array with one axis per mode, each
-      axis of length ``n_max + 1``.
+      axis of length ``n_max + 1``.  A batched state adds one trailing axis
+      that stacks independent states of the same modes; every operation acts
+      on each element on its own, certifies each element, and a readout
+      returns one value per element.
     * ``beamsplitter_apply`` with transmittance T implements the mode map
       with matrix [[t, r], [r, -t]], t = sqrt(T), r = sqrt(1 - T); at
       T = 1/2 this is the symmetric splitter sending coherent amplitudes
@@ -24,8 +27,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats as scipy_stats
-from scipy.special import comb
 
 from .params import ParameterError
 
@@ -41,33 +42,66 @@ class CutoffError(ParameterError):
 
 
 def poisson_tail(intensity: float, n_max: int) -> float:
-    """P(n > n_max) for a coherent state of the given intensity |alpha|^2."""
-    return float(scipy_stats.poisson.sf(n_max, intensity))
+    """P(n > n_max) for a coherent state of the given intensity |alpha|^2.
+
+    Terms e^(-mu) mu^n / n! are formed in log space.  Below the tail's
+    median (intensity <= n_max + 1) the tail is summed directly, so a tiny
+    tail keeps its relative precision; above it the tail is at least 1/2
+    and one minus the n_max + 1 head terms loses nothing.
+    """
+    if not 0.0 <= intensity < math.inf:
+        raise ParameterError(f"intensity must be finite and >= 0, got {intensity}")
+    if intensity == 0.0:
+        return 0.0
+    log_mu = math.log(intensity)
+
+    def term(n: int) -> float:
+        return math.exp(n * log_mu - intensity - math.lgamma(n + 1))
+
+    if intensity > n_max + 1:
+        return 1.0 - math.fsum(term(n) for n in range(n_max + 1))
+    total = 0.0
+    n = n_max + 1
+    while True:
+        value = term(n)
+        total += value
+        if value <= total * 2.0**-60:
+            return total
+        n += 1
 
 
 @dataclass
 class TruncatedOpticalState:
-    """Complex amplitudes over joint photon numbers of ``num_modes`` modes."""
+    """Complex amplitudes over joint photon numbers of ``num_modes`` modes.
+
+    With ``batched`` set, the last axis of ``amplitudes`` stacks independent
+    states, and ``norm`` returns one value per element.
+    """
 
     amplitudes: np.ndarray
     n_max: int
+    batched: bool = False
 
     @property
     def num_modes(self) -> int:
-        return self.amplitudes.ndim
+        return self.amplitudes.ndim - int(self.batched)
 
-    def norm(self) -> float:
+    def norm(self) -> float | np.ndarray:
+        if self.batched:
+            flat = self.amplitudes.reshape(-1, self.amplitudes.shape[-1])
+            return np.linalg.norm(flat, axis=0)
         return float(np.linalg.norm(self.amplitudes))
 
     def number_distribution(self) -> np.ndarray:
         """Joint photon-number probabilities, same shape as the amplitudes."""
         return np.abs(self.amplitudes) ** 2
 
-    def mode_mean_photon(self, mode: int) -> float:
+    def mode_mean_photon(self, mode: int) -> float | np.ndarray:
         probs = self.number_distribution()
-        axes = tuple(i for i in range(probs.ndim) if i != mode)
+        axes = tuple(i for i in range(self.num_modes) if i != mode)
         marginal = probs.sum(axis=axes)
-        return float(np.dot(np.arange(self.n_max + 1), marginal))
+        mean = np.arange(self.n_max + 1) @ marginal
+        return mean if self.batched else float(mean)
 
 
 def vacuum_state(n_max: int, num_modes: int = 1) -> TruncatedOpticalState:
@@ -77,11 +111,25 @@ def vacuum_state(n_max: int, num_modes: int = 1) -> TruncatedOpticalState:
 
 
 def mode_product(a: TruncatedOpticalState, b: TruncatedOpticalState) -> TruncatedOpticalState:
-    """Tensor product; the modes of ``b`` follow those of ``a``."""
+    """Tensor product; the modes of ``b`` follow those of ``a``.
+
+    If either factor is batched the product is taken element by element
+    (an unbatched factor joins every element); two batches must have the
+    same length.
+    """
     if a.n_max != b.n_max:
         raise ParameterError("cannot combine states with different cutoffs")
-    amps = np.tensordot(a.amplitudes, b.amplitudes, axes=0)
-    return TruncatedOpticalState(amps, a.n_max)
+    if not (a.batched or b.batched):
+        return TruncatedOpticalState(np.tensordot(a.amplitudes, b.amplitudes, axes=0), a.n_max)
+    left = a.amplitudes if a.batched else a.amplitudes[..., np.newaxis]
+    right = b.amplitudes if b.batched else b.amplitudes[..., np.newaxis]
+    if a.batched and b.batched and left.shape[-1] != right.shape[-1]:
+        raise ParameterError(
+            f"cannot pair batches of {left.shape[-1]} and {right.shape[-1]} states"
+        )
+    left = left.reshape(left.shape[:-1] + (1,) * b.num_modes + left.shape[-1:])
+    right = right.reshape((1,) * a.num_modes + right.shape)
+    return TruncatedOpticalState(left * right, a.n_max, batched=True)
 
 
 def coherent_fock(alpha: complex, n_max: int) -> TruncatedOpticalState:
@@ -109,33 +157,48 @@ def _beamsplitter_blocks(
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """Per-total-photon-number blocks of the two-mode beamsplitter unitary.
 
-    Block N maps inputs |n, N-n> to outputs |k, N-k>.  The matrix element is
-    read off from (t a1+ + r a2+)^n (r a1+ - t a2+)^m |0,0>: the inner sum
-    over creation-operator orderings is the coefficient convolution of the
-    two binomial expansions.  Blocks with N > n_max are cropped to the
-    indices both modes can hold; the norm-drift check in
-    :func:`beamsplitter_apply` certifies that no real amplitude lived there.
+    Block N maps inputs |n, N-n> to outputs |k, N-k>.  It is built from
+    block N-1 by one creation operator: a+ -> t c+ + r d+ raises n, and on
+    the n = 0 column b+ -> r c+ - t d+ raises N - n, so
+
+        U_N[k, n] = (t sqrt(k) U_{N-1}[k-1, n-1] + r sqrt(N-k) U_{N-1}[k, n-1]) / sqrt(n)
+        U_N[k, 0] = (r sqrt(k) U_{N-1}[k-1, 0] - t sqrt(N-k) U_{N-1}[k, 0]) / sqrt(N)
+
+    which expands (t a1+ + r a2+)^n (r a1+ - t a2+)^m |0,0> one factor at a
+    time.  Blocks with N > n_max are cropped to the indices both modes can
+    hold; the entries they need from block N-1 lie inside its crop, and the
+    norm-drift check in :func:`beamsplitter_apply` certifies that no real
+    amplitude lived outside.  Rounding grows with N: against 60-digit
+    entries the error is about 2e-13 at N = 30 and 7e-10 at N = 55, where a
+    state within the tail bound carries no weight.
     """
     t = math.sqrt(transmittance)
     r = math.sqrt(1.0 - transmittance)
-    lgamma = math.lgamma
-    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for total in range(2 * n_max + 1):
+    block = np.ones((1, 1))
+    blocks = [(np.zeros(1, dtype=int), np.zeros(1, dtype=int), block)]
+    for total in range(1, 2 * n_max + 1):
+        prev_lo = max(0, total - 1 - n_max)
         lo, hi = max(0, total - n_max), min(n_max, total)
-        idx = np.arange(lo, hi + 1)
-        size = len(idx)
-        block = np.empty((size, size))
-        out_lg = np.array([lgamma(k + 1) + lgamma(total - k + 1) for k in idx])
-        for col, n in enumerate(idx):
-            m = total - n
-            i = np.arange(n + 1)
-            from_first = comb(n, i) * t**i * r ** (n - i)
-            j = np.arange(m + 1)
-            from_second = comb(m, j) * r**j * (-t) ** (m - j)
-            coeffs = np.convolve(from_first, from_second)  # index k = 0..total
-            in_lg = lgamma(n + 1) + lgamma(m + 1)
-            block[:, col] = coeffs[idx] * np.exp(0.5 * (out_lg - in_lg))
-        blocks.append((idx, total - idx, block))
+        k = np.arange(lo, hi + 1)
+        # Row j of ``padded`` is row prev_lo - 1 + j of block N-1; the zero
+        # rows stand for the output numbers that block cannot hold.
+        padded = np.zeros((block.shape[0] + 2, block.shape[1]))
+        padded[1:-1] = block
+        lower = padded[k - prev_lo]  # rows k - 1
+        same = padded[k - prev_lo + 1]  # rows k
+        up = np.sqrt(k)[:, np.newaxis]
+        across = np.sqrt(total - k)[:, np.newaxis]
+        block = np.empty((k.size, k.size))
+        n = np.arange(max(lo, 1), hi + 1)
+        prev_cols = n - 1 - prev_lo
+        block[:, n - lo] = (
+            t * up * lower[:, prev_cols] + r * across * same[:, prev_cols]
+        ) / np.sqrt(n)
+        if lo == 0:
+            block[:, 0] = (
+                r * up[:, 0] * lower[:, 0] - t * across[:, 0] * same[:, 0]
+            ) / math.sqrt(total)
+        blocks.append((k, total - k, block))
     return tuple(blocks)
 
 
@@ -146,7 +209,9 @@ def beamsplitter_apply(
 
     Transmittance 1/2 gives the symmetric splitter with outputs
     c = (a + b)/sqrt(2) and d = (a - b)/sqrt(2); other values model loss by
-    coupling a signal mode to a vacuum environment mode.
+    coupling a signal mode to a vacuum environment mode.  Every other axis,
+    the batch axis included, rides along through the block products, and
+    the norm of each batch element is certified on its own.
     """
     k = state.num_modes
     if not (0 <= mode_i < k and 0 <= mode_j < k) or mode_i == mode_j:
@@ -157,38 +222,58 @@ def beamsplitter_apply(
     dim = state.n_max + 1
     work = np.moveaxis(state.amplitudes, (mode_i, mode_j), (0, 1))
     trailing = work.shape[2:]
-    work = work.reshape(dim, dim, -1)
-    out = np.zeros_like(work)
+    # Rows are the flat (n, m) index; the real blocks act on the real and
+    # imaginary parts of every trailing column at once.
+    work = np.ascontiguousarray(work.reshape(dim * dim, -1), dtype=complex).view(np.float64)
+    out = np.empty_like(work)
     for idx, co_idx, block in _beamsplitter_blocks(state.n_max, transmittance):
-        out[idx, co_idx] = block @ work[idx, co_idx]
-    out = np.moveaxis(out.reshape(dim, dim, *trailing), (0, 1), (mode_i, mode_j))
+        flat = idx * dim + co_idx
+        out[flat] = block @ work[flat]
+    out = out.view(complex).reshape(dim, dim, *trailing)
+    out = np.moveaxis(out, (0, 1), (mode_i, mode_j))
 
-    before = state.norm()
-    result = TruncatedOpticalState(out, state.n_max)
-    if abs(result.norm() - before) > NORM_DRIFT_TOL * max(1.0, before):
+    result = TruncatedOpticalState(out, state.n_max, state.batched)
+    before, after = state.norm(), result.norm()
+    drift = np.abs(after - before) > NORM_DRIFT_TOL * np.maximum(1.0, before)
+    if np.any(drift):
+        where = int(np.flatnonzero(drift)[0])
+        label = f" in batch element {where}" if state.batched else ""
         raise CutoffError(
-            "beamsplitter pushed amplitude past the per-mode cutoff "
-            f"(norm {before:.12f} -> {result.norm():.12f})"
+            f"beamsplitter pushed amplitude past the per-mode cutoff{label} "
+            f"(norm {np.ravel(before)[where]:.12f} -> {np.ravel(after)[where]:.12f})"
         )
     return result
 
 
 def misalignment_rotate(
-    state: TruncatedOpticalState, mode: int, delta0: float
+    state: TruncatedOpticalState, mode: int, delta0: float | np.ndarray
 ) -> TruncatedOpticalState:
-    """Phase rotation e^(i n delta0) of one mode; exactly norm-preserving."""
+    """Phase rotation e^(i n delta0) of one mode; exactly norm-preserving.
+
+    A batched state may take one angle per element.
+    """
     if not 0 <= mode < state.num_modes:
         raise ParameterError(f"mode {mode} out of range")
-    if delta0 == 0.0:
-        return TruncatedOpticalState(state.amplitudes.copy(), state.n_max)
-    phases = np.exp(1j * delta0 * np.arange(state.n_max + 1))
-    shape = [1] * state.num_modes
+    angles = np.asarray(delta0, dtype=float)
+    if angles.ndim and not (state.batched and angles.shape == state.amplitudes.shape[-1:]):
+        raise ParameterError("per-element angles need a batched state of the same length")
+    if not np.any(angles):
+        return TruncatedOpticalState(state.amplitudes.copy(), state.n_max, state.batched)
+    phases = np.exp(1j * np.multiply.outer(np.arange(state.n_max + 1), angles))
+    shape = [1] * state.amplitudes.ndim
     shape[mode] = state.n_max + 1
-    return TruncatedOpticalState(state.amplitudes * phases.reshape(shape), state.n_max)
+    if angles.ndim:
+        shape[-1] = angles.size
+    return TruncatedOpticalState(
+        state.amplitudes * phases.reshape(shape), state.n_max, state.batched
+    )
 
 
 class HeraldProbabilities(NamedTuple):
-    """Probabilities of the four threshold-detector outcomes of one trial."""
+    """Probabilities of the four threshold-detector outcomes of one trial.
+
+    Each field holds one array value per element when read from a batch.
+    """
 
     d1_only: float
     d2_only: float
@@ -222,14 +307,16 @@ def threshold_detect(
     if not 0.0 <= p_d < 1.0:
         raise ParameterError(f"p_d must be in [0, 1), got {p_d}")
     probs = state.number_distribution()
-    other_axes = tuple(a for a in range(probs.ndim) if a not in (mode_i, mode_j))
+    other_axes = tuple(a for a in range(k) if a not in (mode_i, mode_j))
     joint = probs.sum(axis=other_axes) if other_axes else probs
     if mode_j < mode_i:
-        joint = joint.T
-    total = float(joint.sum())
-    v1 = float(joint[0, :].sum())
-    v2 = float(joint[:, 0].sum())
-    v12 = float(joint[0, 0])
+        joint = joint.swapaxes(0, 1)
+    total = joint.sum(axis=(0, 1))
+    v1 = joint[0].sum(axis=0)
+    v2 = joint[:, 0].sum(axis=0)
+    v12 = joint[0, 0]
+    if not state.batched:
+        total, v1, v2, v12 = float(total), float(v1), float(v2), float(v12)
     no_click = (1.0 - p_d) ** 2 * v12
     d1 = (1.0 - p_d) * v2 - no_click
     d2 = (1.0 - p_d) * v1 - no_click

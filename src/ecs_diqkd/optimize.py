@@ -9,12 +9,13 @@ from functools import partial
 
 import numpy as np
 
-from .params import ParameterError
+from .params import DetectorStats, ParameterError
 from .rates import (
     bell_state_stats,
     channel_efficiency,
     ecs_misaligned_stats,
     key_rate,
+    key_rate_margin,
     plob_bound,
 )
 
@@ -33,6 +34,7 @@ class MuOptimum:
 
     ``flagged`` marks the degenerate case where the rate vanished over the
     whole search interval; ``mu_star`` is then the interval midpoint.
+    ``mu_star`` and ``rate_star`` are plain floats.
     """
 
     mu_star: float
@@ -88,6 +90,45 @@ class SweepRow:
     flagged: bool = False
 
 
+def _signed_rate(stats: DetectorStats) -> float:
+    """Key rate before its clamp, continued below the CHSH threshold.
+
+    Where s > 2 this is :func:`key_rate_margin`, at least -1; where s <= 2 it
+    is -1 - (2 - s), below every margin and still falling as s falls, so a
+    bracket that straddles s = 2 stays unimodal.
+    """
+    if stats.s > 2.0:
+        return key_rate_margin(stats)
+    return -1.0 - (2.0 - stats.s)
+
+
+def _golden_max(objective, seeds: np.ndarray, best: int, best_value: float) -> tuple[float, float]:
+    """Golden-section refinement of the seed bracket around ``seeds[best]``.
+
+    Returns the best (mu, value) ever evaluated, the seed included.
+    """
+    a = seeds[max(best - 1, 0)]
+    b = seeds[min(best + 1, len(seeds) - 1)]
+    best_mu, best_value = float(seeds[best]), best_value
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = objective(c), objective(d)
+    while b - a > GOLDEN_XTOL:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = objective(d)
+        if fc > best_value:
+            best_mu, best_value = c, fc
+        if fd > best_value:
+            best_mu, best_value = d, fd
+    return float(best_mu), best_value
+
+
 def optimize_mu(
     distance_km: float,
     beta_db_per_km: float,
@@ -102,39 +143,36 @@ def optimize_mu(
     multimodality), then golden-section refinement narrows the surrounding
     bracket; the best point ever evaluated is returned, so the result can
     never fall below the seed grid.
+
+    Where the rate falls to zero with distance, its positive window can be
+    narrower than one seed cell.  So when no seed is positive but some seed
+    violates CHSH, the same refinement runs on :func:`_signed_rate` of the
+    seeds already evaluated, and its point is kept if its rate is positive.
     """
     eta = channel_efficiency(distance_km, beta_db_per_km, eta_d)
 
-    def rate(mu: float) -> float:
-        return key_rate(ecs_misaligned_stats(mu, eta, p_d, e_d))
+    def stats_at(mu: float) -> DetectorStats:
+        return ecs_misaligned_stats(mu, eta, p_d, e_d)
 
     lo, hi = bounds
     seeds = np.geomspace(lo, hi, SEED_GRID_SIZE)
-    values = np.array([rate(m) for m in seeds])
+    seed_stats = [stats_at(m) for m in seeds]
+    values = np.array([key_rate(stats) for stats in seed_stats])
     best = int(np.argmax(values))
-    if values[best] <= 0.0:
-        return MuOptimum(mu_star=0.5 * (lo + hi), rate_star=0.0, flagged=True)
+    if values[best] > 0.0:
+        mu, rate = _golden_max(lambda m: key_rate(stats_at(m)), seeds, best, float(values[best]))
+        return MuOptimum(mu_star=mu, rate_star=rate, flagged=False)
 
-    a = seeds[max(best - 1, 0)]
-    b = seeds[min(best + 1, SEED_GRID_SIZE - 1)]
-    best_mu, best_rate = float(seeds[best]), float(values[best])
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = rate(c), rate(d)
-    while b - a > GOLDEN_XTOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = rate(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = rate(d)
-        if fc > best_rate:
-            best_mu, best_rate = c, fc
-        if fd > best_rate:
-            best_mu, best_rate = d, fd
-    return MuOptimum(mu_star=best_mu, rate_star=best_rate, flagged=False)
+    vanished = MuOptimum(mu_star=0.5 * (lo + hi), rate_star=0.0, flagged=True)
+    if all(stats.s <= 2.0 for stats in seed_stats):
+        return vanished
+    signed = [_signed_rate(stats) for stats in seed_stats]
+    best = int(np.argmax(signed))
+    mu, _ = _golden_max(lambda m: _signed_rate(stats_at(m)), seeds, best, signed[best])
+    rate = key_rate(stats_at(mu))
+    if rate > 0.0:
+        return MuOptimum(mu_star=mu, rate_star=rate, flagged=False)
+    return vanished
 
 
 def sweep_distances(config: SweepConfig) -> list[float]:

@@ -124,67 +124,90 @@ class CatStateDecomposition:
         return m * m / 2.0
 
 
-def _arm_mixture(
-    decomp: CatStateDecomposition,
-    outcome: int,
-    alpha: float,
-    eta: float,
-    delta0: float,
-    n_max: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced state of one arm at the central station, eigendecomposed.
+# Setting pairs whose heralds the aggregation reads: the raw-key pair, then
+# the CHSH test pairs.
+ROLE_PAIRS: tuple[tuple[str, str], ...] = (("A0", "B1"),) + tuple(
+    (role_a, role_b) for role_a, role_b, _ in CHSH_PAIRS
+)
+OUTCOME_PAIRS: tuple[tuple[int, int], ...] = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
+# One arm per (role, outcome); Bob's arms carry the misalignment drift.
+ARMS: tuple[tuple[str, int], ...] = tuple(
+    (role, outcome) for role in SETTING_ANGLES for outcome in (+1, -1)
+)
 
-    Builds the conditional pulse, couples it to a vacuum environment mode
-    through a beamsplitter of transmittance eta, optionally applies the
-    misalignment phase to the surviving mode, traces the environment out,
-    and returns the (weights, column-eigenvectors) of the resulting
-    single-mode density matrix.
+
+def _arm_mixtures(
+    mu: float, eta: float, delta0: float, n_max: int
+) -> tuple[dict[tuple[str, int], float], np.ndarray, np.ndarray]:
+    """Reduced states of every arm at the central station, eigendecomposed.
+
+    Builds the ten conditional pulses as one batch, couples each to a vacuum
+    environment mode through a beamsplitter of transmittance eta, applies
+    the misalignment phase to the surviving mode of Bob's arms, traces the
+    environment out, and eigendecomposes the stack of single-mode density
+    matrices.  Returns the spin-outcome prior of each arm, and the weights
+    and column-eigenvectors indexed by the position of the arm in ``ARMS``.
     """
-    c_plus, c_minus = decomp.outcome_amplitudes(outcome)
-    pulse = coherent_fock(alpha, n_max)
-    pulse_neg = coherent_fock(-alpha, n_max)
-    conditional = TruncatedOpticalState(
-        c_plus * pulse.amplitudes + c_minus * pulse_neg.amplitudes, n_max
-    )
-    arm = mode_product(conditional, vacuum_state(n_max))
-    arm = beamsplitter_apply(arm, 0, 1, eta)
-    if delta0 != 0.0:
-        arm = misalignment_rotate(arm, 0, delta0)
+    alpha = math.sqrt(mu)
+    pulse = coherent_fock(alpha, n_max).amplitudes
+    pulse_neg = coherent_fock(-alpha, n_max).amplitudes
+    decomps = {
+        role: CatStateDecomposition(mu=mu, theta=theta) for role, theta in SETTING_ANGLES.items()
+    }
+    arm_decomps = [(decomps[role], outcome) for role, outcome in ARMS]
+    c_plus, c_minus = np.array([d.outcome_amplitudes(outcome) for d, outcome in arm_decomps]).T
+    priors = {arm: d.outcome_prior(outcome) for arm, (d, outcome) in zip(ARMS, arm_decomps)}
+    pulses = np.multiply.outer(pulse, c_plus) + np.multiply.outer(pulse_neg, c_minus)
+    conditional = TruncatedOpticalState(pulses, n_max, batched=True)
+    arms = beamsplitter_apply(mode_product(conditional, vacuum_state(n_max)), 0, 1, eta)
+    drifts = np.array([delta0 if role.startswith("B") else 0.0 for role, _ in ARMS])
+    arms = misalignment_rotate(arms, 0, drifts)
     # Trace out the environment: rho = Psi Psi+ over the signal index.
-    psi = arm.amplitudes
-    rho = psi @ psi.conj().T
+    psi = np.moveaxis(arms.amplitudes, -1, 0)
+    rho = psi @ psi.conj().swapaxes(1, 2)
     weights, vectors = np.linalg.eigh(rho)
-    keep = weights > _EIG_WEIGHT_FLOOR
-    return weights[keep], vectors[:, keep]
+    return priors, weights, vectors
 
 
-def _mixture_heralds(
-    alice: tuple[np.ndarray, np.ndarray],
-    bob: tuple[np.ndarray, np.ndarray],
-    p_d: float,
-    n_max: int,
-) -> HeraldProbabilities:
-    """Herald probabilities for a product of two single-mode mixtures.
+def _pair_heralds(
+    weights: np.ndarray, vectors: np.ndarray, p_d: float, n_max: int
+) -> dict[tuple[str, str, int, int], HeraldProbabilities]:
+    """Herald probabilities of every (role pair, outcome pair) arm product.
 
     The detector formulas are linear in the joint photon-number
-    distribution, so the mixture readout is the weighted sum over pure
-    eigenvector products pushed through the central beamsplitter.
+    distribution, so each mixture readout is the weighted sum over pure
+    eigenvector products (eigenweights at or below the floor dropped).  All
+    products of all pairs go through the central beamsplitter as one batch.
     """
-    w_a, v_a = alice
-    w_b, v_b = bob
-    totals = np.zeros(4)
-    for p in range(len(w_a)):
-        left = TruncatedOpticalState(np.ascontiguousarray(v_a[:, p]), n_max)
-        for q in range(len(w_b)):
-            right = TruncatedOpticalState(np.ascontiguousarray(v_b[:, q]), n_max)
-            joint = beamsplitter_apply(mode_product(left, right), 0, 1, 0.5)
-            herald = threshold_detect(joint, (0, 1), p_d)
-            totals += (w_a[p] * w_b[q]) * np.asarray(herald)
-    result = HeraldProbabilities(*totals)
-    if abs(result.total() - 1.0) > 1e-10:
-        raise CutoffError(
-            f"herald probabilities sum to {result.total():.12f}; cutoff too small"
-        )
+    kept = [np.flatnonzero(w > _EIG_WEIGHT_FLOOR) for w in weights]
+    position = {arm: i for i, arm in enumerate(ARMS)}
+    combos = [
+        (role_a, role_b, a, b) for role_a, role_b in ROLE_PAIRS for a, b in OUTCOME_PAIRS
+    ]
+    left, right, product_weights, owner = [], [], [], []
+    for c, (role_a, role_b, a, b) in enumerate(combos):
+        i, j = position[role_a, a], position[role_b, b]
+        for p in kept[i]:
+            for q in kept[j]:
+                left.append(vectors[i, :, p])
+                right.append(vectors[j, :, q])
+                product_weights.append(weights[i, p] * weights[j, q])
+                owner.append(c)
+    joint = mode_product(
+        TruncatedOpticalState(np.stack(left, axis=-1), n_max, batched=True),
+        TruncatedOpticalState(np.stack(right, axis=-1), n_max, batched=True),
+    )
+    joint = beamsplitter_apply(joint, 0, 1, 0.5)
+    heralds = np.asarray(threshold_detect(joint, (0, 1), p_d)) * np.array(product_weights)
+    sums = np.stack([np.bincount(owner, weights=row, minlength=len(combos)) for row in heralds])
+    result = {}
+    for c, combo in enumerate(combos):
+        herald = HeraldProbabilities(*(float(x) for x in sums[:, c]))
+        if abs(herald.total() - 1.0) > 1e-10:
+            raise CutoffError(
+                f"herald probabilities of {combo} sum to {herald.total():.12f}; cutoff too small"
+            )
+        result[combo] = herald
     return result
 
 
@@ -222,24 +245,13 @@ def oracle_stats(
         raise ParameterError(f"e_d must be in [0, 0.5], got {e_d}")
     certify_cutoff(mu, n_max)
 
-    alpha = math.sqrt(mu)
     delta0 = math.acos(1.0 - 2.0 * e_d)
-
-    arms: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
-    priors: dict[tuple[str, int], float] = {}
-    for role in SETTING_ANGLES:
-        decomp = CatStateDecomposition(mu=mu, theta=SETTING_ANGLES[role])
-        drift = delta0 if role.startswith("B") else 0.0
-        for outcome in (+1, -1):
-            arms[role, outcome] = _arm_mixture(decomp, outcome, alpha, eta, drift, n_max)
-            priors[role, outcome] = decomp.outcome_prior(outcome)
+    priors, weights, vectors = _arm_mixtures(mu, eta, delta0, n_max)
+    heralds = _pair_heralds(weights, vectors, p_d, n_max)
 
     def pair_heralds(role_a: str, role_b: str):
-        for a in (+1, -1):
-            for b in (+1, -1):
-                weight = priors[role_a, a] * priors[role_b, b]
-                herald = _mixture_heralds(arms[role_a, a], arms[role_b, b], p_d, n_max)
-                yield a, b, weight, herald
+        for a, b in OUTCOME_PAIRS:
+            yield a, b, priors[role_a, a] * priors[role_b, b], heralds[role_a, role_b, a, b]
 
     # Raw key pair (A0, B1): gain and Z-basis error rate after the flip rule.
     q_zz = 0.0

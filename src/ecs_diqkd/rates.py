@@ -39,12 +39,20 @@ def key_rate(stats: DetectorStats) -> float:
     """
     if stats.s <= 2.0:
         return 0.0
+    return max(0.0, key_rate_margin(stats))
+
+
+def key_rate_margin(stats: DetectorStats) -> float:
+    """q_zz times the rate bracket 1 - h(e_zz) - h(x), before the clamp.
+
+    Defined for s > 2 only.  Negative where the protocol aborts, and never
+    below -1, since q_zz <= 1 and each entropy is at most 1.
+    """
     # s may carry the permitted 1e-9 slack above 2*sqrt(2); clamp the
     # entropy argument back into [0, 1].
     x = 0.5 * (1.0 + math.sqrt((stats.s / 2.0) ** 2 - 1.0))
     x = min(x, 1.0)
-    bracket = 1.0 - binary_entropy(stats.e_zz) - binary_entropy(x)
-    return max(0.0, stats.q_zz * bracket)
+    return stats.q_zz * (1.0 - binary_entropy(stats.e_zz) - binary_entropy(x))
 
 
 def channel_efficiency(distance_km: float, beta_db_per_km: float, eta_d: float) -> float:

@@ -3,11 +3,26 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ecs_diqkd
 from ecs_diqkd import cli, oracle
 from ecs_diqkd.params import DetectorStats
+
+SRC = str(Path(ecs_diqkd.__file__).resolve().parents[1])
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with this checkout's package on the path."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, check=False, timeout=120
+    )
 
 
 def _parse_report(output: str) -> dict[str, float]:
@@ -93,6 +108,36 @@ def test_plob_divergence_is_compute_error(capsys):
          "--eta-d", "1.0"]
     )
     assert code == cli.EXIT_COMPUTE
+
+
+def test_arithmetic_overflow_is_compute_error():
+    done = _python(
+        "-m", "ecs_diqkd.cli", "rates", "--mu", "400", "--e-d", "0.01", "--eta-d", "1"
+    )
+    assert done.returncode == cli.EXIT_COMPUTE
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.strip().splitlines()) == 1
+    assert done.stdout == ""
+
+
+def test_import_and_cli_load_no_scipy():
+    probe = (
+        "import json, runpy, sys\n"
+        "import ecs_diqkd\n"
+        "after_import = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "sys.argv = ['ecs_diqkd.cli', 'rates', '--mu', '0.1', '--distance', '100']\n"
+        "try:\n"
+        "    runpy.run_module('ecs_diqkd.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "after_cli = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps([after_import, after_cli, code]), file=sys.stderr)\n"
+    )
+    done = _python("-c", probe)
+    after_import, after_cli, code = json.loads(done.stderr.strip().splitlines()[-1])
+    assert code == 0
+    assert "rate_ecs = " in done.stdout
+    assert after_import == [] and after_cli == []
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import comb
+from scipy.stats import poisson
 
 from ecs_diqkd.fock import (
     CutoffError,
     TruncatedOpticalState,
+    _beamsplitter_blocks,
     beamsplitter_apply,
     coherent_fock,
     misalignment_rotate,
@@ -49,6 +52,140 @@ def test_coherent_cutoff_certificate():
     with pytest.raises(CutoffError):
         coherent_fock(3.0, 10)  # intensity 9, heavy tail past n = 10
     assert poisson_tail(9.0, 10) > 1e-12
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 5, 10, 30, 60])
+def test_poisson_tail_matches_scipy(n_max):
+    # Intensities span 1e-6 to 100, far above n_max for the small cutoffs.
+    # Below 1e-290 the reference sits in or near the subnormal range, where
+    # doubles hold fewer digits, so both values need only be that small.
+    edges = [n_max, n_max + 0.5, n_max + 1.0, n_max + 1.5]
+    intensities = list(np.geomspace(1e-6, 100.0, 97)) + edges
+    for intensity in intensities:
+        intensity = float(intensity)
+        ours = poisson_tail(intensity, n_max)
+        reference = float(poisson.sf(n_max, intensity))
+        if reference < 1e-290:
+            assert ours < 1e-290, (intensity, ours, reference)
+        else:
+            assert ours == pytest.approx(reference, rel=1e-10, abs=0.0), intensity
+    assert poisson_tail(0.0, 5) == 0.0
+
+
+@pytest.mark.parametrize("intensity", [math.nan, math.inf, -1.0])
+def test_poisson_tail_rejects_bad_intensity(intensity):
+    with pytest.raises(ParameterError, match="intensity must be finite"):
+        poisson_tail(intensity, 10)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_coherent_fock_rejects_non_finite_amplitude(alpha):
+    with pytest.raises(ParameterError, match="intensity must be finite"):
+        coherent_fock(alpha, 10)
+
+
+def _binomial_blocks(n_max: int, transmittance: float) -> list[np.ndarray]:
+    """Blocks read off (t a1+ + r a2+)^n (r a1+ - t a2+)^m |0,0> by expanding
+    both binomials and convolving their coefficients."""
+    t, r = math.sqrt(transmittance), math.sqrt(1.0 - transmittance)
+    blocks = []
+    for total in range(2 * n_max + 1):
+        idx = np.arange(max(0, total - n_max), min(n_max, total) + 1)
+        block = np.empty((idx.size, idx.size))
+        for col, n in enumerate(idx):
+            m = total - n
+            i, j = np.arange(n + 1), np.arange(m + 1)
+            coeffs = np.convolve(
+                comb(n, i) * t**i * r ** (n - i), comb(m, j) * r**j * (-t) ** (m - j)
+            )
+            scale = [math.factorial(k) * math.factorial(total - k) for k in idx]
+            block[:, col] = coeffs[idx] * np.sqrt(
+                np.array(scale, dtype=float) / (math.factorial(n) * math.factorial(m))
+            )
+        blocks.append(block)
+    return blocks
+
+
+@pytest.mark.parametrize("transmittance", [0.5, 0.2, 0.83, 1.0])
+def test_beamsplitter_blocks_match_binomial_build(transmittance):
+    # n_max = 12 keeps every block below the photon numbers where the
+    # alternating binomial sums of the reference lose digits.
+    n_max = 12
+    blocks = _beamsplitter_blocks(n_max, transmittance)
+    assert len(blocks) == 2 * n_max + 1
+    for total, ((idx, co_idx, block), expected) in enumerate(
+        zip(blocks, _binomial_blocks(n_max, transmittance))
+    ):
+        assert np.array_equal(idx + co_idx, np.full(idx.size, total))
+        assert np.max(np.abs(block - expected)) < 1e-13, total
+
+
+def test_beamsplitter_blocks_are_orthogonal():
+    # Uncropped blocks (total photon number <= n_max) are real orthogonal.
+    n_max = 30
+    for transmittance in (0.5, 0.37):
+        for idx, _, block in _beamsplitter_blocks(n_max, transmittance)[: n_max + 1]:
+            assert np.max(np.abs(block @ block.T - np.eye(idx.size))) < 1e-12
+
+
+def _batch(*states: TruncatedOpticalState) -> TruncatedOpticalState:
+    return TruncatedOpticalState(
+        np.stack([s.amplitudes for s in states], axis=-1), states[0].n_max, batched=True
+    )
+
+
+def test_batched_operations_match_each_element():
+    alphas = [(0.4, -0.7), (0.0, 0.3), (0.9, 0.9)]
+    singles = [
+        mode_product(coherent_fock(a, N_MAX), coherent_fock(b, N_MAX)) for a, b in alphas
+    ]
+    batch = mode_product(
+        _batch(*(coherent_fock(a, N_MAX) for a, _ in alphas)),
+        _batch(*(coherent_fock(b, N_MAX) for _, b in alphas)),
+    )
+    assert batch.num_modes == 2
+    assert np.array_equal(batch.amplitudes, _batch(*singles).amplitudes)
+
+    angles = np.array([0.0, 0.3, -1.1])
+    rotated = misalignment_rotate(batch, 1, angles)
+    out = beamsplitter_apply(rotated, 0, 1, 0.37)
+    herald = threshold_detect(out, (1, 0), 1e-3)
+    norms = out.norm()
+    for b, single in enumerate(singles):
+        expected = beamsplitter_apply(misalignment_rotate(single, 1, angles[b]), 0, 1, 0.37)
+        assert np.max(np.abs(out.amplitudes[..., b] - expected.amplitudes)) < 1e-15
+        assert norms[b] == pytest.approx(expected.norm(), abs=1e-15)
+        single_herald = threshold_detect(expected, (1, 0), 1e-3)
+        for got, want in zip(herald, single_herald):
+            assert got[b] == pytest.approx(want, abs=1e-15)
+
+    # An unbatched factor joins every element.
+    firsts = _batch(*(coherent_fock(a, N_MAX) for a, _ in alphas))
+    joined = mode_product(firsts, vacuum_state(N_MAX))
+    assert joined.amplitudes.shape == (N_MAX + 1, N_MAX + 1, 3)
+    assert np.array_equal(joined.amplitudes[:, 0, :], firsts.amplitudes)
+
+
+def test_batched_cutoff_overflow_in_one_element():
+    # Element 0 is harmless; element 1 holds total photon number 2 n_max,
+    # which no output pair can hold.  The check must catch that one element.
+    fine = mode_product(coherent_fock(0.3, N_MAX), vacuum_state(N_MAX))
+    overflow = np.zeros((N_MAX + 1, N_MAX + 1), dtype=complex)
+    overflow[N_MAX, N_MAX] = 1.0
+    batch = _batch(fine, TruncatedOpticalState(overflow, N_MAX), fine)
+    with pytest.raises(CutoffError, match="batch element 1"):
+        beamsplitter_apply(batch, 0, 1, 0.5)
+    beamsplitter_apply(_batch(fine, fine), 0, 1, 0.5)
+
+
+def test_batched_validation():
+    batch = _batch(vacuum_state(N_MAX, 2), vacuum_state(N_MAX, 2))
+    with pytest.raises(ParameterError):
+        misalignment_rotate(batch, 0, np.array([0.1, 0.2, 0.3]))
+    with pytest.raises(ParameterError):
+        misalignment_rotate(vacuum_state(N_MAX, 2), 0, np.array([0.1, 0.2]))
+    with pytest.raises(ParameterError):
+        mode_product(_batch(vacuum_state(N_MAX), vacuum_state(N_MAX)), _batch(vacuum_state(N_MAX)))
 
 
 def test_beamsplitter_coherent_identity():

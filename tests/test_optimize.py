@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ecs_diqkd import optimize
 from ecs_diqkd.optimize import (
     MU_SEARCH_BOUNDS,
     SweepConfig,
@@ -42,6 +43,65 @@ def test_optimizer_flags_dead_channel():
     assert optimum.flagged
     assert optimum.rate_star == 0.0
     assert optimum.mu_star == pytest.approx(0.5 * sum(MU_SEARCH_BOUNDS))
+
+
+# Channels where the positive-rate window is narrower than one seed-grid
+# cell, so no seed is positive: (distance_km, eta_d, p_d, e_d).
+NARROW_WINDOWS = [
+    (420.0, 0.6548170864153608, 4.526894339408258e-08, 0.04891344442039911),
+    (496.78320716586995, 0.6433447922850227, 1.1505485768527515e-08, 0.037659561657988117),
+]
+
+
+def _offset_audit_best(distance_km, eta_d, p_d, e_d, points=200):
+    """Best rate on a log grid offset by half a cell from the seed grid."""
+    lo, hi = MU_SEARCH_BOUNDS
+    eta = channel_efficiency(distance_km, 0.2, eta_d)
+    return max(
+        key_rate(ecs_misaligned_stats(lo * (hi / lo) ** ((i + 0.5) / points), eta, p_d, e_d))
+        for i in range(points)
+    )
+
+
+@pytest.mark.parametrize("channel", NARROW_WINDOWS)
+def test_optimizer_finds_window_narrower_than_a_seed_cell(channel):
+    distance_km, eta_d, p_d, e_d = channel
+    optimum = optimize_mu(distance_km, 0.2, eta_d, p_d, e_d)
+    assert not optimum.flagged
+    assert type(optimum.mu_star) is float and type(optimum.rate_star) is float
+    audit = _offset_audit_best(distance_km, eta_d, p_d, e_d)
+    assert audit > 0.0
+    assert optimum.rate_star >= audit
+    eta = channel_efficiency(distance_km, 0.2, eta_d)
+    assert optimum.rate_star == key_rate(ecs_misaligned_stats(optimum.mu_star, eta, p_d, e_d))
+
+
+def _counted_search(monkeypatch, *args):
+    calls = []
+    closed_form = optimize.ecs_misaligned_stats
+
+    def counted(*a):
+        calls.append(a)
+        return closed_form(*a)
+
+    monkeypatch.setattr(optimize, "ecs_misaligned_stats", counted)
+    return optimize_mu(*args), len(calls)
+
+
+def test_optimizer_evaluation_counts_per_branch(monkeypatch):
+    # A positive seed: the seed grid plus the golden-section refinement only.
+    optimum, calls = _counted_search(monkeypatch, 300.0, 0.2, 0.8, 1e-7, 0.0)
+    assert not optimum.flagged and calls == 236
+    assert type(optimum.mu_star) is float
+    # No seed violates CHSH: the seed grid alone, and the exact placeholder.
+    optimum, calls = _counted_search(monkeypatch, 600.0, 0.2, 0.8, 1e-7, 0.0)
+    assert calls == 200
+    assert optimum == optimize.MuOptimum(0.5 * sum(MU_SEARCH_BOUNDS), 0.0, True)
+    # Some seed violates CHSH but no window exists: refined, then the same
+    # placeholder.
+    optimum, calls = _counted_search(monkeypatch, 450.0, 0.2, 0.8, 1e-7, 0.03)
+    assert calls > 200
+    assert optimum == optimize.MuOptimum(0.5 * sum(MU_SEARCH_BOUNDS), 0.0, True)
 
 
 def test_optimal_intensity_below_violation_boundary():

@@ -9,8 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecs_diqkd.fock import CutoffError, coherent_fock
+from ecs_diqkd.fock import (
+    CutoffError,
+    TruncatedOpticalState,
+    beamsplitter_apply,
+    coherent_fock,
+    misalignment_rotate,
+    mode_product,
+    threshold_detect,
+    vacuum_state,
+)
 from ecs_diqkd.oracle import (
+    CHSH_PAIRS,
     SETTING_ANGLES,
     CatStateDecomposition,
     MeasurementSetting,
@@ -197,3 +207,103 @@ def test_verify_reports_cutoff_failures():
     report = verify_grid(points=[(1.0, 0.5, 0.0, 0.0)], n_max=10)
     assert not report.passed
     assert len(report.errors) == 1
+
+
+def _reference_oracle(mu: float, eta: float, p_d: float, e_d: float, n_max: int = N_MAX):
+    """The oracle's model, one arm and one eigenvector product at a time.
+
+    Built only from the public single-state operations: every arm mixture
+    gets its own loss beamsplitter, and every pure product its own central
+    beamsplitter and readout.
+    """
+    alpha = math.sqrt(mu)
+    delta0 = math.acos(1.0 - 2.0 * e_d)
+    arms, priors = {}, {}
+    for role, theta in SETTING_ANGLES.items():
+        decomp = CatStateDecomposition(mu=mu, theta=theta)
+        for outcome in (+1, -1):
+            c_plus, c_minus = decomp.outcome_amplitudes(outcome)
+            pulse = TruncatedOpticalState(
+                c_plus * coherent_fock(alpha, n_max).amplitudes
+                + c_minus * coherent_fock(-alpha, n_max).amplitudes,
+                n_max,
+            )
+            arm = beamsplitter_apply(mode_product(pulse, vacuum_state(n_max)), 0, 1, eta)
+            if role.startswith("B"):
+                arm = misalignment_rotate(arm, 0, delta0)
+            psi = arm.amplitudes
+            weights, vectors = np.linalg.eigh(psi @ psi.conj().T)
+            keep = weights > 1e-14
+            arms[role, outcome] = (weights[keep], vectors[:, keep])
+            priors[role, outcome] = decomp.outcome_prior(outcome)
+
+    def heralds(role_a, a, role_b, b):
+        (w_a, v_a), (w_b, v_b) = arms[role_a, a], arms[role_b, b]
+        totals = np.zeros(4)
+        for p in range(len(w_a)):
+            for q in range(len(w_b)):
+                joint = mode_product(
+                    TruncatedOpticalState(v_a[:, p].copy(), n_max),
+                    TruncatedOpticalState(v_b[:, q].copy(), n_max),
+                )
+                joint = beamsplitter_apply(joint, 0, 1, 0.5)
+                totals += w_a[p] * w_b[q] * np.asarray(threshold_detect(joint, (0, 1), p_d))
+        return totals  # d1_only, d2_only, none, both
+
+    q_zz = error_mass = 0.0
+    for a in (+1, -1):
+        for b in (+1, -1):
+            weight = priors["A0", a] * priors["B1", b]
+            d1, d2, _, _ = heralds("A0", a, "B1", b)
+            q_zz += weight * (d1 + d2)
+            error_mass += weight * (d1 if a != b else d2)
+    s = 0.0
+    for role_a, role_b, sign in CHSH_PAIRS:
+        flip = -1.0 if SETTING_ANGLES[role_b] == 0.0 else 1.0
+        numerator = success = 0.0
+        for a in (+1, -1):
+            for b in (+1, -1):
+                weight = priors[role_a, a] * priors[role_b, b]
+                d1, d2, _, _ = heralds(role_a, a, role_b, b)
+                numerator += weight * a * b * (d1 + flip * d2)
+                success += weight * (d1 + d2)
+        s += sign * numerator / success
+    return q_zz, s, error_mass / q_zz
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        (0.1, 0.08, 1e-7, 0.01),
+        (0.25, 0.5, 1e-5, 0.07),
+        (0.5, 1.0, 1e-6, 0.03),
+        (0.01, 0.2, 3e-8, 0.2),
+        (0.37, 0.61, 2e-5, 0.5),
+    ],
+)
+def test_oracle_matches_per_product_reference(point):
+    actual = oracle_stats(*point)
+    q_zz, s, e_zz = _reference_oracle(*point)
+    assert abs(actual.q_zz - q_zz) <= 1e-12
+    assert abs(actual.s - s) <= 1e-12
+    assert abs(actual.e_zz - e_zz) <= 1e-12
+
+
+# The region the acceptance grid certifies: mu, eta, p_d and e_d each span
+# the grid's own range.  Every example is a fresh transmittance, so each one
+# also builds a new set of loss-beamsplitter blocks.  200 examples take
+# about 2 s, which keeps the whole suite well under its time before the
+# oracle was batched.
+@settings(max_examples=200, deadline=None)
+@given(
+    mu=st.floats(min_value=0.01, max_value=0.5),
+    eta=st.floats(min_value=0.05, max_value=1.0),
+    p_d=st.one_of(st.just(0.0), st.floats(min_value=1e-8, max_value=1e-5)),
+    e_d=st.floats(min_value=0.0, max_value=0.07),
+)
+def test_oracle_matches_closed_form_at_random_points(mu, eta, p_d, e_d):
+    closed = ecs_misaligned_stats(mu, eta, p_d, e_d)
+    actual = oracle_stats(mu, eta, p_d, e_d)
+    assert abs(actual.q_zz - closed.q_zz) < 1e-8
+    assert abs(actual.s - closed.s) < 1e-8
+    assert abs(actual.e_zz - closed.e_zz) < 1e-8
