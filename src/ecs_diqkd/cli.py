@@ -12,15 +12,13 @@ import sys
 from pathlib import Path
 
 from . import oracle
-from .optimize import MuOptimum, SweepConfig, SweepRow, find_crossover, optimize_mu, sweep
+from .optimize import SweepConfig, SweepRow, find_crossover, sweep, sweep_row
 from .params import ParameterError
-from .rates import (
-    bell_state_stats,
-    channel_efficiency,
-    ecs_misaligned_stats,
-    key_rate,
-    plob_bound,
-)
+from .rates import bell_state_stats, channel_efficiency
+
+# Unused here; bound because benchmarks/tracer.py wraps these names on this module.
+from .optimize import optimize_mu  # noqa: E402, F401
+from .rates import ecs_misaligned_stats, key_rate, plob_bound  # noqa: E402, F401
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -98,7 +96,7 @@ def build_parser() -> _Parser:
                          help="comma list from ecs,bell,plob (default all)")
     sweep_p.add_argument("--output", type=str, help="output path, or - for stdout")
     sweep_p.add_argument("--format", type=str, choices=("csv", "json"), help="output format")
-    sweep_p.add_argument("--jobs", type=int, help="parallel worker processes (default 1)")
+    sweep_p.add_argument("--jobs", type=int, help="ignored; kept so older scripts still run")
     _add_channel_flags(sweep_p)
 
     verify_p = sub.add_parser("verify", help="compare closed forms against the Fock oracle")
@@ -142,14 +140,21 @@ def _resolve(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
 
 
 def _parse_protocols(raw: object) -> tuple[str, ...]:
+    """Split a comma list of protocol names; :class:`SweepConfig` checks them."""
     names = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
-    names = tuple(n.strip() for n in names if n.strip())
-    if not names:
-        raise UsageError("protocol set must not be empty")
-    unknown = set(names) - {"ecs", "bell", "plob"}
-    if unknown:
-        raise UsageError(f"unknown protocols: {sorted(unknown)}")
-    return names
+    return tuple(n.strip() for n in names if n.strip())
+
+
+def _sweep_config(values: dict, **grid) -> SweepConfig:
+    """The validated config of ``rates``, ``sweep`` and ``crossover``.
+
+    Every bad value is a usage error (exit 1), whichever subcommand got it.
+    """
+    try:
+        return SweepConfig(beta_db_per_km=values["beta"], eta_d=values["eta_d"],
+                           p_d=values["p_d"], e_d=values["e_d"], mu=values["mu"], **grid)
+    except ParameterError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def format_value(value: float | None) -> str:
@@ -197,41 +202,27 @@ def _cmd_rates(args: argparse.Namespace) -> int:
         args, ("mu", "distance", "beta", "eta_d", "p_d", "e_d", "optimize", "protocol")
     )
     protocols = _parse_protocols(values["protocol"])
-    try:
-        eta = channel_efficiency(values["distance"], values["beta"], values["eta_d"])
-        if "ecs" in protocols and values["mu"] is None and not values["optimize"]:
-            raise UsageError("--mu is required for the ecs protocol unless --optimize is given")
-    except ParameterError as exc:
-        raise UsageError(str(exc)) from exc
+    distance = values["distance"]
+    config = _sweep_config(values, l_min_km=distance, l_max_km=distance, protocols=protocols)
+    if "ecs" in protocols and values["mu"] is None and not values["optimize"]:
+        raise UsageError("--mu is required for the ecs protocol unless --optimize is given")
 
     # Compute every line before printing any, so a failure leaves no partial output.
-    lines = [f"distance_km = {format_value(values['distance'])}"]
+    row = sweep_row(config, distance)
+    lines = [f"distance_km = {format_value(row.distance_km)}"]
+    if row.flagged:
+        lines.append("optimizer_flagged = True")
     if "ecs" in protocols:
-        if values["mu"] is None:
-            optimum = optimize_mu(
-                values["distance"], values["beta"], values["eta_d"],
-                values["p_d"], values["e_d"],
-            )
-            mu = optimum.mu_star
-            if optimum.flagged:
-                lines.append("optimizer_flagged = True")
-        else:
-            mu = float(values["mu"])
-        stats = ecs_misaligned_stats(mu, eta, values["p_d"], values["e_d"])
-        lines.append(f"mu = {format_value(mu)}")
-        lines.append(f"q_zz = {format_value(stats.q_zz)}")
-        lines.append(f"s = {format_value(stats.s)}")
-        lines.append(f"e_zz = {format_value(stats.e_zz)}")
-        lines.append(f"rate_ecs = {format_value(key_rate(stats))}")
+        lines += [f"{key} = {format_value(getattr(row, key))}"
+                  for key in ("mu", "q_zz", "s", "e_zz", "rate_ecs")]
     if "bell" in protocols:
-        stats = bell_state_stats(eta, values["p_d"])
-        lines.append(f"bell_q_zz = {format_value(stats.q_zz)}")
-        lines.append(f"bell_s = {format_value(stats.s)}")
-        lines.append(f"bell_e_zz = {format_value(stats.e_zz)}")
-        lines.append(f"rate_bell = {format_value(key_rate(stats))}")
+        eta = channel_efficiency(distance, config.beta_db_per_km, config.eta_d)
+        stats = bell_state_stats(eta, config.p_d)
+        lines += [f"bell_{key} = {format_value(getattr(stats, key))}"
+                  for key in ("q_zz", "s", "e_zz")]
+        lines.append(f"rate_bell = {format_value(row.rate_bell)}")
     if "plob" in protocols:
-        plob = plob_bound(values["distance"], values["beta"], values["eta_d"])
-        lines.append(f"rate_plob = {format_value(plob)}")
+        lines.append(f"rate_plob = {format_value(row.rate_plob)}")
     print("\n".join(lines))
     return EXIT_OK
 
@@ -242,21 +233,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ("l_min", "l_max", "l_step", "beta", "eta_d", "p_d", "e_d",
          "mu", "protocols", "output", "format", "jobs"),
     )
-    try:
-        config = SweepConfig(
-            l_min_km=values["l_min"],
-            l_max_km=values["l_max"],
-            l_step_km=values["l_step"],
-            beta_db_per_km=values["beta"],
-            eta_d=values["eta_d"],
-            p_d=values["p_d"],
-            e_d=values["e_d"],
-            mu=values["mu"],
-            protocols=_parse_protocols(values["protocols"]),
-        )
-    except ParameterError as exc:
-        raise UsageError(str(exc)) from exc
-    rows = sweep(config, jobs=int(values["jobs"]))
+    config = _sweep_config(
+        values,
+        l_min_km=values["l_min"],
+        l_max_km=values["l_max"],
+        l_step_km=values["l_step"],
+        protocols=_parse_protocols(values["protocols"]),
+    )
+    rows = sweep(config)
     text = rows_to_csv(rows) if values["format"] == "csv" else rows_to_json(rows)
     _emit(text, str(values["output"]))
     return EXIT_OK
@@ -278,11 +262,13 @@ def _parse_points(raw: list[str]) -> list[tuple[float, float, float, float]]:
 def _cmd_verify(args: argparse.Namespace) -> int:
     values = _resolve(args, ("point", "tol", "n_max", "eta_d"))
     points = _parse_points(values["point"]) if values["point"] else None
+    tol, n_max = float(values["tol"]), int(values["n_max"])
+    try:
+        oracle.check_verify_settings(tol, n_max)
+    except ParameterError as exc:
+        raise UsageError(str(exc)) from exc
     report = oracle.verify_grid(
-        points=points,
-        tol=float(values["tol"]),
-        n_max=int(values["n_max"]),
-        eta_d_literal=float(values["eta_d"]),
+        points=points, tol=tol, n_max=n_max, eta_d_literal=float(values["eta_d"])
     )
     print(f"points checked: {len(report.points)} (n_max={report.n_max})")
     for check in report.errors:
@@ -324,20 +310,10 @@ def _cmd_crossover(args: argparse.Namespace) -> int:
     if values["bracket"] is None:
         raise UsageError("--bracket is required")
     first, _, second = str(values["pair"]).partition("-vs-")
+    pair = (first, second)
     lo, hi = (float(x) for x in values["bracket"])
-    try:
-        config = SweepConfig(
-            l_min_km=lo,
-            l_max_km=hi,
-            beta_db_per_km=values["beta"],
-            eta_d=values["eta_d"],
-            p_d=values["p_d"],
-            e_d=values["e_d"],
-            mu=values["mu"],
-        )
-    except ParameterError as exc:
-        raise UsageError(str(exc)) from exc
-    crossing = find_crossover((first, second), config, (lo, hi))
+    config = _sweep_config(values, l_min_km=lo, l_max_km=hi, protocols=pair)
+    crossing = find_crossover(pair, config, (lo, hi))
     if crossing is None:
         print(f"no crossover in bracket [{lo:g}, {hi:g}] km")
     else:

@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .params import DetectorStats, ParameterError
+from .params import DetectorStats, ParameterError, check_channel
 from .rates import (
     bell_state_stats,
     channel_efficiency,
@@ -26,6 +24,10 @@ SEED_GRID_SIZE = 200
 # guarantee so the certified maximum is met with slack.
 GOLDEN_XTOL = 1e-9
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Largest distance grid a SweepConfig accepts.  An optimized row costs about
+# 1.4 ms, so a grid this size takes a few minutes; a tiny step over a long
+# range would otherwise run for hours or days.
+MAX_SWEEP_ROWS = 100_000
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,8 @@ class SweepConfig:
     """Distance grid plus the channel parameters shared by every row.
 
     ``mu = None`` optimizes the intensity at each distance; a number fixes it.
+    Construction is the one validation of these inputs: every number must be
+    finite and in range, and the grid must hold at most ``MAX_SWEEP_ROWS``.
     """
 
     l_min_km: float = 0.0
@@ -60,19 +64,28 @@ class SweepConfig:
     protocols: tuple[str, ...] = PROTOCOLS
 
     def __post_init__(self) -> None:
+        check_channel(self.beta_db_per_km, self.eta_d, self.p_d, self.e_d)
+        for name in ("l_min_km", "l_max_km", "l_step_km"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.l_min_km > self.l_max_km:
             raise ParameterError("l_min_km must not exceed l_max_km")
         if self.l_min_km < 0.0:
             raise ParameterError("l_min_km must be >= 0")
         if not self.l_step_km > 0.0:
             raise ParameterError("l_step_km must be > 0")
+        if (self.l_max_km - self.l_min_km) / self.l_step_km + 1e-9 >= MAX_SWEEP_ROWS:
+            raise ParameterError(
+                f"the distance grid exceeds {MAX_SWEEP_ROWS} rows; widen l_step_km "
+                "or narrow the range"
+            )
         if not self.protocols:
             raise ParameterError("protocol set must not be empty")
         unknown = set(self.protocols) - set(PROTOCOLS)
         if unknown:
             raise ParameterError(f"unknown protocols: {sorted(unknown)}")
-        if self.mu is not None and not self.mu > 0.0:
-            raise ParameterError(f"fixed mu must be > 0, got {self.mu}")
+        if self.mu is not None and not 0.0 < self.mu < math.inf:
+            raise ParameterError(f"fixed mu must be finite and > 0, got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -182,21 +195,24 @@ def sweep_distances(config: SweepConfig) -> list[float]:
     return [config.l_min_km + i * config.l_step_km for i in range(count)]
 
 
-def _sweep_row(config: SweepConfig, distance_km: float) -> SweepRow:
+def sweep_row(config: SweepConfig, distance_km: float) -> SweepRow:
+    """Every requested protocol's rate at one distance: the one rate dispatch.
+
+    The ECS fields come from one evaluation of the statistics at ``mu``,
+    fixed or optimized; ``rate_ecs`` equals the optimizer's ``rate_star``.
+    """
     eta = channel_efficiency(distance_km, config.beta_db_per_km, config.eta_d)
     mu = q_zz = s = e_zz = rate_ecs = rate_bell = rate_plob = None
     flagged = False
     if "ecs" in config.protocols:
-        if config.mu is not None:
-            mu = config.mu
-            rate_ecs = key_rate(ecs_misaligned_stats(mu, eta, config.p_d, config.e_d))
-        else:
+        mu = config.mu
+        if mu is None:
             optimum = optimize_mu(
                 distance_km, config.beta_db_per_km, config.eta_d, config.p_d, config.e_d
             )
-            mu, rate_ecs, flagged = optimum.mu_star, optimum.rate_star, optimum.flagged
+            mu, flagged = optimum.mu_star, optimum.flagged
         stats = ecs_misaligned_stats(mu, eta, config.p_d, config.e_d)
-        q_zz, s, e_zz = stats.q_zz, stats.s, stats.e_zz
+        q_zz, s, e_zz, rate_ecs = stats.q_zz, stats.s, stats.e_zz, key_rate(stats)
     if "bell" in config.protocols:
         rate_bell = key_rate(bell_state_stats(eta, config.p_d))
     if "plob" in config.protocols:
@@ -217,31 +233,10 @@ def _sweep_row(config: SweepConfig, distance_km: float) -> SweepRow:
 def sweep(config: SweepConfig, jobs: int = 1) -> list[SweepRow]:
     """Evaluate every grid distance; rows are returned ordered by distance.
 
-    Rows are independent, so ``jobs > 1`` fans them out over processes;
-    the result is identical either way.
+    ``jobs`` is accepted for older callers and ignored: rows are evaluated
+    in this process.
     """
-    distances = sweep_distances(config)
-    worker = partial(_sweep_row, config)
-    if jobs <= 1 or len(distances) < 2:
-        return [worker(distance) for distance in distances]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, distances, chunksize=8))
-
-
-def _protocol_rate(config: SweepConfig, protocol: str, distance_km: float) -> float:
-    if protocol == "ecs":
-        if config.mu is not None:
-            eta = channel_efficiency(distance_km, config.beta_db_per_km, config.eta_d)
-            return key_rate(ecs_misaligned_stats(config.mu, eta, config.p_d, config.e_d))
-        return optimize_mu(
-            distance_km, config.beta_db_per_km, config.eta_d, config.p_d, config.e_d
-        ).rate_star
-    if protocol == "bell":
-        eta = channel_efficiency(distance_km, config.beta_db_per_km, config.eta_d)
-        return key_rate(bell_state_stats(eta, config.p_d))
-    if protocol == "plob":
-        return plob_bound(distance_km, config.beta_db_per_km, config.eta_d)
-    raise ParameterError(f"unknown protocol {protocol!r}")
+    return [sweep_row(config, distance) for distance in sweep_distances(config)]
 
 
 def find_crossover(
@@ -259,13 +254,13 @@ def find_crossover(
     """
     first, second = protocol_pair
     lo, hi = bracket
-    if lo >= hi or lo < 0.0:
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi or lo < 0.0:
         raise ParameterError(f"invalid bracket {bracket}")
+    pair_config = replace(config, protocols=(first, second))
 
     def diff(distance_km: float) -> float:
-        return _protocol_rate(config, first, distance_km) - _protocol_rate(
-            config, second, distance_km
-        )
+        row = sweep_row(pair_config, distance_km)
+        return getattr(row, f"rate_{first}") - getattr(row, f"rate_{second}")
 
     grid = np.linspace(lo, hi, 65)
     values = [diff(distance) for distance in grid]

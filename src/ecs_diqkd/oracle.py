@@ -33,6 +33,10 @@ from .fock import (
 from .params import DetectorStats, ParameterError
 
 DEFAULT_N_MAX = 30
+# Largest cutoff verify_grid accepts.  The batched oracle holds every
+# eigenvector product at once, so peak memory grows about as n_max**2
+# (about 190 MB at 200).
+MAX_N_MAX = 200
 # Eigenvalues of an arm density matrix below this weight are numerical noise
 # of the exact rank-2 mixture and are dropped.
 _EIG_WEIGHT_FLOOR = 1e-14
@@ -380,6 +384,17 @@ class VerificationReport:
         return not self.failures and not self.errors
 
 
+def check_verify_settings(tol: float, n_max: int) -> None:
+    """Reject a tolerance that is not finite and > 0, or a cutoff outside [1, MAX_N_MAX].
+
+    A NaN or infinite tolerance would pass every deviation.
+    """
+    if not 0.0 < tol < math.inf:
+        raise ParameterError(f"tol must be finite and > 0, got {tol}")
+    if not 1 <= n_max <= MAX_N_MAX:
+        raise ParameterError(f"n_max must be in [1, {MAX_N_MAX}], got {n_max}")
+
+
 def verify_grid(
     points: list[tuple[float, float, float, float]] | None = None,
     tol: float = 1e-8,
@@ -387,6 +402,7 @@ def verify_grid(
     eta_d_literal: float = 0.8,
 ) -> VerificationReport:
     """Compare closed forms with the oracle over a grid of parameter tuples."""
+    check_verify_settings(tol, n_max)
     checks: list[PointCheck] = []
     for mu, eta, p_d, e_d in points if points is not None else acceptance_grid():
         try:

@@ -15,6 +15,18 @@ class ParameterError(ValueError):
     """An input violates a documented precondition or invariant."""
 
 
+def check_channel(beta_db_per_km: float, eta_d: float, p_d: float, e_d: float) -> None:
+    """Reject channel parameters outside their documented ranges, NaN included."""
+    if not 0.0 <= beta_db_per_km < math.inf:
+        raise ParameterError(f"beta_db_per_km must be finite and >= 0, got {beta_db_per_km}")
+    if not 0.0 < eta_d <= 1.0:
+        raise ParameterError(f"eta_d must be in (0, 1], got {eta_d}")
+    if not 0.0 <= p_d < 1.0:
+        raise ParameterError(f"p_d must be in [0, 1), got {p_d}")
+    if not 0.0 <= e_d <= 0.5:
+        raise ParameterError(f"e_d must be in [0, 0.5], got {e_d}")
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Physical inputs of one protocol evaluation.
@@ -39,14 +51,7 @@ class ProtocolParams:
     def __post_init__(self) -> None:
         if not self.mu > 0.0:
             raise ParameterError(f"mu must be > 0, got {self.mu}")
-        if self.beta_db_per_km < 0.0:
-            raise ParameterError(f"beta_db_per_km must be >= 0, got {self.beta_db_per_km}")
-        if not 0.0 < self.eta_d <= 1.0:
-            raise ParameterError(f"eta_d must be in (0, 1], got {self.eta_d}")
-        if not 0.0 <= self.p_d < 1.0:
-            raise ParameterError(f"p_d must be in [0, 1), got {self.p_d}")
-        if not 0.0 <= self.e_d <= 0.5:
-            raise ParameterError(f"e_d must be in [0, 0.5], got {self.e_d}")
+        check_channel(self.beta_db_per_km, self.eta_d, self.p_d, self.e_d)
         if self.distance_km < 0.0:
             raise ParameterError(f"distance_km must be >= 0, got {self.distance_km}")
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,9 +11,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ecs_diqkd
-from ecs_diqkd import cli, oracle
+from ecs_diqkd import cli, optimize, oracle
+from ecs_diqkd.optimize import SweepConfig, sweep_row
 from ecs_diqkd.params import DetectorStats
 
 SRC = str(Path(ecs_diqkd.__file__).resolve().parents[1])
@@ -100,6 +105,44 @@ def test_unknown_protocol_is_usage_error(capsys):
 
 def test_invalid_parameter_value_is_usage_error(capsys):
     assert cli.main(["rates", "--mu", "0.1", "--eta-d", "2.0"]) == cli.EXIT_USAGE
+    assert cli.main(["rates", "--mu", "0"]) == cli.EXIT_USAGE
+    assert cli.main(["rates", "--mu", "-1", "--protocol", "bell"]) == cli.EXIT_USAGE
+
+
+# One cheap valid invocation of each subcommand that takes channel flags
+# into a SweepConfig.
+CHANNEL_COMMANDS = (
+    ["rates", "--mu", "0.1", "--distance", "50"],
+    ["sweep", "--mu", "0.1", "--l-max", "10"],
+    ["crossover", "--pair", "ecs-vs-plob", "--bracket", "100", "250", "--mu", "0.1"],
+)
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [["--eta-d", "0"], ["--p-d", "nan"], ["--e-d", "0.6"], ["--beta", "nan"], ["--beta", "inf"]],
+    ids=" ".join,
+)
+def test_bad_channel_value_is_the_same_usage_error_everywhere(flag, capsys):
+    messages = set()
+    for argv in CHANNEL_COMMANDS:
+        assert cli.main(argv + flag) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        messages.add(captured.err)
+    assert len(messages) == 1
+    assert messages.pop().startswith("usage error: ")
+
+
+@pytest.mark.parametrize("mu_flags, mu", [(["--mu", "0.07"], 0.07), (["--optimize"], None)])
+def test_rates_prints_the_sweep_row(mu_flags, mu, capsys):
+    argv = ["rates", *mu_flags, "--distance", "230", "--e-d", "0.02",
+            "--protocol", "ecs,bell,plob"]
+    assert cli.main(argv) == 0
+    report = _parse_report(capsys.readouterr().out)
+    row = sweep_row(SweepConfig(l_min_km=230.0, l_max_km=230.0, e_d=0.02, mu=mu), 230.0)
+    for field in cli.CSV_FIELDS:
+        assert report[field] == getattr(row, field)
 
 
 def test_plob_divergence_is_compute_error(capsys):
@@ -123,14 +166,17 @@ def test_arithmetic_overflow_is_compute_error():
 def test_import_and_cli_load_no_scipy():
     probe = (
         "import json, runpy, sys\n"
+        "def heavy():\n"
+        "    roots = ('scipy', 'concurrent', 'multiprocessing')\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in roots)\n"
         "import ecs_diqkd\n"
-        "after_import = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "after_import = heavy()\n"
         "sys.argv = ['ecs_diqkd.cli', 'rates', '--mu', '0.1', '--distance', '100']\n"
         "try:\n"
         "    runpy.run_module('ecs_diqkd.cli', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
-        "after_cli = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "after_cli = heavy()\n"
         "print(json.dumps([after_import, after_cli, code]), file=sys.stderr)\n"
     )
     done = _python("-c", probe)
@@ -197,6 +243,15 @@ def test_sweep_jobs_flag_matches_serial(tmp_path, capsys):
 
 def test_sweep_empty_protocols_usage_error(tmp_path, capsys):
     assert cli.main(["sweep", "--protocols", ""]) == cli.EXIT_USAGE
+
+
+def test_sweep_grid_over_the_row_cap_is_usage_error(monkeypatch, capsys):
+    def refuse(config):
+        raise AssertionError("the distance grid was built")
+
+    monkeypatch.setattr(optimize, "sweep_distances", refuse)
+    assert cli.main(["sweep", "--l-step", "1e-11"]) == cli.EXIT_USAGE
+    assert f"{optimize.MAX_SWEEP_ROWS} rows" in capsys.readouterr().err
 
 
 def test_sweep_unwritable_path(tmp_path, capsys):
@@ -268,6 +323,22 @@ def test_verify_catches_corrupted_closed_form(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "mu=0.1" in out  # the offending tuple is identified
+    # A tolerance that every deviation passes is refused, not a PASS.
+    for tol in ("nan", "inf"):
+        code = cli.main(["verify", "--point", "0.1,0.5,0,0.01", "--tol", tol])
+        assert code == cli.EXIT_USAGE
+        assert "PASS" not in capsys.readouterr().out
+
+
+def test_verify_cutoff_out_of_range_is_usage_error(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle work started")
+
+    monkeypatch.setattr(oracle, "oracle_stats", refuse)
+    for n_max in ("100000", "0"):
+        argv = ["verify", "--point", "0.25,1,0,0", "--n-max", n_max]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert "n_max must be in [1, 200]" in capsys.readouterr().err
 
 
 def test_verify_cutoff_failure_is_compute_error(capsys):
@@ -303,3 +374,46 @@ def test_crossover_empty_bracket(capsys):
 def test_crossover_requires_pair_and_bracket(capsys):
     assert cli.main(["crossover", "--bracket", "5", "30"]) == cli.EXIT_USAGE
     assert cli.main(["crossover", "--pair", "ecs-vs-bell"]) == cli.EXIT_USAGE
+
+
+# Each subcommand's fixed arguments, then its numeric flags with one valid
+# value per position.  Grids stay a few rows wide and mu is always given, so
+# no example runs the intensity search and one example takes milliseconds.
+_FUZZ_CHANNEL = {"--beta": ["0.2"], "--eta-d": ["0.8"], "--p-d": ["1e-7"], "--e-d": ["0.01"]}
+FUZZ_COMMANDS = {
+    "rates": (["rates", "--protocol", "ecs,bell,plob"],
+              {"--mu": ["0.1"], "--distance": ["50"], **_FUZZ_CHANNEL}),
+    "sweep": (["sweep", "--protocols", "ecs,bell,plob"],
+              {"--l-min": ["0"], "--l-max": ["20"], "--l-step": ["10"], "--mu": ["0.1"],
+               "--jobs": ["2"], **_FUZZ_CHANNEL}),
+    "verify": (["verify", "--point", "0.25,1,0,0"],
+               {"--tol": ["1e-8"], "--n-max": ["12"], **_FUZZ_CHANNEL}),
+    "crossover": (["crossover", "--pair", "ecs-vs-plob"],
+                  {"--bracket": ["100", "250"], "--mu": ["0.1"], **_FUZZ_CHANNEL}),
+}
+FUZZ_BAD = ("0", "-1", "nan", "inf", "-inf", "1e308")
+
+
+@st.composite
+def _fuzzed_argv(draw) -> list[str]:
+    """One subcommand with up to three flag values swapped for a bad one.
+
+    Few bad values per call keep most examples past the first check.
+    """
+    fixed, flags = FUZZ_COMMANDS[draw(st.sampled_from(sorted(FUZZ_COMMANDS)))]
+    slots = [(flag, i) for flag, valid in flags.items() for i in range(len(valid))]
+    bad = draw(st.dictionaries(st.sampled_from(slots), st.sampled_from(FUZZ_BAD), max_size=3))
+    argv = list(fixed)
+    for flag, valid in flags.items():
+        argv += [flag, *(bad.get((flag, i), value) for i, value in enumerate(valid))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_fuzzed_argv())
+def test_main_fuzz_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_COMPUTE, cli.EXIT_VERIFY)
+    assert "Traceback" not in err.getvalue()

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from ecs_diqkd import optimize
 from ecs_diqkd.optimize import (
+    MAX_SWEEP_ROWS,
     MU_SEARCH_BOUNDS,
     SweepConfig,
     find_crossover,
     optimize_mu,
     sweep,
     sweep_distances,
+    sweep_row,
 )
 from ecs_diqkd.params import ParameterError
 from ecs_diqkd.rates import channel_efficiency, ecs_misaligned_stats, key_rate
@@ -156,9 +160,18 @@ def test_sweep_deterministic():
     assert sweep(config) == sweep(config)
 
 
-def test_sweep_parallel_matches_serial():
-    config = SweepConfig(l_min_km=0.0, l_max_km=60.0, l_step_km=20.0)
-    assert sweep(config, jobs=2) == sweep(config, jobs=1)
+def test_sweep_is_sweep_row_per_distance():
+    config = SweepConfig(l_min_km=0.0, l_max_km=60.0, l_step_km=20.0, e_d=0.01)
+    rows = [sweep_row(config, distance) for distance in sweep_distances(config)]
+    assert sweep(config) == rows
+    assert sweep(config, jobs=4) == rows  # accepted and ignored
+    for row in rows:
+        eta = channel_efficiency(row.distance_km, 0.2, 0.8)
+        stats = ecs_misaligned_stats(row.mu, eta, 1e-7, 0.01)
+        assert (row.q_zz, row.s, row.e_zz, row.rate_ecs) == (
+            stats.q_zz, stats.s, stats.e_zz, key_rate(stats)
+        )
+        assert row.rate_ecs == optimize_mu(row.distance_km, 0.2, 0.8, 1e-7, 0.01).rate_star
 
 
 def test_sweep_flags_dead_rows_without_aborting():
@@ -180,6 +193,18 @@ def test_sweep_config_validation():
         SweepConfig(protocols=("ecs", "morse"))
     with pytest.raises(ParameterError):
         SweepConfig(mu=-0.1)
+    bad = [
+        dict(beta_db_per_km=math.nan), dict(beta_db_per_km=math.inf), dict(eta_d=0.0),
+        dict(p_d=math.nan), dict(e_d=0.6), dict(mu=math.nan), dict(mu=math.inf),
+        dict(l_min_km=math.nan), dict(l_max_km=math.inf), dict(l_step_km=math.inf),
+        dict(l_step_km=math.nan),
+        dict(l_max_km=MAX_SWEEP_ROWS * 5.0),  # one row more than the cap
+    ]
+    for fields in bad:
+        with pytest.raises(ParameterError):
+            SweepConfig(**fields)
+    largest = SweepConfig(l_max_km=(MAX_SWEEP_ROWS - 1) * 5.0)
+    assert len(sweep_distances(largest)) == MAX_SWEEP_ROWS
 
 
 def test_sweep_ecs_dominates_bell_at_intercity_distances():
@@ -219,3 +244,6 @@ def test_crossover_rejects_bad_bracket():
     config = SweepConfig(**FIG2)
     with pytest.raises(ParameterError):
         find_crossover(("ecs", "bell"), config, (200.0, 100.0))
+    for bracket in ((math.nan, 100.0), (100.0, math.nan), (100.0, math.inf), (-math.inf, 100.0)):
+        with pytest.raises(ParameterError):
+            find_crossover(("ecs", "bell"), config, bracket)

@@ -209,6 +209,15 @@ def test_verify_reports_cutoff_failures():
     assert len(report.errors) == 1
 
 
+@pytest.mark.parametrize(
+    "tol, n_max",
+    [(math.nan, 30), (math.inf, 30), (0.0, 30), (-1e-8, 30), (1e-8, 0), (1e-8, 201)],
+)
+def test_verify_rejects_bad_settings(tol, n_max):
+    with pytest.raises(ParameterError):
+        verify_grid(points=[(0.25, 1.0, 0.0, 0.0)], tol=tol, n_max=n_max)
+
+
 def _reference_oracle(mu: float, eta: float, p_d: float, e_d: float, n_max: int = N_MAX):
     """The oracle's model, one arm and one eigenvector product at a time.
 

@@ -273,6 +273,9 @@ def test_param_validation():
         ProtocolParams(mu=0.1, e_d=0.6)
     with pytest.raises(ParameterError):
         ProtocolParams(mu=0.1, distance_km=-1.0)
+    for beta in (-0.1, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            ProtocolParams(mu=0.1, beta_db_per_km=beta)
     with pytest.raises(ParameterError):
         DetectorStats(q_zz=1.2, s=0.0, e_zz=0.0)
     with pytest.raises(ParameterError):
