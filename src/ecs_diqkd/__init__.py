@@ -17,7 +17,6 @@ from .fock import (
 )
 from .oracle import (
     CatStateDecomposition,
-    MeasurementSetting,
     VerificationReport,
     acceptance_grid,
     oracle_stats,
@@ -50,7 +49,6 @@ __all__ = [
     "DetectorStats",
     "HeraldProbabilities",
     "KeyRatePoint",
-    "MeasurementSetting",
     "MuOptimum",
     "ParameterError",
     "ProtocolParams",

@@ -28,47 +28,43 @@ EXIT_VERIFY = 3
 CSV_HEADER = "distance_km,mu,q_zz,s,e_zz,rate_ecs,rate_bell,rate_plob"
 CSV_FIELDS = tuple(CSV_HEADER.split(","))
 
-# Defaults mirror the reference operating point: standard fiber loss, an
-# 80% threshold detector, and a 1e-7 dark count rate.
-DEFAULTS: dict[str, object] = {
-    "mu": None,
-    "distance": 0.0,
-    "beta": 0.2,
-    "eta_d": 0.8,
-    "p_d": 1e-7,
-    "e_d": 0.0,
-    "optimize": False,
-    "protocol": "ecs",
-    "protocols": "ecs,bell,plob",
-    "l_min": 0.0,
-    "l_max": 600.0,
-    "l_step": 5.0,
-    "output": "-",
-    "format": "csv",
-    "jobs": 1,
-    "tol": 1e-8,
-    "n_max": 30,
-    "point": None,
-    "pair": None,
-    "bracket": None,
-}
-
-
 class UsageError(Exception):
     """Bad flags or flag values; maps to exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, _Parser]  # subcommand name to its parser
+
     def error(self, message: str) -> None:  # argparse would exit(2); we want 1
         raise UsageError(message)
 
 
+def _protocol_list(text: str) -> tuple[str, ...]:
+    """A comma list of protocol names; :class:`SweepConfig` checks them."""
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
+def _point(text: str) -> tuple[float, float, float, float]:
+    """One ``mu,eta,p_d,e_d`` tuple; :func:`oracle.check_verify_settings` checks its ranges."""
+    parts = text.split(",")
+    if len(parts) != 4:
+        raise argparse.ArgumentTypeError(f"expects mu,eta,p_d,e_d, got {text!r}")
+    try:
+        return tuple(float(p) for p in parts)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad value {text!r}") from None
+
+
 def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--beta", type=float, help="fiber loss in dB/km (default 0.2)")
-    parser.add_argument("--eta-d", dest="eta_d", type=float, help="detector efficiency (default 0.8)")
-    parser.add_argument("--p-d", dest="p_d", type=float, help="dark count probability (default 1e-7)")
-    parser.add_argument("--e-d", dest="e_d", type=float, help="misalignment error (default 0)")
-    parser.add_argument("--config", type=Path, help="JSON file of defaults; flags override it")
+    """The channel flags; unset ones take the :class:`SweepConfig` defaults."""
+    parser.add_argument("--beta", type=float,
+                        help=f"fiber loss in dB/km (default {SweepConfig.beta_db_per_km:g})")
+    parser.add_argument("--eta-d", dest="eta_d", type=float,
+                        help=f"detector efficiency (default {SweepConfig.eta_d:g})")
+    parser.add_argument("--p-d", dest="p_d", type=float,
+                        help=f"dark count probability (default {SweepConfig.p_d:g})")
+    parser.add_argument("--e-d", dest="e_d", type=float,
+                        help=f"misalignment error (default {SweepConfig.e_d:g})")
 
 
 def build_parser() -> _Parser:
@@ -80,79 +76,104 @@ def build_parser() -> _Parser:
 
     rates_p = sub.add_parser("rates", help="evaluate one (distance, mu) point")
     rates_p.add_argument("--mu", type=float, help="coherent-state intensity")
-    rates_p.add_argument("--distance", type=float, help="total distance in km (default 0)")
-    rates_p.add_argument("--optimize", action="store_true", default=None,
+    rates_p.add_argument("--distance", type=float, default=0.0,
+                         help="total distance in km (default %(default)g)")
+    rates_p.add_argument("--optimize", action="store_true",
                          help="optimize mu instead of passing --mu")
-    rates_p.add_argument("--protocol", type=str,
-                         help="comma list from ecs,bell,plob (default ecs)")
+    rates_p.add_argument("--protocol", type=_protocol_list, default="ecs",
+                         help="comma list from ecs,bell,plob (default %(default)s)")
     _add_channel_flags(rates_p)
 
     sweep_p = sub.add_parser("sweep", help="rate-versus-distance table (CSV or JSON)")
-    sweep_p.add_argument("--l-min", dest="l_min", type=float, help="first distance, km (default 0)")
-    sweep_p.add_argument("--l-max", dest="l_max", type=float, help="last distance, km (default 600)")
-    sweep_p.add_argument("--l-step", dest="l_step", type=float, help="grid step, km (default 5)")
+    sweep_p.add_argument("--l-min", dest="l_min", type=float,
+                         help=f"first distance, km (default {SweepConfig.l_min_km:g})")
+    sweep_p.add_argument("--l-max", dest="l_max", type=float,
+                         help=f"last distance, km (default {SweepConfig.l_max_km:g})")
+    sweep_p.add_argument("--l-step", dest="l_step", type=float,
+                         help=f"grid step, km (default {SweepConfig.l_step_km:g})")
     sweep_p.add_argument("--mu", type=float, help="fix the intensity; omit to optimize per distance")
-    sweep_p.add_argument("--protocols", type=str,
+    sweep_p.add_argument("--protocols", type=_protocol_list,
                          help="comma list from ecs,bell,plob (default all)")
-    sweep_p.add_argument("--output", type=str, help="output path, or - for stdout")
-    sweep_p.add_argument("--format", type=str, choices=("csv", "json"), help="output format")
-    sweep_p.add_argument("--jobs", type=int, help="ignored; kept so older scripts still run")
+    sweep_p.add_argument("--output", default="-", help="output path, or - for stdout")
+    sweep_p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     _add_channel_flags(sweep_p)
 
     verify_p = sub.add_parser("verify", help="compare closed forms against the Fock oracle")
-    verify_p.add_argument("--point", action="append",
+    verify_p.add_argument("--point", action="append", type=_point,
                           help="mu,eta,p_d,e_d tuple; repeatable (default: acceptance grid)")
-    verify_p.add_argument("--tol", type=float, help="per-field tolerance (default 1e-8)")
-    verify_p.add_argument("--n-max", dest="n_max", type=int, help="Fock cutoff (default 30)")
-    _add_channel_flags(verify_p)
+    verify_p.add_argument("--tol", type=float, default=oracle.DEFAULT_TOL,
+                          help="per-field tolerance (default %(default)g)")
+    verify_p.add_argument("--n-max", dest="n_max", type=int, default=oracle.DEFAULT_N_MAX,
+                          help="Fock cutoff (default %(default)s)")
+    verify_p.add_argument("--eta-d", dest="eta_d", type=float,
+                          default=oracle.DEFAULT_ETA_D_LITERAL,
+                          help="detector efficiency of the literal e_zz reading "
+                               "(default %(default)g)")
 
     cross_p = sub.add_parser("crossover", help="locate where one protocol overtakes another")
-    cross_p.add_argument("--pair", type=str,
-                         choices=("ecs-vs-bell", "ecs-vs-plob", "bell-vs-plob"))
+    cross_p.add_argument("--pair", choices=("ecs-vs-bell", "ecs-vs-plob", "bell-vs-plob"))
     cross_p.add_argument("--bracket", nargs=2, type=float, metavar=("LO", "HI"),
                          help="distance bracket in km")
     cross_p.add_argument("--mu", type=float, help="fix the ECS intensity; omit to optimize")
     _add_channel_flags(cross_p)
 
+    for command_p in sub.choices.values():
+        command_p.add_argument("--config", type=Path,
+                               help="JSON file of flag values; flags given here override it")
+    parser.commands = sub.choices
     return parser
 
 
-def _resolve(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
-    """Layer defaults, then the JSON config file, then explicit flags."""
-    values = {key: DEFAULTS[key] for key in keys}
-    config_path = getattr(args, "config", None)
-    if config_path is not None:
-        try:
-            data = json.loads(Path(config_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file: {exc}") from exc
-        if not isinstance(data, dict):
-            raise UsageError("config file must hold a JSON object")
-        unknown = set(data) - set(keys)
-        if unknown:
-            raise UsageError(f"config keys not valid here: {sorted(unknown)}")
-        values.update(data)
-    for key in keys:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    return values
+def _config_tokens(path: Path, command_p: argparse.ArgumentParser) -> list[str]:
+    """The flag tokens a JSON config file stands for.
 
-
-def _parse_protocols(raw: object) -> tuple[str, ...]:
-    """Split a comma list of protocol names; :class:`SweepConfig` checks them."""
-    names = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
-    return tuple(n.strip() for n in names if n.strip())
-
-
-def _sweep_config(values: dict, **grid) -> SweepConfig:
-    """The validated config of ``rates``, ``sweep`` and ``crossover``.
-
-    Every bad value is a usage error (exit 1), whichever subcommand got it.
+    Key ``eta_d`` is flag ``--eta-d``. ``true`` gives a switch and ``false``
+    leaves the key out; a list gives one ``--point`` per item, a comma list
+    for ``--protocol``/``--protocols``, and the flag's arguments otherwise
+    (``--bracket LO HI``); any other value is passed as its text.  A flag
+    that takes numbers needs JSON numbers; ``null`` and objects are refused.
     """
     try:
-        return SweepConfig(beta_db_per_km=values["beta"], eta_d=values["eta_d"],
-                           p_d=values["p_d"], e_d=values["e_d"], mu=values["mu"], **grid)
+        data = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise UsageError(f"cannot read config file: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError("config file must hold a JSON object")
+    numeric = {flag for action in command_p._actions if action.type in (float, int)
+               for flag in action.option_strings}
+    tokens = []
+    for key, value in data.items():
+        flag = "--" + key.replace("_", "-")
+        items = value if isinstance(value, list) else [value]
+        if flag == "--config":
+            raise UsageError("a config file cannot name another")
+        if value is None or isinstance(value, dict):
+            raise UsageError(f"config key {key!r} cannot be {json.dumps(value)}")
+        if flag in numeric and not all(type(item) in (int, float) for item in items):
+            raise UsageError(f"config key {key!r} takes numbers, got {json.dumps(value)}")
+        if value is True:
+            tokens.append(flag)
+        elif flag == "--point":
+            tokens += [f"{flag}={item}" for item in items]
+        elif flag in ("--protocol", "--protocols") and isinstance(value, list):
+            tokens.append(f"{flag}={','.join(map(str, value))}")
+        elif isinstance(value, list):
+            tokens += [flag, *map(str, value)]
+        elif value is not False:
+            tokens.append(f"{flag}={value}")
+    return tokens
+
+
+def _sweep_config(args: argparse.Namespace, **grid) -> SweepConfig:
+    """The validated config of ``rates``, ``sweep`` and ``crossover``.
+
+    Only the values given reach it, so unset ones take its defaults.  Every
+    bad value is a usage error (exit 1), whichever subcommand got it.
+    """
+    given = dict(beta_db_per_km=args.beta, eta_d=args.eta_d, p_d=args.p_d, e_d=args.e_d,
+                 mu=args.mu, **grid)
+    try:
+        return SweepConfig(**{key: value for key, value in given.items() if value is not None})
     except ParameterError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -198,15 +219,10 @@ def _emit(text: str, output: str) -> None:
 
 
 def _cmd_rates(args: argparse.Namespace) -> int:
-    values = _resolve(
-        args, ("mu", "distance", "beta", "eta_d", "p_d", "e_d", "optimize", "protocol")
-    )
-    protocols = _parse_protocols(values["protocol"])
-    distance = values["distance"]
-    config = _sweep_config(values, l_min_km=distance, l_max_km=distance, protocols=protocols)
-    if "ecs" in protocols and values["mu"] is None and not values["optimize"]:
+    protocols, distance = args.protocol, args.distance
+    config = _sweep_config(args, l_min_km=distance, l_max_km=distance, protocols=protocols)
+    if "ecs" in protocols and args.mu is None and not args.optimize:
         raise UsageError("--mu is required for the ecs protocol unless --optimize is given")
-
     # Compute every line before printing any, so a failure leaves no partial output.
     row = sweep_row(config, distance)
     lines = [f"distance_km = {format_value(row.distance_km)}"]
@@ -228,47 +244,20 @@ def _cmd_rates(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    values = _resolve(
-        args,
-        ("l_min", "l_max", "l_step", "beta", "eta_d", "p_d", "e_d",
-         "mu", "protocols", "output", "format", "jobs"),
-    )
-    config = _sweep_config(
-        values,
-        l_min_km=values["l_min"],
-        l_max_km=values["l_max"],
-        l_step_km=values["l_step"],
-        protocols=_parse_protocols(values["protocols"]),
-    )
+    config = _sweep_config(args, l_min_km=args.l_min, l_max_km=args.l_max,
+                           l_step_km=args.l_step, protocols=args.protocols)
     rows = sweep(config)
-    text = rows_to_csv(rows) if values["format"] == "csv" else rows_to_json(rows)
-    _emit(text, str(values["output"]))
+    _emit(rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows), args.output)
     return EXIT_OK
 
 
-def _parse_points(raw: list[str]) -> list[tuple[float, float, float, float]]:
-    points = []
-    for item in raw:
-        parts = item.split(",")
-        if len(parts) != 4:
-            raise UsageError(f"--point expects mu,eta,p_d,e_d, got {item!r}")
-        try:
-            points.append(tuple(float(p) for p in parts))
-        except ValueError as exc:
-            raise UsageError(f"bad --point value {item!r}") from exc
-    return points
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    values = _resolve(args, ("point", "tol", "n_max", "eta_d"))
-    points = _parse_points(values["point"]) if values["point"] else None
-    tol, n_max = float(values["tol"]), int(values["n_max"])
     try:
-        oracle.check_verify_settings(tol, n_max)
+        oracle.check_verify_settings(args.tol, args.n_max, args.eta_d, args.point or ())
     except ParameterError as exc:
         raise UsageError(str(exc)) from exc
     report = oracle.verify_grid(
-        points=points, tol=tol, n_max=n_max, eta_d_literal=float(values["eta_d"])
+        points=args.point, tol=args.tol, n_max=args.n_max, eta_d_literal=args.eta_d
     )
     print(f"points checked: {len(report.points)} (n_max={report.n_max})")
     for check in report.errors:
@@ -302,17 +291,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_crossover(args: argparse.Namespace) -> int:
-    values = _resolve(
-        args, ("pair", "bracket", "mu", "beta", "eta_d", "p_d", "e_d")
-    )
-    if values["pair"] is None:
+    if args.pair is None:
         raise UsageError("--pair is required")
-    if values["bracket"] is None:
+    if args.bracket is None:
         raise UsageError("--bracket is required")
-    first, _, second = str(values["pair"]).partition("-vs-")
-    pair = (first, second)
-    lo, hi = (float(x) for x in values["bracket"])
-    config = _sweep_config(values, l_min_km=lo, l_max_km=hi, protocols=pair)
+    pair = tuple(args.pair.split("-vs-"))
+    lo, hi = args.bracket
+    config = _sweep_config(args, l_min_km=lo, l_max_km=hi, protocols=pair)
+    if lo == hi:  # the config has checked everything else about the bracket
+        raise UsageError(f"--bracket needs LO < HI, got {lo:g} {hi:g}")
     crossing = find_crossover(pair, config, (lo, hi))
     if crossing is None:
         print(f"no crossover in bracket [{lo:g}, {hi:g}] km")
@@ -330,11 +317,21 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required (rates, sweep, verify, crossover)")
+        if args.config is not None:
+            # The file's flags go first, so the command line's replace them.
+            tokens = _config_tokens(args.config, parser.commands[args.command])
+            if getattr(args, "point", None):  # --point appends, so drop the file's
+                tokens = [token for token in tokens if not token.startswith("--point=")]
+            try:
+                args = parser.parse_args([argv[0], *tokens, *argv[1:]])
+            except UsageError as exc:
+                raise UsageError(f"config file {args.config}: {exc}") from exc
         return _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -96,13 +96,6 @@ class TruncatedOpticalState:
         """Joint photon-number probabilities, same shape as the amplitudes."""
         return np.abs(self.amplitudes) ** 2
 
-    def mode_mean_photon(self, mode: int) -> float | np.ndarray:
-        probs = self.number_distribution()
-        axes = tuple(i for i in range(self.num_modes) if i != mode)
-        marginal = probs.sum(axis=axes)
-        mean = np.arange(self.n_max + 1) @ marginal
-        return mean if self.batched else float(mean)
-
 
 def vacuum_state(n_max: int, num_modes: int = 1) -> TruncatedOpticalState:
     amps = np.zeros((n_max + 1,) * num_modes, dtype=complex)

@@ -262,7 +262,9 @@ def find_crossover(
         row = sweep_row(pair_config, distance_km)
         return getattr(row, f"rate_{first}") - getattr(row, f"rate_{second}")
 
-    grid = np.linspace(lo, hi, 65)
+    # Plain floats, so an overflow raises as it does everywhere else rather
+    # than warning from numpy scalar arithmetic.
+    grid = np.linspace(lo, hi, 65).tolist()
     values = [diff(distance) for distance in grid]
     for i in range(len(grid) - 1):
         if values[i] == 0.0 or (values[i] > 0.0) != (values[i + 1] > 0.0):
@@ -274,9 +276,9 @@ def find_crossover(
         # change; without one there is nothing to locate.
         if values[i + 1] == 0.0:
             return None
-        return float(grid[i])
-    lo, f_lo = float(grid[i]), values[i]
-    hi = float(grid[i + 1])
+        return grid[i]
+    lo, f_lo = grid[i], values[i]
+    hi = grid[i + 1]
     while hi - lo > 2.0 * tol_km:
         mid = 0.5 * (lo + hi)
         f_mid = diff(mid)

@@ -12,6 +12,7 @@ module is imported only by the comparison report at the bottom.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,10 @@ from .fock import (
 from .params import DetectorStats, ParameterError
 
 DEFAULT_N_MAX = 30
+DEFAULT_TOL = 1e-8
+# Detector efficiency of the rejected literal e_zz reading that verify_grid
+# adjudicates against; the reference operating point's eta_d.
+DEFAULT_ETA_D_LITERAL = 0.8
 # Largest cutoff verify_grid accepts.  The batched oracle holds every
 # eigenvector product at once, so peak memory grows about as n_max**2
 # (about 190 MB at 200).
@@ -60,41 +65,17 @@ CHSH_PAIRS: tuple[tuple[str, str, float], ...] = (
 
 
 @dataclass(frozen=True)
-class MeasurementSetting:
-    """One of the five protocol measurement directions."""
-
-    role: str
-    theta: float
-
-    def __post_init__(self) -> None:
-        expected = SETTING_ANGLES.get(self.role)
-        if expected is None:
-            raise ParameterError(f"unknown setting role {self.role!r}")
-        if self.theta != expected:
-            raise ParameterError(
-                f"angle {self.theta} does not match the protocol table for {self.role}"
-            )
-
-    @classmethod
-    def by_role(cls, role: str) -> "MeasurementSetting":
-        return cls(role=role, theta=SETTING_ANGLES[role])
-
-
-@dataclass(frozen=True)
 class CatStateDecomposition:
     """Spin-conditional resolution of one entangled atom-light cat state.
 
     Measuring the atom along chi_theta with outcome +/-1 projects the optical
     pulse onto a normalized superposition of |alpha> and |-alpha>; this record
-    holds the two-mode normalizations N+- = 2 (1 +- e^(-4 mu)), the
-    spin-conditional normalizations M+- = sqrt(1 +- sin(theta) e^(-2 mu)),
-    and the conditional amplitude pairs.
+    holds the spin-conditional normalizations
+    M+- = sqrt(1 +- sin(theta) e^(-2 mu)) and the conditional amplitude pairs.
     """
 
     mu: float
     theta: float
-    n_plus: float = field(init=False)
-    n_minus: float = field(init=False)
     m_plus: float = field(init=False)
     m_minus: float = field(init=False)
     amp_pos: tuple[float, float] = field(init=False)
@@ -105,8 +86,6 @@ class CatStateDecomposition:
             raise ParameterError(f"mu must be > 0, got {self.mu}")
         overlap = math.exp(-2.0 * self.mu)  # <alpha|-alpha> for real alpha
         half = self.theta / 2.0
-        object.__setattr__(self, "n_plus", 2.0 * (1.0 + overlap**2))
-        object.__setattr__(self, "n_minus", 2.0 * (1.0 - overlap**2))
         m_plus = math.sqrt(1.0 + math.sin(self.theta) * overlap)
         m_minus = math.sqrt(1.0 - math.sin(self.theta) * overlap)
         object.__setattr__(self, "m_plus", m_plus)
@@ -228,6 +207,18 @@ def certify_cutoff(mu: float, n_max: int) -> None:
         )
 
 
+def check_point(mu: float, eta: float, p_d: float, e_d: float) -> None:
+    """Reject an oracle point outside the model's ranges, NaN included."""
+    if not 0.0 < mu < math.inf:
+        raise ParameterError(f"mu must be finite and > 0, got {mu}")
+    if not 0.0 < eta <= 1.0:
+        raise ParameterError(f"eta must be in (0, 1], got {eta}")
+    if not 0.0 <= p_d < 1.0:
+        raise ParameterError(f"p_d must be in [0, 1), got {p_d}")
+    if not 0.0 <= e_d <= 0.5:
+        raise ParameterError(f"e_d must be in [0, 0.5], got {e_d}")
+
+
 def oracle_stats(
     mu: float, eta: float, p_d: float, e_d: float = 0.0, n_max: int = DEFAULT_N_MAX
 ) -> DetectorStats:
@@ -239,14 +230,7 @@ def oracle_stats(
     the CHSH value from the four test pairs, with correlators conditioned
     on success.
     """
-    if not mu > 0.0:
-        raise ParameterError(f"mu must be > 0, got {mu}")
-    if not 0.0 < eta <= 1.0:
-        raise ParameterError(f"eta must be in (0, 1], got {eta}")
-    if not 0.0 <= p_d < 1.0:
-        raise ParameterError(f"p_d must be in [0, 1), got {p_d}")
-    if not 0.0 <= e_d <= 0.5:
-        raise ParameterError(f"e_d must be in [0, 0.5], got {e_d}")
+    check_point(mu, eta, p_d, e_d)
     certify_cutoff(mu, n_max)
 
     delta0 = math.acos(1.0 - 2.0 * e_d)
@@ -384,27 +368,39 @@ class VerificationReport:
         return not self.failures and not self.errors
 
 
-def check_verify_settings(tol: float, n_max: int) -> None:
-    """Reject a tolerance that is not finite and > 0, or a cutoff outside [1, MAX_N_MAX].
+def check_verify_settings(
+    tol: float,
+    n_max: int,
+    eta_d_literal: float,
+    points: Sequence[tuple[float, float, float, float]],
+) -> None:
+    """Reject bad ``verify_grid`` inputs before any oracle work.
 
-    A NaN or infinite tolerance would pass every deviation.
+    The tolerance must be finite and > 0 (a NaN or infinite one would pass
+    every deviation), the cutoff in [1, MAX_N_MAX], the literal eta_d in
+    (0, 1], and every point inside the ranges of :func:`check_point`.
     """
     if not 0.0 < tol < math.inf:
         raise ParameterError(f"tol must be finite and > 0, got {tol}")
     if not 1 <= n_max <= MAX_N_MAX:
         raise ParameterError(f"n_max must be in [1, {MAX_N_MAX}], got {n_max}")
+    if not 0.0 < eta_d_literal <= 1.0:
+        raise ParameterError(f"eta_d must be in (0, 1], got {eta_d_literal}")
+    for point in points:
+        check_point(*point)
 
 
 def verify_grid(
     points: list[tuple[float, float, float, float]] | None = None,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOL,
     n_max: int = DEFAULT_N_MAX,
-    eta_d_literal: float = 0.8,
+    eta_d_literal: float = DEFAULT_ETA_D_LITERAL,
 ) -> VerificationReport:
     """Compare closed forms with the oracle over a grid of parameter tuples."""
-    check_verify_settings(tol, n_max)
+    points = acceptance_grid() if points is None else points
+    check_verify_settings(tol, n_max, eta_d_literal, points)
     checks: list[PointCheck] = []
-    for mu, eta, p_d, e_d in points if points is not None else acceptance_grid():
+    for mu, eta, p_d, e_d in points:
         try:
             closed = ecs_misaligned_stats(mu, eta, p_d, e_d)
             actual = oracle_stats(mu, eta, p_d, e_d, n_max=n_max)

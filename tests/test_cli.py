@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -154,13 +155,15 @@ def test_plob_divergence_is_compute_error(capsys):
 
 
 def test_arithmetic_overflow_is_compute_error():
-    done = _python(
-        "-m", "ecs_diqkd.cli", "rates", "--mu", "400", "--e-d", "0.01", "--eta-d", "1"
-    )
-    assert done.returncode == cli.EXIT_COMPUTE
-    assert "Traceback" not in done.stderr
-    assert len(done.stderr.strip().splitlines()) == 1
-    assert done.stdout == ""
+    for argv in (
+        ["rates", "--mu", "400", "--e-d", "0.01", "--eta-d", "1"],
+        ["crossover", "--pair", "ecs-vs-plob", "--bracket", "100", "250", "--mu", "1e308"],
+    ):
+        done = _python("-m", "ecs_diqkd.cli", *argv)
+        assert done.returncode == cli.EXIT_COMPUTE
+        assert "Traceback" not in done.stderr
+        assert len(done.stderr.strip().splitlines()) == 1  # no numpy warnings
+        assert done.stdout == ""
 
 
 def test_import_and_cli_load_no_scipy():
@@ -233,14 +236,6 @@ def test_sweep_default_grid_shape(tmp_path, capsys):
     assert lines[-1].startswith("600.0,")
 
 
-def test_sweep_jobs_flag_matches_serial(tmp_path, capsys):
-    serial, serial_args = _sweep_args(tmp_path, name="serial")
-    parallel, parallel_args = _sweep_args(tmp_path, name="parallel")
-    assert cli.main(serial_args) == 0
-    assert cli.main(parallel_args + ["--jobs", "2"]) == 0
-    assert serial.read_text() == parallel.read_text()
-
-
 def test_sweep_empty_protocols_usage_error(tmp_path, capsys):
     assert cli.main(["sweep", "--protocols", ""]) == cli.EXIT_USAGE
 
@@ -277,6 +272,40 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert code == 0
     report = _parse_report(capsys.readouterr().out)
     assert report["mu"] == 0.1  # flag wins over the file value
+    # A repeatable flag replaces the file's list rather than adding to it.
+    config.write_text(json.dumps({"point": ["0.1,0.5,0,0.01", "0.25,1,0,0"], "n_max": 12}))
+    assert cli.main(["verify", "--config", str(config), "--point", "0.25,1,0,0"]) == 0
+    assert "points checked: 1 (n_max=12)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        (["sweep"], {"beta": "x"}),
+        (["sweep"], {"l_step": None}),
+        (["sweep", "--l-max", "0"], {"format": "xml"}),
+        (["verify"], {"tol": "x"}),
+        (["verify", "--point", "0.25,1,0,0"], {"n_max": 30.7}),
+        (["verify", "--point", "0.25,1,0,0"], {"n_max": True}),
+        (["verify", "--point", "0.25,1,0,0"], {"beta": 0.2}),
+        (["crossover", "--pair", "ecs-vs-plob"], {"bracket": [1]}),
+        (["crossover", "--pair", "ecs-vs-plob"], {"bracket": "ab"}),
+        (["crossover", "--bracket", "100", "250"], {"pair": "ecs-vs-ecs"}),
+        (["rates"], {"mu": "0.25"}),
+        (["rates", "--mu", "0.1"], {"distance": "x"}),
+        (["rates", "--distance", "100"], {"optimize": "no"}),
+        (["rates", "--mu", "0.1"], {"output": {"path": "x"}}),
+        (["rates", "--mu", "0.1"], {"config": "other.json"}),
+    ],
+    ids=lambda v: json.dumps(v) if isinstance(v, dict) else " ".join(v),
+)
+def test_config_value_is_checked_like_its_flag(command, data, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(data))
+    assert cli.main([*command, "--config", str(config)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
 
 
 def test_sweep_from_config_file(tmp_path, capsys):
@@ -335,10 +364,17 @@ def test_verify_cutoff_out_of_range_is_usage_error(monkeypatch, capsys):
         raise AssertionError("oracle work started")
 
     monkeypatch.setattr(oracle, "oracle_stats", refuse)
-    for n_max in ("100000", "0"):
-        argv = ["verify", "--point", "0.25,1,0,0", "--n-max", n_max]
-        assert cli.main(argv) == cli.EXIT_USAGE
-        assert "n_max must be in [1, 200]" in capsys.readouterr().err
+    for flags, message in (
+        (["--n-max", "100000"], "n_max must be in [1, 200]"),
+        (["--n-max", "0"], "n_max must be in [1, 200]"),
+        (["--eta-d", "nan"], "eta_d must be in (0, 1]"),
+        (["--eta-d", "0"], "eta_d must be in (0, 1]"),
+        (["--eta-d", "2"], "eta_d must be in (0, 1]"),
+        (["--point", "nan,1,0,0"], "mu must be finite and > 0"),
+        (["--point", "0.25,1,0,0.9"], "e_d must be in [0, 0.5]"),
+    ):
+        assert cli.main(["verify", "--point", "0.25,1,0,0", *flags]) == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
 
 
 def test_verify_cutoff_failure_is_compute_error(capsys):
@@ -374,6 +410,9 @@ def test_crossover_empty_bracket(capsys):
 def test_crossover_requires_pair_and_bracket(capsys):
     assert cli.main(["crossover", "--bracket", "5", "30"]) == cli.EXIT_USAGE
     assert cli.main(["crossover", "--pair", "ecs-vs-bell"]) == cli.EXIT_USAGE
+    for bracket in (["100", "100"], ["250", "100"]):
+        argv = ["crossover", "--pair", "ecs-vs-bell", "--bracket", *bracket]
+        assert cli.main(argv) == cli.EXIT_USAGE
 
 
 # Each subcommand's fixed arguments, then its numeric flags with one valid
@@ -385,35 +424,58 @@ FUZZ_COMMANDS = {
               {"--mu": ["0.1"], "--distance": ["50"], **_FUZZ_CHANNEL}),
     "sweep": (["sweep", "--protocols", "ecs,bell,plob"],
               {"--l-min": ["0"], "--l-max": ["20"], "--l-step": ["10"], "--mu": ["0.1"],
-               "--jobs": ["2"], **_FUZZ_CHANNEL}),
+               **_FUZZ_CHANNEL}),
     "verify": (["verify", "--point", "0.25,1,0,0"],
-               {"--tol": ["1e-8"], "--n-max": ["12"], **_FUZZ_CHANNEL}),
+               {"--tol": ["1e-8"], "--n-max": ["12"], "--eta-d": ["0.8"]}),
     "crossover": (["crossover", "--pair", "ecs-vs-plob"],
                   {"--bracket": ["100", "250"], "--mu": ["0.1"], **_FUZZ_CHANNEL}),
 }
 FUZZ_BAD = ("0", "-1", "nan", "inf", "-inf", "1e308")
+# Config-file values of the wrong JSON type, besides the flag's own numbers
+# and those numbers as a string.
+FUZZ_FILE_VALUES = ("x", None, True, False, [0.1, 1], {"a": 1})
+
+
+def _json_number(text: str) -> float | int:
+    number = float(text)
+    return int(number) if number.is_integer() else number
 
 
 @st.composite
-def _fuzzed_argv(draw) -> list[str]:
-    """One subcommand with up to three flag values swapped for a bad one.
+def _fuzzed_call(draw) -> tuple[list[str], dict]:
+    """One subcommand with up to three flag values swapped for a bad one,
+    and some of its flags moved into a config file, with any JSON value.
 
     Few bad values per call keep most examples past the first check.
     """
     fixed, flags = FUZZ_COMMANDS[draw(st.sampled_from(sorted(FUZZ_COMMANDS)))]
     slots = [(flag, i) for flag, valid in flags.items() for i in range(len(valid))]
     bad = draw(st.dictionaries(st.sampled_from(slots), st.sampled_from(FUZZ_BAD), max_size=3))
+    values = {flag: [bad.get((flag, i), value) for i, value in enumerate(valid)]
+              for flag, valid in flags.items()}
+    config = {}
+    for flag in sorted(draw(st.sets(st.sampled_from(sorted(flags))))):
+        texts = values.pop(flag)
+        numbers = [_json_number(text) for text in texts]
+        choices = [numbers if len(numbers) > 1 else numbers[0], " ".join(texts), *FUZZ_FILE_VALUES]
+        config[flag[2:].replace("-", "_")] = draw(st.sampled_from(choices))
     argv = list(fixed)
-    for flag, valid in flags.items():
-        argv += [flag, *(bad.get((flag, i), value) for i, value in enumerate(valid))]
-    return argv
+    for flag, texts in values.items():
+        argv += [flag, *texts]
+    return argv, config
 
 
 @settings(max_examples=300, deadline=None)
-@given(argv=_fuzzed_argv())
-def test_main_fuzz_exits_with_a_documented_code(argv):
+@given(call=_fuzzed_call())
+def test_main_fuzz_exits_with_a_documented_code(call):
+    argv, config = call
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        if config:
+            path = Path(tmp) / "run.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(path)]
         code = cli.main(argv)
     assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_COMPUTE, cli.EXIT_VERIFY)
     assert "Traceback" not in err.getvalue()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecs_diqkd import oracle
 from ecs_diqkd.fock import (
     CutoffError,
     TruncatedOpticalState,
@@ -23,7 +24,6 @@ from ecs_diqkd.oracle import (
     CHSH_PAIRS,
     SETTING_ANGLES,
     CatStateDecomposition,
-    MeasurementSetting,
     acceptance_grid,
     misaligned_e_zz_literal,
     oracle_stats,
@@ -40,19 +40,13 @@ def test_setting_table():
     assert SETTING_ANGLES["A1"] == math.pi / 4
     assert SETTING_ANGLES["A2"] == -math.pi / 4
     assert SETTING_ANGLES["B2"] == math.pi / 2
-    assert MeasurementSetting.by_role("A1").theta == math.pi / 4
-    with pytest.raises(ParameterError):
-        MeasurementSetting(role="A1", theta=0.3)
-    with pytest.raises(ParameterError):
-        MeasurementSetting(role="C9", theta=0.0)
 
 
 def test_decomposition_normalizations():
     decomp = CatStateDecomposition(mu=0.25, theta=math.pi / 4)
-    overlap = math.exp(-4.0 * 0.25)
-    assert decomp.n_plus == pytest.approx(2.0 * (1.0 + overlap), abs=1e-15)
-    assert decomp.n_minus == pytest.approx(2.0 * (1.0 - overlap), abs=1e-15)
-    assert 2.0 - 2.0 * overlap <= decomp.n_minus <= 2.0 <= decomp.n_plus <= 4.0
+    overlap = math.exp(-2.0 * 0.25)
+    assert decomp.m_plus == pytest.approx(math.sqrt(1.0 + overlap / math.sqrt(2.0)), abs=1e-15)
+    assert decomp.m_minus == pytest.approx(math.sqrt(1.0 - overlap / math.sqrt(2.0)), abs=1e-15)
     assert decomp.outcome_prior(+1) + decomp.outcome_prior(-1) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -175,6 +169,9 @@ def test_oracle_rejects_bad_parameters():
         oracle_stats(0.1, 0.0, 0.0, 0.0)
     with pytest.raises(ParameterError):
         oracle_stats(0.1, 0.5, 0.0, 0.6)
+    for mu in (math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            oracle_stats(mu, 0.5, 0.0, 0.0)
 
 
 def test_acceptance_grid_shape():
@@ -216,6 +213,21 @@ def test_verify_reports_cutoff_failures():
 def test_verify_rejects_bad_settings(tol, n_max):
     with pytest.raises(ParameterError):
         verify_grid(points=[(0.25, 1.0, 0.0, 0.0)], tol=tol, n_max=n_max)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"eta_d_literal": math.nan}, {"eta_d_literal": 0.0}, {"eta_d_literal": 2.0},
+     {"points": [(math.nan, 1.0, 0.0, 0.0)]}, {"points": [(0.25, 1.0, 0.0, 0.9)]}],
+    ids=repr,
+)
+def test_verify_rejects_bad_literal_eta_d_and_points(kwargs, monkeypatch):
+    def refuse(*args, **kw):
+        raise AssertionError("oracle work started")
+
+    monkeypatch.setattr(oracle, "oracle_stats", refuse)
+    with pytest.raises(ParameterError):
+        verify_grid(**{"points": [(0.25, 1.0, 0.0, 0.0)], **kwargs})
 
 
 def _reference_oracle(mu: float, eta: float, p_d: float, e_d: float, n_max: int = N_MAX):
