@@ -130,8 +130,9 @@ def _config_tokens(path: Path, command_p: argparse.ArgumentParser) -> list[str]:
     Key ``eta_d`` is flag ``--eta-d``. ``true`` gives a switch and ``false``
     leaves the key out; a list gives one ``--point`` per item, a comma list
     for ``--protocol``/``--protocols``, and the flag's arguments otherwise
-    (``--bracket LO HI``); any other value is passed as its text.  A flag
-    that takes numbers needs JSON numbers; ``null`` and objects are refused.
+    (``--bracket LO HI``); any other value is passed as its text.  A key names
+    a flag exactly, not by a prefix argparse would expand; a flag that takes
+    numbers needs JSON numbers; ``null`` and objects are refused.
     """
     try:
         data = json.loads(path.read_text())
@@ -139,17 +140,19 @@ def _config_tokens(path: Path, command_p: argparse.ArgumentParser) -> list[str]:
         raise UsageError(f"cannot read config file: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
-    numeric = {flag for action in command_p._actions if action.type in (float, int)
-               for flag in action.option_strings}
+    actions = {flag: action for action in command_p._actions for flag in action.option_strings}
     tokens = []
     for key, value in data.items():
         flag = "--" + key.replace("_", "-")
         items = value if isinstance(value, list) else [value]
         if flag == "--config":
             raise UsageError("a config file cannot name another")
+        if flag not in actions:
+            raise UsageError(f"config key {key!r} is not a flag of {command_p.prog}")
         if value is None or isinstance(value, dict):
             raise UsageError(f"config key {key!r} cannot be {json.dumps(value)}")
-        if flag in numeric and not all(type(item) in (int, float) for item in items):
+        numeric = actions[flag].type in (float, int)
+        if numeric and not all(type(item) in (int, float) for item in items):
             raise UsageError(f"config key {key!r} takes numbers, got {json.dumps(value)}")
         if value is True:
             tokens.append(flag)

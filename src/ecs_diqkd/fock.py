@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import ParameterError
+from .params import ParameterError, check_point
 
 # Certified bound on the photon-number tail mass lost to truncation.
 TAIL_MASS_BOUND = 1e-12
@@ -297,8 +297,7 @@ def threshold_detect(
     k = state.num_modes
     if not (0 <= mode_i < k and 0 <= mode_j < k) or mode_i == mode_j:
         raise ParameterError(f"invalid detector modes {detector_modes} for {k} modes")
-    if not 0.0 <= p_d < 1.0:
-        raise ParameterError(f"p_d must be in [0, 1), got {p_d}")
+    check_point(p_d=p_d)
     probs = state.number_distribution()
     other_axes = tuple(a for a in range(k) if a not in (mode_i, mode_j))
     joint = probs.sum(axis=other_axes) if other_axes else probs

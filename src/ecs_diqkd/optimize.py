@@ -7,8 +7,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .params import DetectorStats, ParameterError, check_channel
+from .params import DetectorStats, ParameterError, check_point
 from .rates import (
+    _fiber_transmittance,
     bell_state_stats,
     channel_efficiency,
     ecs_misaligned_stats,
@@ -50,7 +51,8 @@ class SweepConfig:
 
     ``mu = None`` optimizes the intensity at each distance; a number fixes it.
     Construction is the one validation of these inputs: every number must be
-    finite and in range, and the grid must hold at most ``MAX_SWEEP_ROWS``.
+    finite and in range, the grid must hold at most ``MAX_SWEEP_ROWS``, and
+    the ecs and bell rates need a transmittance above 0 at ``l_max_km``.
     """
 
     l_min_km: float = 0.0
@@ -64,7 +66,8 @@ class SweepConfig:
     protocols: tuple[str, ...] = PROTOCOLS
 
     def __post_init__(self) -> None:
-        check_channel(self.beta_db_per_km, self.eta_d, self.p_d, self.e_d)
+        check_point(self.mu, self.eta_d, self.p_d, self.e_d,
+                    beta_db_per_km=self.beta_db_per_km, eta_name="eta_d")
         for name in ("l_min_km", "l_max_km", "l_step_km"):
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
@@ -84,8 +87,12 @@ class SweepConfig:
         unknown = set(self.protocols) - set(PROTOCOLS)
         if unknown:
             raise ParameterError(f"unknown protocols: {sorted(unknown)}")
-        if self.mu is not None and not 0.0 < self.mu < math.inf:
-            raise ParameterError(f"fixed mu must be finite and > 0, got {self.mu}")
+        # channel_efficiency at l_max_km, through its private helper so that
+        # calls of the public function still count row evaluations only.
+        eta_far = _fiber_transmittance(self.l_max_km / 2.0, self.beta_db_per_km, self.eta_d)
+        if eta_far == 0.0 and {"ecs", "bell"} & set(self.protocols):
+            raise ParameterError(f"the arm transmittance underflows to 0 at {self.l_max_km} "
+                                 "km; the ecs and bell rates need a shorter distance")
 
 
 @dataclass(frozen=True)
@@ -148,7 +155,6 @@ def optimize_mu(
     eta_d: float,
     p_d: float,
     e_d: float,
-    bounds: tuple[float, float] = MU_SEARCH_BOUNDS,
 ) -> MuOptimum:
     """Maximize the key rate over the intensity at one distance.
 
@@ -157,35 +163,26 @@ def optimize_mu(
     bracket; the best point ever evaluated is returned, so the result can
     never fall below the seed grid.
 
-    Where the rate falls to zero with distance, its positive window can be
-    narrower than one seed cell.  So when no seed is positive but some seed
-    violates CHSH, the same refinement runs on :func:`_signed_rate` of the
-    seeds already evaluated, and its point is kept if its rate is positive.
+    Both steps score :func:`_signed_rate`, which equals :func:`key_rate`
+    wherever either is positive and keeps falling where the rate is clamped
+    to 0, so a positive window narrower than one seed cell, as where the
+    rate falls to zero with distance, is still found.
     """
     eta = channel_efficiency(distance_km, beta_db_per_km, eta_d)
 
     def stats_at(mu: float) -> DetectorStats:
         return ecs_misaligned_stats(mu, eta, p_d, e_d)
 
-    lo, hi = bounds
+    lo, hi = MU_SEARCH_BOUNDS
     seeds = np.geomspace(lo, hi, SEED_GRID_SIZE)
     seed_stats = [stats_at(m) for m in seeds]
-    values = np.array([key_rate(stats) for stats in seed_stats])
-    best = int(np.argmax(values))
-    if values[best] > 0.0:
-        mu, rate = _golden_max(lambda m: key_rate(stats_at(m)), seeds, best, float(values[best]))
-        return MuOptimum(mu_star=mu, rate_star=rate, flagged=False)
-
-    vanished = MuOptimum(mu_star=0.5 * (lo + hi), rate_star=0.0, flagged=True)
-    if all(stats.s <= 2.0 for stats in seed_stats):
-        return vanished
-    signed = [_signed_rate(stats) for stats in seed_stats]
-    best = int(np.argmax(signed))
-    mu, _ = _golden_max(lambda m: _signed_rate(stats_at(m)), seeds, best, signed[best])
-    rate = key_rate(stats_at(mu))
-    if rate > 0.0:
-        return MuOptimum(mu_star=mu, rate_star=rate, flagged=False)
-    return vanished
+    if any(stats.s > 2.0 for stats in seed_stats):
+        signed = [_signed_rate(stats) for stats in seed_stats]
+        best = int(np.argmax(signed))
+        mu, rate = _golden_max(lambda m: _signed_rate(stats_at(m)), seeds, best, signed[best])
+        if rate > 0.0:
+            return MuOptimum(mu_star=mu, rate_star=rate, flagged=False)
+    return MuOptimum(mu_star=0.5 * (lo + hi), rate_star=0.0, flagged=True)
 
 
 def sweep_distances(config: SweepConfig) -> list[float]:
@@ -243,9 +240,8 @@ def find_crossover(
     protocol_pair: tuple[str, str],
     config: SweepConfig,
     bracket: tuple[float, float],
-    tol_km: float = 0.5,
 ) -> float | None:
-    """Distance where the rate difference changes sign, to +-tol_km.
+    """Distance where the rate difference changes sign, to +-0.5 km.
 
     A coarse scan locates the first strict sign change inside the bracket
     (both rates can be identically zero at an endpoint, e.g. past every
@@ -279,7 +275,7 @@ def find_crossover(
         return grid[i]
     lo, f_lo = grid[i], values[i]
     hi = grid[i + 1]
-    while hi - lo > 2.0 * tol_km:
+    while hi - lo > 1.0:
         mid = 0.5 * (lo + hi)
         f_mid = diff(mid)
         if f_mid == 0.0:

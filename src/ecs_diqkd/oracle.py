@@ -31,7 +31,7 @@ from .fock import (
     threshold_detect,
     vacuum_state,
 )
-from .params import DetectorStats, ParameterError
+from .params import DetectorStats, ParameterError, check_point
 
 DEFAULT_N_MAX = 30
 DEFAULT_TOL = 1e-8
@@ -82,8 +82,7 @@ class CatStateDecomposition:
     amp_neg: tuple[float, float] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.mu > 0.0:
-            raise ParameterError(f"mu must be > 0, got {self.mu}")
+        check_point(self.mu)
         overlap = math.exp(-2.0 * self.mu)  # <alpha|-alpha> for real alpha
         half = self.theta / 2.0
         m_plus = math.sqrt(1.0 + math.sin(self.theta) * overlap)
@@ -205,18 +204,6 @@ def certify_cutoff(mu: float, n_max: int) -> None:
         raise CutoffError(
             f"n_max={n_max} leaves tail mass {tail:.3e} at intensity {2.0 * mu:.4f}"
         )
-
-
-def check_point(mu: float, eta: float, p_d: float, e_d: float) -> None:
-    """Reject an oracle point outside the model's ranges, NaN included."""
-    if not 0.0 < mu < math.inf:
-        raise ParameterError(f"mu must be finite and > 0, got {mu}")
-    if not 0.0 < eta <= 1.0:
-        raise ParameterError(f"eta must be in (0, 1], got {eta}")
-    if not 0.0 <= p_d < 1.0:
-        raise ParameterError(f"p_d must be in [0, 1), got {p_d}")
-    if not 0.0 <= e_d <= 0.5:
-        raise ParameterError(f"e_d must be in [0, 0.5], got {e_d}")
 
 
 def oracle_stats(
@@ -384,8 +371,7 @@ def check_verify_settings(
         raise ParameterError(f"tol must be finite and > 0, got {tol}")
     if not 1 <= n_max <= MAX_N_MAX:
         raise ParameterError(f"n_max must be in [1, {MAX_N_MAX}], got {n_max}")
-    if not 0.0 < eta_d_literal <= 1.0:
-        raise ParameterError(f"eta_d must be in (0, 1], got {eta_d_literal}")
+    check_point(eta=eta_d_literal, eta_name="eta_d")
     for point in points:
         check_point(*point)
 

@@ -15,15 +15,34 @@ class ParameterError(ValueError):
     """An input violates a documented precondition or invariant."""
 
 
-def check_channel(beta_db_per_km: float, eta_d: float, p_d: float, e_d: float) -> None:
-    """Reject channel parameters outside their documented ranges, NaN included."""
-    if not 0.0 <= beta_db_per_km < math.inf:
+def check_point(
+    mu: float | None = None,
+    eta: float | None = None,
+    p_d: float | None = None,
+    e_d: float | None = None,
+    *,
+    beta_db_per_km: float | None = None,
+    distance_km: float | None = None,
+    eta_name: str = "eta",
+) -> None:
+    """Reject a model input outside its range, NaN and inf included.
+
+    The one statement of the six range rules, shared by the closed forms,
+    the oracle, the Fock readout and the configs; ``None`` skips a rule.
+    ``eta_name`` names the efficiency in the message: ``eta`` for an arm
+    transmittance, ``eta_d`` for a detector efficiency.
+    """
+    if beta_db_per_km is not None and not 0.0 <= beta_db_per_km < math.inf:
         raise ParameterError(f"beta_db_per_km must be finite and >= 0, got {beta_db_per_km}")
-    if not 0.0 < eta_d <= 1.0:
-        raise ParameterError(f"eta_d must be in (0, 1], got {eta_d}")
-    if not 0.0 <= p_d < 1.0:
+    if distance_km is not None and not 0.0 <= distance_km < math.inf:
+        raise ParameterError(f"distance_km must be finite and >= 0, got {distance_km}")
+    if mu is not None and not 0.0 < mu < math.inf:
+        raise ParameterError(f"mu must be finite and > 0, got {mu}")
+    if eta is not None and not 0.0 < eta <= 1.0:
+        raise ParameterError(f"{eta_name} must be in (0, 1], got {eta}")
+    if p_d is not None and not 0.0 <= p_d < 1.0:
         raise ParameterError(f"p_d must be in [0, 1), got {p_d}")
-    if not 0.0 <= e_d <= 0.5:
+    if e_d is not None and not 0.0 <= e_d <= 0.5:
         raise ParameterError(f"e_d must be in [0, 0.5], got {e_d}")
 
 
@@ -33,7 +52,7 @@ class ProtocolParams:
 
     Attributes:
         mu: coherent-state intensity (mean photon number of each pulse), > 0.
-        beta_db_per_km: fiber loss coefficient in dB/km.
+        beta_db_per_km: fiber loss coefficient in dB/km, >= 0.
         eta_d: threshold-detector efficiency, in (0, 1].
         p_d: dark count probability per detector per gate, in [0, 1).
         e_d: optical misalignment error (1 - cos(delta0)) / 2, in [0, 0.5].
@@ -49,11 +68,8 @@ class ProtocolParams:
     distance_km: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.mu > 0.0:
-            raise ParameterError(f"mu must be > 0, got {self.mu}")
-        check_channel(self.beta_db_per_km, self.eta_d, self.p_d, self.e_d)
-        if self.distance_km < 0.0:
-            raise ParameterError(f"distance_km must be >= 0, got {self.distance_km}")
+        check_point(self.mu, self.eta_d, self.p_d, self.e_d, beta_db_per_km=self.beta_db_per_km,
+                    distance_km=self.distance_km, eta_name="eta_d")
 
 
 @dataclass(frozen=True)

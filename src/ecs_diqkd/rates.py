@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .params import DetectorStats, KeyRatePoint, ParameterError, ProtocolParams
+from .params import DetectorStats, KeyRatePoint, ParameterError, ProtocolParams, check_point
 
 _LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
@@ -61,15 +61,19 @@ def channel_efficiency(distance_km: float, beta_db_per_km: float, eta_d: float) 
     The central station sits midway between the users, so each optical pulse
     travels ``distance_km / 2``.
     """
-    if distance_km < 0.0 or beta_db_per_km < 0.0 or not 0.0 < eta_d <= 1.0:
-        raise ParameterError("invalid channel parameters")
-    return eta_d * 10.0 ** (-beta_db_per_km * (distance_km / 2.0) / 10.0)
+    check_point(eta=eta_d, beta_db_per_km=beta_db_per_km, distance_km=distance_km,
+                eta_name="eta_d")
+    return _fiber_transmittance(distance_km / 2.0, beta_db_per_km, eta_d)
+
+
+def _fiber_transmittance(length_km: float, beta_db_per_km: float, eta_d: float) -> float:
+    """``eta_d`` times the loss of ``length_km`` of fiber; callers check the inputs."""
+    return eta_d * 10.0 ** (-beta_db_per_km * length_km / 10.0)
 
 
 def ecs_ideal_stats(mu: float) -> DetectorStats:
     """Heralded statistics for lossless arms and ideal threshold detectors."""
-    if not mu > 0.0:
-        raise ParameterError(f"mu must be > 0, got {mu}")
+    check_point(mu)
     q_zz = -math.expm1(-2.0 * mu)
     s = _SQRT2 * (1.0 + math.exp(-2.0 * mu))
     return DetectorStats(q_zz=q_zz, s=s, e_zz=0.0)
@@ -86,13 +90,7 @@ def ecs_lossy_stats(mu: float, eta: float, p_d: float) -> DetectorStats:
     using sinh A - sinh B = 2 cosh((A+B)/2) sinh((A-B)/2) and expm1 so that
     nothing cancels at small mu*eta.
     """
-    if not mu > 0.0:
-        raise ParameterError(f"mu must be > 0, got {mu}")
-    if not 0.0 < eta <= 1.0:
-        raise ParameterError(f"eta must be in (0, 1], got {eta}")
-    if not 0.0 <= p_d < 1.0:
-        raise ParameterError(f"p_d must be in [0, 1), got {p_d}")
-
+    check_point(mu, eta, p_d)
     bracket = math.expm1(2.0 * mu * eta) + 2.0 * p_d  # e^(2 mu eta) - 1 + 2 p_d
     if bracket <= 0.0:
         raise ParameterError("degenerate denominator in lossy statistics")
@@ -122,15 +120,7 @@ def ecs_misaligned_stats(mu: float, eta: float, p_d: float, e_d: float) -> Detec
     e_d -> 0 limit then reduces exactly to :func:`ecs_lossy_stats`, and the
     Fock-space oracle confirms this reading (see the verify command).
     """
-    if not mu > 0.0:
-        raise ParameterError(f"mu must be > 0, got {mu}")
-    if not 0.0 < eta <= 1.0:
-        raise ParameterError(f"eta must be in (0, 1], got {eta}")
-    if not 0.0 <= p_d < 1.0:
-        raise ParameterError(f"p_d must be in [0, 1), got {p_d}")
-    if not 0.0 <= e_d <= 0.5:
-        raise ParameterError(f"e_d must be in [0, 0.5], got {e_d}")
-
+    check_point(mu, eta, p_d, e_d)
     x_dim = 2.0 * mu * eta * e_d            # intensity routed to the dim port
     x_bright = 2.0 * mu * eta * (1.0 - e_d)  # intensity routed to the bright port
     bracket = math.expm1(x_dim) + math.expm1(x_bright) + 2.0 * p_d
@@ -148,11 +138,7 @@ def ecs_misaligned_stats(mu: float, eta: float, p_d: float, e_d: float) -> Detec
 
 def bell_state_stats(eta: float, p_d: float) -> DetectorStats:
     """Heralded statistics of the two-photon Bell-state-measurement baseline."""
-    if not 0.0 < eta <= 1.0:
-        raise ParameterError(f"eta must be in (0, 1], got {eta}")
-    if not 0.0 <= p_d < 1.0:
-        raise ParameterError(f"p_d must be in [0, 1), got {p_d}")
-
+    check_point(eta=eta, p_d=p_d)
     q_zz = (1.0 - p_d) ** 2 * (
         eta**2 / 2.0 + (4.0 * eta - 3.0 * eta**2) * p_d + 4.0 * (1.0 - eta) ** 2 * p_d**2
     )
@@ -174,9 +160,9 @@ def plob_bound(distance_km: float, beta_db_per_km: float, eta_d: float) -> float
     Unlike :func:`channel_efficiency` there is no midpoint halving: the bound
     applies to the end-to-end transmittance between the two users.
     """
-    if distance_km < 0.0 or beta_db_per_km < 0.0 or not 0.0 < eta_d <= 1.0:
-        raise ParameterError("invalid channel parameters")
-    eta_ab = eta_d * 10.0 ** (-beta_db_per_km * distance_km / 10.0)
+    check_point(eta=eta_d, beta_db_per_km=beta_db_per_km, distance_km=distance_km,
+                eta_name="eta_d")
+    eta_ab = _fiber_transmittance(distance_km, beta_db_per_km, eta_d)
     if eta_ab >= 1.0:
         raise ParameterError("capacity bound diverges at unit transmittance")
     return -math.log1p(-eta_ab) / _LN2

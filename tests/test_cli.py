@@ -108,6 +108,18 @@ def test_invalid_parameter_value_is_usage_error(capsys):
     assert cli.main(["rates", "--mu", "0.1", "--eta-d", "2.0"]) == cli.EXIT_USAGE
     assert cli.main(["rates", "--mu", "0"]) == cli.EXIT_USAGE
     assert cli.main(["rates", "--mu", "-1", "--protocol", "bell"]) == cli.EXIT_USAGE
+    # Past about 32,361 km at 0.2 dB/km the arm transmittance underflows to 0.
+    for argv in (
+        ["rates", "--mu", "0.1", "--distance", "40000"],
+        ["sweep", "--l-max", "40000", "--l-step", "10000"],
+        ["crossover", "--pair", "bell-vs-plob", "--bracket", "100", "40000"],
+    ):
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert "underflows to 0 at 40000.0 km" in capsys.readouterr().err
+    # The capacity bound alone is still defined there.
+    assert cli.main(["rates", "--optimize", "--distance", "40000", "--protocol", "plob"]) == 0
+    assert capsys.readouterr().out.endswith("rate_plob = 0.0\n")
 
 
 # One cheap valid invocation of each subcommand that takes channel flags
@@ -296,6 +308,10 @@ def test_config_file_with_flag_override(tmp_path, capsys):
         (["rates", "--distance", "100"], {"optimize": "no"}),
         (["rates", "--mu", "0.1"], {"output": {"path": "x"}}),
         (["rates", "--mu", "0.1"], {"config": "other.json"}),
+        # A key names a flag exactly, not by a prefix argparse would expand.
+        (["rates", "--mu", "0.1"], {"eta": "0.9"}),
+        (["rates", "--mu", "0.1"], {"eta": 0.9}),
+        (["rates", "--mu", "0.1"], {"dist": 100}),
     ],
     ids=lambda v: json.dumps(v) if isinstance(v, dict) else " ".join(v),
 )

@@ -345,5 +345,6 @@ def test_threshold_detect_mode_order():
 def test_threshold_detect_validation():
     with pytest.raises(ParameterError):
         threshold_detect(vacuum_state(N_MAX, 2), (0, 0), 0.0)
-    with pytest.raises(ParameterError):
-        threshold_detect(vacuum_state(N_MAX, 2), (0, 1), 1.0)
+    for p_d in (1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="^p_d must be"):
+            threshold_detect(vacuum_state(N_MAX, 2), (0, 1), p_d)

@@ -198,13 +198,17 @@ def test_sweep_config_validation():
         dict(p_d=math.nan), dict(e_d=0.6), dict(mu=math.nan), dict(mu=math.inf),
         dict(l_min_km=math.nan), dict(l_max_km=math.inf), dict(l_step_km=math.inf),
         dict(l_step_km=math.nan),
-        dict(l_max_km=MAX_SWEEP_ROWS * 5.0),  # one row more than the cap
+        # one row more than the cap; only the capacity bound is defined so far out
+        dict(l_max_km=MAX_SWEEP_ROWS * 5.0, protocols=("plob",)),
+        # the transmittance underflows to 0 past about 32,361 km at 0.2 dB/km
+        dict(l_max_km=40_000.0), dict(l_max_km=40_000.0, protocols=("bell",)),
     ]
     for fields in bad:
         with pytest.raises(ParameterError):
             SweepConfig(**fields)
-    largest = SweepConfig(l_max_km=(MAX_SWEEP_ROWS - 1) * 5.0)
+    largest = SweepConfig(l_max_km=(MAX_SWEEP_ROWS - 1) * 5.0, protocols=("plob",))
     assert len(sweep_distances(largest)) == MAX_SWEEP_ROWS
+    assert SweepConfig(l_max_km=32_000.0).l_max_km == 32_000.0
 
 
 def test_sweep_ecs_dominates_bell_at_intercity_distances():

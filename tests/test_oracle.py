@@ -172,6 +172,8 @@ def test_oracle_rejects_bad_parameters():
     for mu in (math.nan, math.inf):
         with pytest.raises(ParameterError):
             oracle_stats(mu, 0.5, 0.0, 0.0)
+    with pytest.raises(ParameterError, match="^mu must be"):
+        CatStateDecomposition(mu=math.inf, theta=0.0)
 
 
 def test_acceptance_grid_shape():

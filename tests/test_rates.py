@@ -9,6 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ecs_diqkd.fock import threshold_detect, vacuum_state
+from ecs_diqkd.optimize import SweepConfig, optimize_mu
+from ecs_diqkd.oracle import CatStateDecomposition, oracle_stats, verify_grid
 from ecs_diqkd.params import DetectorStats, ParameterError, ProtocolParams
 from ecs_diqkd.rates import (
     bell_state_stats,
@@ -235,6 +238,14 @@ def test_bell_state_known_points():
 def test_bell_state_rejects_zero_efficiency():
     with pytest.raises(ParameterError):
         bell_state_stats(0.0, 0.0)
+    # Nor is a transmittance formed from a NaN distance or an infinite loss.
+    for call, field in (
+        (lambda: channel_efficiency(math.nan, 0.2, 0.8), "distance_km"),
+        (lambda: plob_bound(math.nan, 0.2, 0.8), "distance_km"),
+        (lambda: plob_bound(10.0, math.inf, 0.8), "beta_db_per_km"),
+    ):
+        with pytest.raises(ParameterError, match=f"^{field} must be"):
+            call()
 
 
 def test_plob_known_values():
@@ -273,6 +284,12 @@ def test_param_validation():
         ProtocolParams(mu=0.1, e_d=0.6)
     with pytest.raises(ParameterError):
         ProtocolParams(mu=0.1, distance_km=-1.0)
+    with pytest.raises(ParameterError, match="^mu must be"):
+        ProtocolParams(mu=math.inf)
+    with pytest.raises(ParameterError, match="^mu must be"):
+        ecs_lossy_stats(math.inf, 0.5, 0.0)
+    with pytest.raises(ParameterError, match="^distance_km must be"):
+        ProtocolParams(mu=0.1, distance_km=math.nan)
     for beta in (-0.1, math.nan, math.inf):
         with pytest.raises(ParameterError):
             ProtocolParams(mu=0.1, beta_db_per_km=beta)
@@ -286,3 +303,69 @@ def test_ecs_point_pipeline():
     point = ecs_point(ProtocolParams(mu=0.25, distance_km=0.0, eta_d=1.0, p_d=0.0))
     assert point.rate == pytest.approx(0.08698712742165916, abs=1e-12)
     assert point.rate <= point.stats.q_zz
+
+
+# Every public entry point that takes each input, with the others in range.
+ENTRY_POINTS = {
+    "mu": (
+        ecs_ideal_stats,
+        lambda v: ecs_lossy_stats(v, 0.5, 0.0),
+        lambda v: ecs_misaligned_stats(v, 0.5, 0.0, 0.0),
+        lambda v: oracle_stats(v, 0.5, 0.0, 0.0),
+        lambda v: verify_grid([(v, 0.5, 0.0, 0.0)]),
+        lambda v: CatStateDecomposition(mu=v, theta=0.0),
+        lambda v: ProtocolParams(mu=v),
+        lambda v: SweepConfig(mu=v),
+    ),
+    "eta": (
+        lambda v: ecs_lossy_stats(0.1, v, 0.0),
+        lambda v: ecs_misaligned_stats(0.1, v, 0.0, 0.0),
+        lambda v: bell_state_stats(v, 0.0),
+        lambda v: oracle_stats(0.1, v, 0.0, 0.0),
+        lambda v: verify_grid([(0.1, v, 0.0, 0.0)]),
+    ),
+    "eta_d": (
+        lambda v: channel_efficiency(10.0, 0.2, v),
+        lambda v: plob_bound(10.0, 0.2, v),
+        lambda v: optimize_mu(10.0, 0.2, v, 0.0, 0.0),
+        lambda v: verify_grid([(0.1, 0.5, 0.0, 0.0)], eta_d_literal=v),
+        lambda v: ProtocolParams(mu=0.1, eta_d=v),
+        lambda v: SweepConfig(eta_d=v),
+    ),
+    "p_d": (
+        lambda v: ecs_lossy_stats(0.1, 0.5, v),
+        lambda v: ecs_misaligned_stats(0.1, 0.5, v, 0.0),
+        lambda v: bell_state_stats(0.5, v),
+        lambda v: oracle_stats(0.1, 0.5, v, 0.0),
+        lambda v: verify_grid([(0.1, 0.5, v, 0.0)]),
+        lambda v: threshold_detect(vacuum_state(4, 2), (0, 1), v),
+        lambda v: optimize_mu(10.0, 0.2, 0.8, v, 0.0),
+        lambda v: ProtocolParams(mu=0.1, p_d=v),
+        lambda v: SweepConfig(p_d=v),
+    ),
+    "e_d": (
+        lambda v: ecs_misaligned_stats(0.1, 0.5, 0.0, v),
+        lambda v: oracle_stats(0.1, 0.5, 0.0, v),
+        lambda v: verify_grid([(0.1, 0.5, 0.0, v)]),
+        lambda v: optimize_mu(10.0, 0.2, 0.8, 0.0, v),
+        lambda v: ProtocolParams(mu=0.1, e_d=v),
+        lambda v: SweepConfig(e_d=v),
+    ),
+}
+OUT_OF_RANGE = {"mu": 0.0, "eta": 1.5, "eta_d": 0.0, "p_d": 1.0, "e_d": 0.6}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(field, value) for field, bad in OUT_OF_RANGE.items()
+     for value in (math.nan, math.inf, -math.inf, bad)],
+)
+def test_bad_value_gives_one_message_from_every_entry_point(field, value):
+    messages = set()
+    for call in ENTRY_POINTS[field]:
+        with pytest.raises(ParameterError) as info:
+            call(value)
+        messages.add(str(info.value))
+    assert len(messages) == 1
+    message = messages.pop()
+    assert message.startswith(f"{field} must be") and message.endswith(f"got {value}")
