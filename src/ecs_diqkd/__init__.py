@@ -4,24 +4,14 @@ Closed-form key rates under loss, dark counts, and misalignment; a
 truncated-Fock-space oracle that re-derives the same statistics from the
 full quantum model; and intensity-optimized rate-versus-distance sweeps
 against the Bell-state baseline and the repeaterless capacity bound.
+
+The closed forms and sweeps need only the standard library.  The Fock-space
+names need numpy, so they are imported from :mod:`.fock` and :mod:`.oracle`
+on first use.
 """
 
-from .fock import (
-    CutoffError,
-    HeraldProbabilities,
-    TruncatedOpticalState,
-    beamsplitter_apply,
-    coherent_fock,
-    misalignment_rotate,
-    threshold_detect,
-)
-from .oracle import (
-    CatStateDecomposition,
-    VerificationReport,
-    acceptance_grid,
-    oracle_stats,
-    verify_grid,
-)
+import importlib
+
 from .optimize import (
     MuOptimum,
     SweepConfig,
@@ -42,6 +32,32 @@ from .rates import (
     key_rate,
     plob_bound,
 )
+
+# The Fock-space names and the module each lives in.
+_LAZY = {
+    "CutoffError": "fock",
+    "HeraldProbabilities": "fock",
+    "TruncatedOpticalState": "fock",
+    "beamsplitter_apply": "fock",
+    "coherent_fock": "fock",
+    "misalignment_rotate": "fock",
+    "threshold_detect": "fock",
+    "CatStateDecomposition": "oracle",
+    "VerificationReport": "oracle",
+    "acceptance_grid": "oracle",
+    "oracle_stats": "oracle",
+    "verify_grid": "oracle",
+}
+
+
+def __getattr__(name: str):
+    """The Fock-space modules and names, imported (with numpy) when first asked for."""
+    if name in ("fock", "oracle"):
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
 
 __all__ = [
     "CatStateDecomposition",

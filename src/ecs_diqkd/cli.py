@@ -11,9 +11,8 @@ import json
 import sys
 from pathlib import Path
 
-from . import oracle
 from .optimize import SweepConfig, SweepRow, find_crossover, sweep, sweep_row
-from .params import ParameterError
+from .params import DEFAULT_ETA_D_LITERAL, DEFAULT_N_MAX, DEFAULT_TOL, ParameterError
 from .rates import bell_state_stats, channel_efficiency
 
 # Unused here; bound because benchmarks/tracer.py wraps these names on this module.
@@ -101,12 +100,12 @@ def build_parser() -> _Parser:
     verify_p = sub.add_parser("verify", help="compare closed forms against the Fock oracle")
     verify_p.add_argument("--point", action="append", type=_point,
                           help="mu,eta,p_d,e_d tuple; repeatable (default: acceptance grid)")
-    verify_p.add_argument("--tol", type=float, default=oracle.DEFAULT_TOL,
+    verify_p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                           help="per-field tolerance (default %(default)g)")
-    verify_p.add_argument("--n-max", dest="n_max", type=int, default=oracle.DEFAULT_N_MAX,
+    verify_p.add_argument("--n-max", dest="n_max", type=int, default=DEFAULT_N_MAX,
                           help="Fock cutoff (default %(default)s)")
     verify_p.add_argument("--eta-d", dest="eta_d", type=float,
-                          default=oracle.DEFAULT_ETA_D_LITERAL,
+                          default=DEFAULT_ETA_D_LITERAL,
                           help="detector efficiency of the literal e_zz reading "
                                "(default %(default)g)")
 
@@ -132,7 +131,8 @@ def _config_tokens(path: Path, command_p: argparse.ArgumentParser) -> list[str]:
     for ``--protocol``/``--protocols``, and the flag's arguments otherwise
     (``--bracket LO HI``); any other value is passed as its text.  A key names
     a flag exactly, not by a prefix argparse would expand; a flag that takes
-    numbers needs JSON numbers; ``null`` and objects are refused.
+    numbers needs JSON numbers; ``null``, objects and the keys ``config`` and
+    ``help`` are refused.
     """
     try:
         data = json.loads(path.read_text())
@@ -147,6 +147,8 @@ def _config_tokens(path: Path, command_p: argparse.ArgumentParser) -> list[str]:
         items = value if isinstance(value, list) else [value]
         if flag == "--config":
             raise UsageError("a config file cannot name another")
+        if flag == "--help":  # argparse would print usage and exit 0, computing nothing
+            raise UsageError("a config file cannot ask for --help")
         if flag not in actions:
             raise UsageError(f"config key {key!r} is not a flag of {command_p.prog}")
         if value is None or isinstance(value, dict):
@@ -255,6 +257,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import oracle  # the one subcommand that needs the oracle, and numpy
+
     try:
         oracle.check_verify_settings(args.tol, args.n_max, args.eta_d, args.point or ())
     except ParameterError as exc:

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .params import DetectorStats, ParameterError, check_point
 from .rates import (
@@ -20,14 +19,58 @@ from .rates import (
 
 PROTOCOLS = ("ecs", "bell", "plob")
 MU_SEARCH_BOUNDS = (1e-4, 1.0)
-SEED_GRID_SIZE = 200
+# The 200 log-spaced seeds of the intensity search, frozen as packed
+# little-endian float64: the hex that
+# np.geomspace(*MU_SEARCH_BOUNDS, 200).astype("<f8").tobytes().hex() printed
+# under numpy 2.4.6.  Python's 10.0 ** y rounds 17 of them one ulp away from
+# numpy's power, and the printed optimum depends on the exact seeds, so they
+# are stored rather than computed.
+SEEDS: tuple[float, ...] = struct.unpack("<200d", bytes.fromhex(
+    "2d431cebe2361a3fd4385c80c9741b3fc0781d40bfc11c3f57c3c7c97a1e1e3fedcb6a63bb8b1f3f379f53b1"
+    "2485203f9001484d7b4d213f370260674f1f223f0acbf11514fb223f64cdfbe241e1233f04d3410e57d2243f"
+    "9fd08bd2d7ce253fa3742cae4ed7263fa939f7ae4cec273f9aa6cfc1690e293f275ffd05453e2a3f71b97224"
+    "857c2b3ff1b635abd8c92c3fc2831d6df6262e3f94ff18e69d942f3fc7a71ad2cb89303f4d0acfda5a52313f"
+    "80cde90d6a24323f441a2ba26c00333f5a768443dbe6333f3174485534d8343f32067d37fcd4353fb57a768f"
+    "bddd363f6cf3e29309f3373fe70d705c7815393f2d6c3635a9453a3f21df18f642843b3f371e475ef4d13c3f"
+    "d43d1674742f3e3f467663e9829d3f3f16255c42748e403f06dcb4c73b57413f6e6e77248629423f5525d7af"
+    "c605433fba2ac23776ec433f72dd234313de443fe1aa4a5722db453fb77d97402ee4463f63a09e5ec8f9473f"
+    "55d4e3f3881c493f2c595d790f4d4a3f09b3ebf5028c4b3f1628f65912da4c3fa5355edff4374e3f319dfe6d"
+    "6aa64f3fba9376021e93503f266d5c141e5c513f8b8b70aba32e523fbe7b623f220b533f7b9e26c012f2533f"
+    "a7254bd8f3e3543fc17971324ae1553f562112c2a0ea563f7d14b30f8900583f1349ba889b23593f483f08d3"
+    "77545a3f8b6a8824c5935b3f647ce79e32e25c3fd2dfa1af77405e3f3d149f7454af5f3fe48ac812c997603f"
+    "f9cf28c10161613f91e83ca3c233623f92cb39517f10633faba523ddb0f7633f3d853515d6e9643f04516ec9"
+    "73e7653f0c2e691415f1663f334aa9a74b07683fc0e3821bb02a693fed61cd42e25b6a3f50678c82899b6b3f"
+    "59f1bf2d55ea6c3f90e18de5fc486e3f48aef9fd40b86f3f6ebcb073759c703fb2327dcee665713f7466440c"
+    "e338723f86e1c9e5dd15733f61342b8f50fd733f35565afab9ef743f0b32be1c9fed753f26911f388bf7763f"
+    "98620a27100e783f6044cdacc631793fd82e43c94e637a3f5337951050a37b3f998b24077af27c3f9d10cf81"
+    "84517e3f1971c30a30c17f3fd8f48d2523a1803f72dfbc3ccd6a813f6b03efe6043e823fe4a87ffd3d1b833f"
+    "cf5eafd6f102843f2b1431889ff5843f6841de2cccf3853fd25cb82d03fe863f4aa55f8ed614883f6833293d"
+    "df38893f263e0067bd6a8a3fef9440cf18ab8b3f417eba2ba1fa8c3f7f7312850e5a8e3f7195b19b21ca8f3f"
+    "5f1bbf28d2a5903f533c4b0cb56f913ff6daa4332843923fb32bc8989f20933f465922b49408943f6c5c31bf"
+    "86fb943ff1c64bfafaf9953f2ac8b6f57c04973fa88032de9e1b983fcda126cdf93f993f65529b1c2e729a3f"
+    "ec662cbfe3b29b3ff62a279cca029d3f6c4105f09a629e3f1b8779b115d39f3fe831a37d82aaa03f6bcb8b3d"
+    "9e74a13fe725cef24c48a23faa9210b80226a33f4078f627390ea43fdfedd29f6f01a53fc02d84852b00a63f"
+    "3b2f9e90f80aa73fbb890c176922a83f0ea9555d1647a93f8258abeaa079aa3f8cc0f6e0b0baab3ff2211059"
+    "f60aad3f65e254c3296bae3ffbe4d04c0cdcaf3f2c55992434afb03fd92ae2d08879b13f6b3ad324734db23f"
+    "4025c65b672bb33f6e309e32df13b43f3ba98d2a5a07b53f460405cf5d06b63f1313f2fe7511b73f517c7739"
+    "3529b83f418b46ee344eb93f0268c7d11581ba3f9de13d3580c2bb3f10221b632413bd3f42efaeffba73be3f"
+    "1e816d6e05e5bf3fa6bc001ee7b3c03fce14b2c6747ec13f138c1cca9a52c23fb2495684cd30c33fbb168cd4"
+    "8619c43ff290d95f460dc53f54fc4bd7910cc63fc6193641f517c73ffe3afd450330c83f1ab389805555c93f"
+    "f2c286d28c88ca3f6936a0bc51cacb3fd918eeba541bcd3fc031c1a54e7cce3fc460051701eecf3fa6ba386a"
+    "9bb8d03f855f5f1f6283d13fdaab12e3c357d23f0d852e323536d33f58e0320e301fd43f42c92e403413d53f"
+    "11ebd69ec712d63f810eee57761ed73f2fcf273dd336d83ffeb3af14785cd93ff8d580ed0590da3fed57bc77"
+    "25d2db3f93222f618723dd3f8da439b6e484de3f72bc4e47fff6df3f52bca00951bde03f64fd4ddb5088e13f"
+    "2e481e70ee5ce23f377bbc659e3be33fc66205e0da24e43f439805cc2319e53f27c92326ff18e63f8ce19d43"
+    "f924e73f3069811fa53de83f084a49ab9c63e93f61384d238197ea3fcc0b3167fbd9eb3f528a8456bc2bed3f"
+    "5873c6317d8dee3f000000000000f03f"
+))
 # Bracket refinement tolerance in mu; far tighter than the audit-grid
 # guarantee so the certified maximum is met with slack.
 GOLDEN_XTOL = 1e-9
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Largest distance grid a SweepConfig accepts.  An optimized row costs about
-# 1.4 ms, so a grid this size takes a few minutes; a tiny step over a long
-# range would otherwise run for hours or days.
+# 1.2 ms (one core of a 2-vCPU Xeon VM), so a grid this size takes about two
+# minutes; a tiny step over a long range would otherwise run for hours or days.
 MAX_SWEEP_ROWS = 100_000
 
 
@@ -122,14 +165,14 @@ def _signed_rate(stats: DetectorStats) -> float:
     return -1.0 - (2.0 - stats.s)
 
 
-def _golden_max(objective, seeds: np.ndarray, best: int, best_value: float) -> tuple[float, float]:
-    """Golden-section refinement of the seed bracket around ``seeds[best]``.
+def _golden_max(objective, best: int, best_value: float) -> tuple[float, float]:
+    """Golden-section refinement of the seed bracket around ``SEEDS[best]``.
 
     Returns the best (mu, value) ever evaluated, the seed included.
     """
-    a = seeds[max(best - 1, 0)]
-    b = seeds[min(best + 1, len(seeds) - 1)]
-    best_mu, best_value = float(seeds[best]), best_value
+    a = SEEDS[max(best - 1, 0)]
+    b = SEEDS[min(best + 1, len(SEEDS) - 1)]
+    best_mu = SEEDS[best]
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = objective(c), objective(d)
@@ -146,7 +189,7 @@ def _golden_max(objective, seeds: np.ndarray, best: int, best_value: float) -> t
             best_mu, best_value = c, fc
         if fd > best_value:
             best_mu, best_value = d, fd
-    return float(best_mu), best_value
+    return best_mu, best_value
 
 
 def optimize_mu(
@@ -173,15 +216,14 @@ def optimize_mu(
     def stats_at(mu: float) -> DetectorStats:
         return ecs_misaligned_stats(mu, eta, p_d, e_d)
 
-    lo, hi = MU_SEARCH_BOUNDS
-    seeds = np.geomspace(lo, hi, SEED_GRID_SIZE)
-    seed_stats = [stats_at(m) for m in seeds]
+    seed_stats = [stats_at(m) for m in SEEDS]
     if any(stats.s > 2.0 for stats in seed_stats):
         signed = [_signed_rate(stats) for stats in seed_stats]
-        best = int(np.argmax(signed))
-        mu, rate = _golden_max(lambda m: _signed_rate(stats_at(m)), seeds, best, signed[best])
+        best = signed.index(max(signed))  # the first maximum, as np.argmax picks
+        mu, rate = _golden_max(lambda m: _signed_rate(stats_at(m)), best, signed[best])
         if rate > 0.0:
             return MuOptimum(mu_star=mu, rate_star=rate, flagged=False)
+    lo, hi = MU_SEARCH_BOUNDS
     return MuOptimum(mu_star=0.5 * (lo + hi), rate_star=0.0, flagged=True)
 
 
@@ -258,9 +300,12 @@ def find_crossover(
         row = sweep_row(pair_config, distance_km)
         return getattr(row, f"rate_{first}") - getattr(row, f"rate_{second}")
 
-    # Plain floats, so an overflow raises as it does everywhere else rather
-    # than warning from numpy scalar arithmetic.
-    grid = np.linspace(lo, hi, 65).tolist()
+    # np.linspace(lo, hi, 65) by numpy's recipe, with its branch for a step
+    # that underflows to 0.  Plain floats, so an overflow raises as it does
+    # everywhere else.
+    delta = hi - lo
+    step = delta / 64
+    grid = [(i * step if step else i / 64 * delta) + lo for i in range(64)] + [hi]
     values = [diff(distance) for distance in grid]
     for i in range(len(grid) - 1):
         if values[i] == 0.0 or (values[i] > 0.0) != (values[i + 1] > 0.0):

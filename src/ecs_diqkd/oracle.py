@@ -31,13 +31,15 @@ from .fock import (
     threshold_detect,
     vacuum_state,
 )
-from .params import DetectorStats, ParameterError, check_point
+from .params import (
+    DEFAULT_ETA_D_LITERAL,
+    DEFAULT_N_MAX,
+    DEFAULT_TOL,
+    DetectorStats,
+    ParameterError,
+    check_point,
+)
 
-DEFAULT_N_MAX = 30
-DEFAULT_TOL = 1e-8
-# Detector efficiency of the rejected literal e_zz reading that verify_grid
-# adjudicates against; the reference operating point's eta_d.
-DEFAULT_ETA_D_LITERAL = 0.8
 # Largest cutoff verify_grid accepts.  The batched oracle holds every
 # eigenvector product at once, so peak memory grows about as n_max**2
 # (about 190 MB at 200).

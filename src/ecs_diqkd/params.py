@@ -10,6 +10,14 @@ from dataclasses import dataclass
 CHSH_MAX = 2.0 * math.sqrt(2.0)
 CHSH_TOL = 1e-9
 
+# Defaults of the oracle comparison (``verify``), here so the CLI can show
+# them without importing the oracle and numpy.
+DEFAULT_N_MAX = 30
+DEFAULT_TOL = 1e-8
+# Detector efficiency of the rejected literal e_zz reading that verify_grid
+# adjudicates against; the reference operating point's eta_d.
+DEFAULT_ETA_D_LITERAL = 0.8
+
 
 class ParameterError(ValueError):
     """An input violates a documented precondition or invariant."""

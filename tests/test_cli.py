@@ -178,27 +178,59 @@ def test_arithmetic_overflow_is_compute_error():
         assert done.stdout == ""
 
 
+# Runs one CLI command in a fresh interpreter and reports the heavy packages
+# loaded by `import ecs_diqkd`, then by the command, then by asking the
+# package for a Fock-space name.
+_LOAD_PROBE = (
+    "import json, runpy, sys\n"
+    "def heavy():\n"
+    "    roots = ('numpy', 'scipy', 'concurrent', 'multiprocessing')\n"
+    "    return sorted({m.split('.')[0] for m in sys.modules} & set(roots))\n"
+    "import ecs_diqkd\n"
+    "after_import = heavy()\n"
+    "sys.argv = ['ecs_diqkd.cli', *sys.argv[1:]]\n"
+    "try:\n"
+    "    runpy.run_module('ecs_diqkd.cli', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    "after_cli = heavy()\n"
+    "assert ecs_diqkd.verify_grid is ecs_diqkd.oracle.verify_grid\n"
+    "print(json.dumps([after_import, after_cli, code, heavy()]), file=sys.stderr)\n"
+)
+
+
+def _load_probe(*argv: str) -> tuple[list[str], list[str], int, list[str], str]:
+    done = _python("-c", _LOAD_PROBE, *argv)
+    after_import, after_cli, code, after_lazy = json.loads(done.stderr.strip().splitlines()[-1])
+    return after_import, after_cli, code, after_lazy, done.stdout
+
+
 def test_import_and_cli_load_no_scipy():
-    probe = (
-        "import json, runpy, sys\n"
-        "def heavy():\n"
-        "    roots = ('scipy', 'concurrent', 'multiprocessing')\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] in roots)\n"
-        "import ecs_diqkd\n"
-        "after_import = heavy()\n"
-        "sys.argv = ['ecs_diqkd.cli', 'rates', '--mu', '0.1', '--distance', '100']\n"
-        "try:\n"
-        "    runpy.run_module('ecs_diqkd.cli', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as exc:\n"
-        "    code = exc.code\n"
-        "after_cli = heavy()\n"
-        "print(json.dumps([after_import, after_cli, code]), file=sys.stderr)\n"
-    )
-    done = _python("-c", probe)
-    after_import, after_cli, code = json.loads(done.stderr.strip().splitlines()[-1])
+    after_import, after_cli, code, _, out = _load_probe("rates", "--mu", "0.1", "--distance", "100")
     assert code == 0
-    assert "rate_ecs = " in done.stdout
+    assert "rate_ecs = " in out
     assert after_import == [] and after_cli == []
+
+
+@pytest.mark.parametrize(
+    "argv, printed",
+    [
+        (["rates", "--optimize", "--distance", "100", "--protocol", "ecs,bell,plob"],
+         "rate_plob = "),
+        (["sweep", "--l-max", "20"], cli.CSV_HEADER),
+        (["crossover", "--pair", "ecs-vs-plob", "--bracket", "1", "400"], "crossover_km = "),
+        (["verify", "--point", "0.1,0.5,1e-7,0.01"], "PASS: "),
+    ],
+    ids=["rates", "sweep", "crossover", "verify"],
+)
+def test_closed_form_path_loads_no_numpy(argv, printed):
+    """Only the oracle needs numpy: the closed-form subcommands never load it."""
+    after_import, after_cli, code, after_lazy, out = _load_probe(*argv)
+    assert code == 0
+    assert printed in out
+    assert after_import == []
+    assert after_cli == (["numpy"] if argv[0] == "verify" else [])
+    assert after_lazy == ["numpy"]  # the lazy names still resolve, and bring numpy
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -308,6 +340,7 @@ def test_config_file_with_flag_override(tmp_path, capsys):
         (["rates", "--distance", "100"], {"optimize": "no"}),
         (["rates", "--mu", "0.1"], {"output": {"path": "x"}}),
         (["rates", "--mu", "0.1"], {"config": "other.json"}),
+        (["rates", "--mu", "0.1"], {"help": True}),
         # A key names a flag exactly, not by a prefix argparse would expand.
         (["rates", "--mu", "0.1"], {"eta": "0.9"}),
         (["rates", "--mu", "0.1"], {"eta": 0.9}),

@@ -108,6 +108,43 @@ def test_optimizer_evaluation_counts_per_branch(monkeypatch):
     assert optimum == optimize.MuOptimum(0.5 * sum(MU_SEARCH_BOUNDS), 0.0, True)
 
 
+def test_seed_table_is_the_log_grid():
+    seeds = optimize.SEEDS
+    assert len(seeds) == 200 and all(type(mu) is float for mu in seeds)
+    assert all(a < b for a, b in zip(seeds, seeds[1:]))
+    assert (seeds[0], seeds[-1]) == MU_SEARCH_BOUNDS
+    # Each seed is 10**y on the linspace(-4, 0, 200) exponent grid, up to
+    # the rounding of the power, which differs between numpy and libm.
+    step = 4.0 / 199
+    for i, mu in enumerate(seeds):
+        assert abs(mu - 10.0 ** (i * step - 4.0)) <= 2 * math.ulp(mu), i
+
+
+def test_crossover_scan_is_linspace(monkeypatch):
+    scanned = []
+
+    def no_crossing(config, distance_km):
+        scanned.append(distance_km)
+        return optimize.SweepRow(distance_km, rate_ecs=1.0, rate_plob=0.0)
+
+    monkeypatch.setattr(optimize, "sweep_row", no_crossing)
+    config = SweepConfig(**FIG2)
+    rng = np.random.default_rng(20261018)
+    # The first three are subnormal brackets whose step underflows to 0.
+    brackets = [(0.0, 5e-324), (0.0, 1e-322), (2e-323, 1e-322), (0.0, 1e-320),
+                (1e-300, 2e-300), (5.0, 5.000000000000001)]
+    for _ in range(1200):
+        lo = float(rng.choice([0.0, rng.uniform(0.0, 1000.0), 10.0 ** rng.uniform(-12, 6)]))
+        brackets.append((lo, lo + float(10.0 ** rng.uniform(-14, 6))))
+    for lo, hi in brackets:
+        if not lo < hi:
+            continue
+        scanned.clear()
+        assert find_crossover(("ecs", "plob"), config, (lo, hi)) is None
+        assert scanned == np.linspace(lo, hi, 65).tolist(), (lo, hi)
+        assert all(type(distance) is float for distance in scanned)
+
+
 def test_optimal_intensity_below_violation_boundary():
     # A source that cannot violate the inequality even losslessly is never
     # optimal, so mu* stays below the ideal-case boundary wherever rate > 0.
