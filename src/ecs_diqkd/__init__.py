@@ -37,14 +37,13 @@ from .rates import (
 _LAZY = {
     "CutoffError": "fock",
     "HeraldProbabilities": "fock",
-    "TruncatedOpticalState": "fock",
     "beamsplitter_apply": "fock",
     "coherent_fock": "fock",
     "misalignment_rotate": "fock",
     "threshold_detect": "fock",
-    "CatStateDecomposition": "oracle",
     "VerificationReport": "oracle",
     "acceptance_grid": "oracle",
+    "cat_branch": "oracle",
     "oracle_stats": "oracle",
     "verify_grid": "oracle",
 }
@@ -60,7 +59,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "CatStateDecomposition",
     "CutoffError",
     "DetectorStats",
     "HeraldProbabilities",
@@ -70,12 +68,12 @@ __all__ = [
     "ProtocolParams",
     "SweepConfig",
     "SweepRow",
-    "TruncatedOpticalState",
     "VerificationReport",
     "acceptance_grid",
     "beamsplitter_apply",
     "bell_state_stats",
     "binary_entropy",
+    "cat_branch",
     "channel_efficiency",
     "coherent_fock",
     "ecs_ideal_stats",

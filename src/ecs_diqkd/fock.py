@@ -6,11 +6,13 @@ single-mode phase rotation, and a threshold-detector readout.  Nothing in
 this file knows about cat states or the closed forms.
 
 Conventions:
-    * A state over k modes is a complex array with one axis per mode, each
-      axis of length ``n_max + 1``.  A batched state adds one trailing axis
-      that stacks independent states of the same modes; every operation acts
-      on each element on its own, certifies each element, and a readout
-      returns one value per element.
+    * A state over k modes is a complex ndarray with one axis per mode, each
+      of length ``n_max + 1``, then one trailing batch axis that stacks
+      independent states of the same modes; a single state is a batch of
+      one.  Every operation acts on each element on its own, certifies each
+      element, and a readout returns one value per element.  In
+      ``mode_product`` a batch of one joins every element of the other
+      factor.
     * ``beamsplitter_apply`` with transmittance T implements the mode map
       with matrix [[t, r], [r, -t]], t = sqrt(T), r = sqrt(1 - T); at
       T = 1/2 this is the symmetric splitter sending coherent amplitudes
@@ -22,7 +24,6 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -70,62 +71,31 @@ def poisson_tail(intensity: float, n_max: int) -> float:
         n += 1
 
 
-@dataclass
-class TruncatedOpticalState:
-    """Complex amplitudes over joint photon numbers of ``num_modes`` modes.
-
-    With ``batched`` set, the last axis of ``amplitudes`` stacks independent
-    states, and ``norm`` returns one value per element.
-    """
-
-    amplitudes: np.ndarray
-    n_max: int
-    batched: bool = False
-
-    @property
-    def num_modes(self) -> int:
-        return self.amplitudes.ndim - int(self.batched)
-
-    def norm(self) -> float | np.ndarray:
-        if self.batched:
-            flat = self.amplitudes.reshape(-1, self.amplitudes.shape[-1])
-            return np.linalg.norm(flat, axis=0)
-        return float(np.linalg.norm(self.amplitudes))
-
-    def number_distribution(self) -> np.ndarray:
-        """Joint photon-number probabilities, same shape as the amplitudes."""
-        return np.abs(self.amplitudes) ** 2
-
-
-def vacuum_state(n_max: int, num_modes: int = 1) -> TruncatedOpticalState:
-    amps = np.zeros((n_max + 1,) * num_modes, dtype=complex)
+def vacuum_state(n_max: int, num_modes: int = 1) -> np.ndarray:
+    amps = np.zeros((n_max + 1,) * num_modes + (1,), dtype=complex)
     amps[(0,) * num_modes] = 1.0
-    return TruncatedOpticalState(amps, n_max)
+    return amps
 
 
-def mode_product(a: TruncatedOpticalState, b: TruncatedOpticalState) -> TruncatedOpticalState:
+def mode_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product; the modes of ``b`` follow those of ``a``.
 
-    If either factor is batched the product is taken element by element
-    (an unbatched factor joins every element); two batches must have the
+    The product is taken element by element; a batch of one joins every
+    element of the other factor, and otherwise the batches must have the
     same length.
     """
-    if a.n_max != b.n_max:
+    if a.ndim < 2 or b.ndim < 2:
+        raise ParameterError("a state needs a mode axis and a trailing batch axis")
+    if a.shape[0] != b.shape[0]:
         raise ParameterError("cannot combine states with different cutoffs")
-    if not (a.batched or b.batched):
-        return TruncatedOpticalState(np.tensordot(a.amplitudes, b.amplitudes, axes=0), a.n_max)
-    left = a.amplitudes if a.batched else a.amplitudes[..., np.newaxis]
-    right = b.amplitudes if b.batched else b.amplitudes[..., np.newaxis]
-    if a.batched and b.batched and left.shape[-1] != right.shape[-1]:
-        raise ParameterError(
-            f"cannot pair batches of {left.shape[-1]} and {right.shape[-1]} states"
-        )
-    left = left.reshape(left.shape[:-1] + (1,) * b.num_modes + left.shape[-1:])
-    right = right.reshape((1,) * a.num_modes + right.shape)
-    return TruncatedOpticalState(left * right, a.n_max, batched=True)
+    if a.shape[-1] != b.shape[-1] and 1 not in (a.shape[-1], b.shape[-1]):
+        raise ParameterError(f"cannot pair batches of {a.shape[-1]} and {b.shape[-1]} states")
+    left = a.reshape(a.shape[:-1] + (1,) * (b.ndim - 1) + a.shape[-1:])
+    right = b.reshape((1,) * (a.ndim - 1) + b.shape)
+    return left * right
 
 
-def coherent_fock(alpha: complex, n_max: int) -> TruncatedOpticalState:
+def coherent_fock(alpha: complex, n_max: int) -> np.ndarray:
     """Single-mode coherent state: coefficients e^(-|a|^2/2) a^n / sqrt(n!).
 
     Raises CutoffError unless the Poisson tail beyond ``n_max`` is below
@@ -137,11 +107,13 @@ def coherent_fock(alpha: complex, n_max: int) -> TruncatedOpticalState:
         raise CutoffError(
             f"n_max={n_max} leaves tail mass {tail:.3e} for intensity {intensity:.4f}"
         )
+    # Filled as a vector: writing rows of an (n_max + 1, 1) array one at a
+    # time costs several times more.
     amps = np.zeros(n_max + 1, dtype=complex)
     amps[0] = math.exp(-intensity / 2.0)
     for n in range(1, n_max + 1):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    return TruncatedOpticalState(amps, n_max)
+    return amps[:, np.newaxis]
 
 
 @lru_cache(maxsize=64)
@@ -195,9 +167,14 @@ def _beamsplitter_blocks(
     return tuple(blocks)
 
 
+def _norms(state: np.ndarray) -> np.ndarray:
+    """The norm of each batch element."""
+    return np.linalg.norm(state.reshape(-1, state.shape[-1]), axis=0)
+
+
 def beamsplitter_apply(
-    state: TruncatedOpticalState, mode_i: int, mode_j: int, transmittance: float
-) -> TruncatedOpticalState:
+    state: np.ndarray, mode_i: int, mode_j: int, transmittance: float
+) -> np.ndarray:
     """Apply the two-mode beamsplitter unitary in Fock space.
 
     Transmittance 1/2 gives the symmetric splitter with outputs
@@ -206,82 +183,77 @@ def beamsplitter_apply(
     the batch axis included, rides along through the block products, and
     the norm of each batch element is certified on its own.
     """
-    k = state.num_modes
+    k = state.ndim - 1
     if not (0 <= mode_i < k and 0 <= mode_j < k) or mode_i == mode_j:
         raise ParameterError(f"invalid mode pair ({mode_i}, {mode_j}) for {k} modes")
     if not 0.0 <= transmittance <= 1.0:
         raise ParameterError(f"transmittance must be in [0, 1], got {transmittance}")
 
-    dim = state.n_max + 1
-    work = np.moveaxis(state.amplitudes, (mode_i, mode_j), (0, 1))
+    dim = state.shape[0]
+    work = np.moveaxis(state, (mode_i, mode_j), (0, 1))
     trailing = work.shape[2:]
     # Rows are the flat (n, m) index; the real blocks act on the real and
     # imaginary parts of every trailing column at once.
     work = np.ascontiguousarray(work.reshape(dim * dim, -1), dtype=complex).view(np.float64)
     out = np.empty_like(work)
-    for idx, co_idx, block in _beamsplitter_blocks(state.n_max, transmittance):
+    for idx, co_idx, block in _beamsplitter_blocks(dim - 1, transmittance):
         flat = idx * dim + co_idx
         out[flat] = block @ work[flat]
     out = out.view(complex).reshape(dim, dim, *trailing)
     out = np.moveaxis(out, (0, 1), (mode_i, mode_j))
 
-    result = TruncatedOpticalState(out, state.n_max, state.batched)
-    before, after = state.norm(), result.norm()
+    before, after = _norms(state), _norms(out)
     drift = np.abs(after - before) > NORM_DRIFT_TOL * np.maximum(1.0, before)
     if np.any(drift):
         where = int(np.flatnonzero(drift)[0])
-        label = f" in batch element {where}" if state.batched else ""
         raise CutoffError(
-            f"beamsplitter pushed amplitude past the per-mode cutoff{label} "
-            f"(norm {np.ravel(before)[where]:.12f} -> {np.ravel(after)[where]:.12f})"
+            f"beamsplitter pushed amplitude past the per-mode cutoff in batch element {where} "
+            f"(norm {before[where]:.12f} -> {after[where]:.12f})"
         )
-    return result
+    return out
 
 
-def misalignment_rotate(
-    state: TruncatedOpticalState, mode: int, delta0: float | np.ndarray
-) -> TruncatedOpticalState:
+def misalignment_rotate(state: np.ndarray, mode: int, delta0: float | np.ndarray) -> np.ndarray:
     """Phase rotation e^(i n delta0) of one mode; exactly norm-preserving.
 
-    A batched state may take one angle per element.
+    ``delta0`` is one angle for every batch element or one angle per element.
     """
-    if not 0 <= mode < state.num_modes:
+    if not 0 <= mode < state.ndim - 1:
         raise ParameterError(f"mode {mode} out of range")
     angles = np.asarray(delta0, dtype=float)
-    if angles.ndim and not (state.batched and angles.shape == state.amplitudes.shape[-1:]):
-        raise ParameterError("per-element angles need a batched state of the same length")
+    if angles.ndim and angles.shape != state.shape[-1:]:
+        raise ParameterError("per-element angles need a batch of the same length")
     if not np.any(angles):
-        return TruncatedOpticalState(state.amplitudes.copy(), state.n_max, state.batched)
-    phases = np.exp(1j * np.multiply.outer(np.arange(state.n_max + 1), angles))
-    shape = [1] * state.amplitudes.ndim
-    shape[mode] = state.n_max + 1
+        return state.copy()
+    phases = np.exp(1j * np.multiply.outer(np.arange(state.shape[0]), angles))
+    shape = [1] * state.ndim
+    shape[mode] = state.shape[0]
     if angles.ndim:
         shape[-1] = angles.size
-    return TruncatedOpticalState(
-        state.amplitudes * phases.reshape(shape), state.n_max, state.batched
-    )
+    return state * phases.reshape(shape)
 
 
 class HeraldProbabilities(NamedTuple):
     """Probabilities of the four threshold-detector outcomes of one trial.
 
-    Each field holds one array value per element when read from a batch.
+    Each field holds one value per batch element when read by
+    :func:`threshold_detect`.
     """
 
-    d1_only: float
-    d2_only: float
-    none: float
-    both: float
+    d1_only: float | np.ndarray
+    d2_only: float | np.ndarray
+    none: float | np.ndarray
+    both: float | np.ndarray
 
-    def success(self) -> float:
+    def success(self) -> float | np.ndarray:
         return self.d1_only + self.d2_only
 
-    def total(self) -> float:
+    def total(self) -> float | np.ndarray:
         return self.d1_only + self.d2_only + self.none + self.both
 
 
 def threshold_detect(
-    state: TruncatedOpticalState, detector_modes: tuple[int, int], p_d: float
+    state: np.ndarray, detector_modes: tuple[int, int], p_d: float
 ) -> HeraldProbabilities:
     """Threshold-detector readout with independent dark counts.
 
@@ -294,21 +266,18 @@ def threshold_detect(
         P(both)    = remainder
     """
     mode_i, mode_j = detector_modes
-    k = state.num_modes
+    k = state.ndim - 1
     if not (0 <= mode_i < k and 0 <= mode_j < k) or mode_i == mode_j:
         raise ParameterError(f"invalid detector modes {detector_modes} for {k} modes")
     check_point(p_d=p_d)
-    probs = state.number_distribution()
     other_axes = tuple(a for a in range(k) if a not in (mode_i, mode_j))
-    joint = probs.sum(axis=other_axes) if other_axes else probs
+    joint = (np.abs(state) ** 2).sum(axis=other_axes)
     if mode_j < mode_i:
         joint = joint.swapaxes(0, 1)
     total = joint.sum(axis=(0, 1))
     v1 = joint[0].sum(axis=0)
     v2 = joint[:, 0].sum(axis=0)
     v12 = joint[0, 0]
-    if not state.batched:
-        total, v1, v2, v12 = float(total), float(v1), float(v2), float(v12)
     no_click = (1.0 - p_d) ** 2 * v12
     d1 = (1.0 - p_d) * v2 - no_click
     d2 = (1.0 - p_d) * v1 - no_click

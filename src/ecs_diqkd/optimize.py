@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass, replace
 
 from .params import DetectorStats, ParameterError, check_point
@@ -94,8 +95,9 @@ class SweepConfig:
 
     ``mu = None`` optimizes the intensity at each distance; a number fixes it.
     Construction is the one validation of these inputs: every number must be
-    finite and in range, the grid must hold at most ``MAX_SWEEP_ROWS``, and
-    the ecs and bell rates need a transmittance above 0 at ``l_max_km``.
+    finite and in range, the grid must hold at most ``MAX_SWEEP_ROWS``, the
+    ecs and bell rates need a transmittance above 0 at ``l_max_km``, and the
+    bell rate, which squares it, needs that square to be a normal float.
     """
 
     l_min_km: float = 0.0
@@ -136,6 +138,9 @@ class SweepConfig:
         if eta_far == 0.0 and {"ecs", "bell"} & set(self.protocols):
             raise ParameterError(f"the arm transmittance underflows to 0 at {self.l_max_km} "
                                  "km; the ecs and bell rates need a shorter distance")
+        if eta_far**2 < sys.float_info.min and "bell" in self.protocols:
+            raise ParameterError(f"the squared arm transmittance underflows at {self.l_max_km} "
+                                 "km; the bell rate needs a shorter distance")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .fock import (
     TAIL_MASS_BOUND,
     CutoffError,
     HeraldProbabilities,
-    TruncatedOpticalState,
     beamsplitter_apply,
     coherent_fock,
     misalignment_rotate,
@@ -40,9 +40,9 @@ from .params import (
     check_point,
 )
 
-# Largest cutoff verify_grid accepts.  The batched oracle holds every
-# eigenvector product at once, so peak memory grows about as n_max**2
-# (about 190 MB at 200).
+# Largest cutoff oracle_stats and verify_grid accept.  The batched oracle
+# holds every eigenvector product at once, so peak memory grows about as
+# n_max**2 (about 190 MB at 200).
 MAX_N_MAX = 200
 # Eigenvalues of an arm density matrix below this weight are numerical noise
 # of the exact rank-2 mixture and are dropped.
@@ -66,46 +66,22 @@ CHSH_PAIRS: tuple[tuple[str, str, float], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class CatStateDecomposition:
-    """Spin-conditional resolution of one entangled atom-light cat state.
+def cat_branch(mu: float, theta: float, outcome: int) -> tuple[float, float, float]:
+    """Spin-conditional branch of one entangled atom-light cat state.
 
     Measuring the atom along chi_theta with outcome +/-1 projects the optical
-    pulse onto a normalized superposition of |alpha> and |-alpha>; this record
-    holds the spin-conditional normalizations
-    M+- = sqrt(1 +- sin(theta) e^(-2 mu)) and the conditional amplitude pairs.
+    pulse onto c_plus |alpha> + c_minus |-alpha>, normalized by
+    M+- = sqrt(1 +- sin(theta) e^(-2 mu)); the outcome has prior (M+-)^2 / 2.
+    Returns ``(c_plus, c_minus, prior)``.
     """
-
-    mu: float
-    theta: float
-    m_plus: float = field(init=False)
-    m_minus: float = field(init=False)
-    amp_pos: tuple[float, float] = field(init=False)
-    amp_neg: tuple[float, float] = field(init=False)
-
-    def __post_init__(self) -> None:
-        check_point(self.mu)
-        overlap = math.exp(-2.0 * self.mu)  # <alpha|-alpha> for real alpha
-        half = self.theta / 2.0
-        m_plus = math.sqrt(1.0 + math.sin(self.theta) * overlap)
-        m_minus = math.sqrt(1.0 - math.sin(self.theta) * overlap)
-        object.__setattr__(self, "m_plus", m_plus)
-        object.__setattr__(self, "m_minus", m_minus)
-        object.__setattr__(
-            self, "amp_pos", (math.cos(half) / m_plus, math.sin(half) / m_plus)
-        )
-        object.__setattr__(
-            self, "amp_neg", (math.sin(half) / m_minus, -math.cos(half) / m_minus)
-        )
-
-    def outcome_amplitudes(self, outcome: int) -> tuple[float, float]:
-        """Coefficients of |alpha> and |-alpha> given the spin outcome +/-1."""
-        return self.amp_pos if outcome > 0 else self.amp_neg
-
-    def outcome_prior(self, outcome: int) -> float:
-        """Probability of the spin outcome: (M+-)^2 / 2."""
-        m = self.m_plus if outcome > 0 else self.m_minus
-        return m * m / 2.0
+    check_point(mu)
+    overlap = math.exp(-2.0 * mu)  # <alpha|-alpha> for real alpha
+    half = theta / 2.0
+    if outcome > 0:
+        m = math.sqrt(1.0 + math.sin(theta) * overlap)
+        return math.cos(half) / m, math.sin(half) / m, m * m / 2.0
+    m = math.sqrt(1.0 - math.sin(theta) * overlap)
+    return math.sin(half) / m, -math.cos(half) / m, m * m / 2.0
 
 
 # Setting pairs whose heralds the aggregation reads: the raw-key pair, then
@@ -133,28 +109,22 @@ def _arm_mixtures(
     and column-eigenvectors indexed by the position of the arm in ``ARMS``.
     """
     alpha = math.sqrt(mu)
-    pulse = coherent_fock(alpha, n_max).amplitudes
-    pulse_neg = coherent_fock(-alpha, n_max).amplitudes
-    decomps = {
-        role: CatStateDecomposition(mu=mu, theta=theta) for role, theta in SETTING_ANGLES.items()
-    }
-    arm_decomps = [(decomps[role], outcome) for role, outcome in ARMS]
-    c_plus, c_minus = np.array([d.outcome_amplitudes(outcome) for d, outcome in arm_decomps]).T
-    priors = {arm: d.outcome_prior(outcome) for arm, (d, outcome) in zip(ARMS, arm_decomps)}
-    pulses = np.multiply.outer(pulse, c_plus) + np.multiply.outer(pulse_neg, c_minus)
-    conditional = TruncatedOpticalState(pulses, n_max, batched=True)
-    arms = beamsplitter_apply(mode_product(conditional, vacuum_state(n_max)), 0, 1, eta)
+    branches = [cat_branch(mu, SETTING_ANGLES[role], outcome) for role, outcome in ARMS]
+    c_plus, c_minus, _ = np.array(branches).T
+    priors = {arm: prior for arm, (_, _, prior) in zip(ARMS, branches)}
+    pulses = coherent_fock(alpha, n_max) * c_plus + coherent_fock(-alpha, n_max) * c_minus
+    arms = beamsplitter_apply(mode_product(pulses, vacuum_state(n_max)), 0, 1, eta)
     drifts = np.array([delta0 if role.startswith("B") else 0.0 for role, _ in ARMS])
     arms = misalignment_rotate(arms, 0, drifts)
     # Trace out the environment: rho = Psi Psi+ over the signal index.
-    psi = np.moveaxis(arms.amplitudes, -1, 0)
+    psi = np.moveaxis(arms, -1, 0)
     rho = psi @ psi.conj().swapaxes(1, 2)
     weights, vectors = np.linalg.eigh(rho)
     return priors, weights, vectors
 
 
 def _pair_heralds(
-    weights: np.ndarray, vectors: np.ndarray, p_d: float, n_max: int
+    weights: np.ndarray, vectors: np.ndarray, p_d: float
 ) -> dict[tuple[str, str, int, int], HeraldProbabilities]:
     """Herald probabilities of every (role pair, outcome pair) arm product.
 
@@ -177,10 +147,7 @@ def _pair_heralds(
                 right.append(vectors[j, :, q])
                 product_weights.append(weights[i, p] * weights[j, q])
                 owner.append(c)
-    joint = mode_product(
-        TruncatedOpticalState(np.stack(left, axis=-1), n_max, batched=True),
-        TruncatedOpticalState(np.stack(right, axis=-1), n_max, batched=True),
-    )
+    joint = mode_product(np.stack(left, axis=-1), np.stack(right, axis=-1))
     joint = beamsplitter_apply(joint, 0, 1, 0.5)
     heralds = np.asarray(threshold_detect(joint, (0, 1), p_d)) * np.array(product_weights)
     sums = np.stack([np.bincount(owner, weights=row, minlength=len(combos)) for row in heralds])
@@ -193,6 +160,14 @@ def _pair_heralds(
             )
         result[combo] = herald
     return result
+
+
+def check_n_max(n_max: int) -> None:
+    """Require the Fock cutoff to be an integer in [1, MAX_N_MAX]."""
+    if isinstance(n_max, bool) or not isinstance(n_max, Integral):
+        raise ParameterError(f"n_max must be an integer, got {n_max!r}")
+    if not 1 <= n_max <= MAX_N_MAX:
+        raise ParameterError(f"n_max must be in [1, {MAX_N_MAX}], got {n_max}")
 
 
 def certify_cutoff(mu: float, n_max: int) -> None:
@@ -220,11 +195,12 @@ def oracle_stats(
     on success.
     """
     check_point(mu, eta, p_d, e_d)
+    check_n_max(n_max)
     certify_cutoff(mu, n_max)
 
     delta0 = math.acos(1.0 - 2.0 * e_d)
     priors, weights, vectors = _arm_mixtures(mu, eta, delta0, n_max)
-    heralds = _pair_heralds(weights, vectors, p_d, n_max)
+    heralds = _pair_heralds(weights, vectors, p_d)
 
     def pair_heralds(role_a: str, role_b: str):
         for a, b in OUTCOME_PAIRS:
@@ -366,13 +342,12 @@ def check_verify_settings(
     """Reject bad ``verify_grid`` inputs before any oracle work.
 
     The tolerance must be finite and > 0 (a NaN or infinite one would pass
-    every deviation), the cutoff in [1, MAX_N_MAX], the literal eta_d in
-    (0, 1], and every point inside the ranges of :func:`check_point`.
+    every deviation), the cutoff an integer in [1, MAX_N_MAX], the literal
+    eta_d in (0, 1], and every point inside the ranges of :func:`check_point`.
     """
     if not 0.0 < tol < math.inf:
         raise ParameterError(f"tol must be finite and > 0, got {tol}")
-    if not 1 <= n_max <= MAX_N_MAX:
-        raise ParameterError(f"n_max must be in [1, {MAX_N_MAX}], got {n_max}")
+    check_n_max(n_max)
     check_point(eta=eta_d_literal, eta_name="eta_d")
     for point in points:
         check_point(*point)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -120,6 +121,22 @@ def test_invalid_parameter_value_is_usage_error(capsys):
     # The capacity bound alone is still defined there.
     assert cli.main(["rates", "--optimize", "--distance", "40000", "--protocol", "plob"]) == 0
     assert capsys.readouterr().out.endswith("rate_plob = 0.0\n")
+    # The bell rate squares the transmittance, which leaves the normal floats
+    # past about 15,373 km; the ecs rate still runs there.
+    for distance, argv in (
+        (16000, ["sweep", "--l-min", "16000", "--l-max", "16000", "--p-d", "0", "--mu", "0.1"]),
+        (20000, ["rates", "--mu", "0.1", "--p-d", "0", "--distance", "20000",
+                 "--protocol", "ecs,bell"]),
+        (15374, ["rates", "--mu", "0.1", "--distance", "15374", "--protocol", "bell"]),
+        (16000, ["crossover", "--pair", "ecs-vs-bell", "--bracket", "100", "16000"]),
+    ):
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"squared arm transmittance underflows at {distance}.0 km" in err
+    assert cli.main(["rates", "--mu", "0.1", "--distance", "15372", "--protocol", "bell"]) == 0
+    assert cli.main(["rates", "--mu", "0.1", "--p-d", "0", "--distance", "16000",
+                     "--protocol", "ecs"]) == 0
 
 
 # One cheap valid invocation of each subcommand that takes channel flags
@@ -231,6 +248,20 @@ def test_closed_form_path_loads_no_numpy(argv, printed):
     assert after_import == []
     assert after_cli == (["numpy"] if argv[0] == "verify" else [])
     assert after_lazy == ["numpy"]  # the lazy names still resolve, and bring numpy
+
+
+def test_library_keeps_every_binding_the_benchmark_tracer_wraps(monkeypatch):
+    """``benchmarks/tracer.py`` replaces module attributes by name; a rename
+    in the library would break its ``--trace 1`` runs, not these tests."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    assert tracer.BINDINGS
+    for module_name, attr, _ in tracer.BINDINGS:
+        module = importlib.import_module(f"ecs_diqkd.{module_name}")
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -11,7 +11,6 @@ from scipy.stats import poisson
 
 from ecs_diqkd.fock import (
     CutoffError,
-    TruncatedOpticalState,
     _beamsplitter_blocks,
     beamsplitter_apply,
     coherent_fock,
@@ -28,15 +27,16 @@ N_MAX = 30
 
 def test_coherent_vacuum():
     state = coherent_fock(0.0, N_MAX)
-    assert state.amplitudes[0] == 1.0
-    assert np.all(state.amplitudes[1:] == 0.0)
+    assert state.shape == (N_MAX + 1, 1)
+    assert state[0, 0] == 1.0
+    assert np.all(state[1:] == 0.0)
 
 
 def test_coherent_norm_and_vacuum_probability():
     mu = 0.7
     state = coherent_fock(math.sqrt(mu), N_MAX)
-    assert state.norm() == pytest.approx(1.0, abs=1e-12)
-    assert abs(state.amplitudes[0]) ** 2 == pytest.approx(math.exp(-mu), rel=1e-12)
+    assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
+    assert abs(state[0, 0]) ** 2 == pytest.approx(math.exp(-mu), rel=1e-12)
 
 
 def test_coherent_overlap_identity():
@@ -44,7 +44,7 @@ def test_coherent_overlap_identity():
     mu = 0.6
     plus = coherent_fock(math.sqrt(mu), N_MAX)
     minus = coherent_fock(-math.sqrt(mu), N_MAX)
-    overlap = np.vdot(plus.amplitudes, minus.amplitudes)
+    overlap = np.vdot(plus, minus)
     assert overlap == pytest.approx(math.exp(-2.0 * mu), abs=1e-12)
 
 
@@ -128,10 +128,9 @@ def test_beamsplitter_blocks_are_orthogonal():
             assert np.max(np.abs(block @ block.T - np.eye(idx.size))) < 1e-12
 
 
-def _batch(*states: TruncatedOpticalState) -> TruncatedOpticalState:
-    return TruncatedOpticalState(
-        np.stack([s.amplitudes for s in states], axis=-1), states[0].n_max, batched=True
-    )
+def _batch(*states: np.ndarray) -> np.ndarray:
+    """Stack batches of one into one batch."""
+    return np.concatenate(states, axis=-1)
 
 
 def test_batched_operations_match_each_element():
@@ -143,36 +142,38 @@ def test_batched_operations_match_each_element():
         _batch(*(coherent_fock(a, N_MAX) for a, _ in alphas)),
         _batch(*(coherent_fock(b, N_MAX) for _, b in alphas)),
     )
-    assert batch.num_modes == 2
-    assert np.array_equal(batch.amplitudes, _batch(*singles).amplitudes)
+    assert batch.shape == (N_MAX + 1, N_MAX + 1, 3)
+    assert np.array_equal(batch, _batch(*singles))
 
     angles = np.array([0.0, 0.3, -1.1])
     rotated = misalignment_rotate(batch, 1, angles)
     out = beamsplitter_apply(rotated, 0, 1, 0.37)
     herald = threshold_detect(out, (1, 0), 1e-3)
-    norms = out.norm()
     for b, single in enumerate(singles):
         expected = beamsplitter_apply(misalignment_rotate(single, 1, angles[b]), 0, 1, 0.37)
-        assert np.max(np.abs(out.amplitudes[..., b] - expected.amplitudes)) < 1e-15
-        assert norms[b] == pytest.approx(expected.norm(), abs=1e-15)
+        assert np.max(np.abs(out[..., b:b + 1] - expected)) < 1e-15
+        assert np.linalg.norm(out[..., b]) == pytest.approx(np.linalg.norm(expected), abs=1e-15)
         single_herald = threshold_detect(expected, (1, 0), 1e-3)
         for got, want in zip(herald, single_herald):
-            assert got[b] == pytest.approx(want, abs=1e-15)
+            assert got[b] == pytest.approx(want[0], abs=1e-15)
 
-    # An unbatched factor joins every element.
+    # A batch of one joins every element, on either side.
     firsts = _batch(*(coherent_fock(a, N_MAX) for a, _ in alphas))
     joined = mode_product(firsts, vacuum_state(N_MAX))
-    assert joined.amplitudes.shape == (N_MAX + 1, N_MAX + 1, 3)
-    assert np.array_equal(joined.amplitudes[:, 0, :], firsts.amplitudes)
+    assert joined.shape == (N_MAX + 1, N_MAX + 1, 3)
+    assert np.array_equal(joined[:, 0, :], firsts)
+    joined = mode_product(vacuum_state(N_MAX), firsts)
+    assert joined.shape == (N_MAX + 1, N_MAX + 1, 3)
+    assert np.array_equal(joined[0], firsts)
 
 
 def test_batched_cutoff_overflow_in_one_element():
     # Element 0 is harmless; element 1 holds total photon number 2 n_max,
     # which no output pair can hold.  The check must catch that one element.
     fine = mode_product(coherent_fock(0.3, N_MAX), vacuum_state(N_MAX))
-    overflow = np.zeros((N_MAX + 1, N_MAX + 1), dtype=complex)
+    overflow = np.zeros((N_MAX + 1, N_MAX + 1, 1), dtype=complex)
     overflow[N_MAX, N_MAX] = 1.0
-    batch = _batch(fine, TruncatedOpticalState(overflow, N_MAX), fine)
+    batch = _batch(fine, overflow, fine)
     with pytest.raises(CutoffError, match="batch element 1"):
         beamsplitter_apply(batch, 0, 1, 0.5)
     beamsplitter_apply(_batch(fine, fine), 0, 1, 0.5)
@@ -184,8 +185,14 @@ def test_batched_validation():
         misalignment_rotate(batch, 0, np.array([0.1, 0.2, 0.3]))
     with pytest.raises(ParameterError):
         misalignment_rotate(vacuum_state(N_MAX, 2), 0, np.array([0.1, 0.2]))
-    with pytest.raises(ParameterError):
-        mode_product(_batch(vacuum_state(N_MAX), vacuum_state(N_MAX)), _batch(vacuum_state(N_MAX)))
+    pair = _batch(vacuum_state(N_MAX), vacuum_state(N_MAX))
+    with pytest.raises(ParameterError, match="cannot pair batches of 2 and 3 states"):
+        mode_product(pair, _batch(pair, vacuum_state(N_MAX)))
+    with pytest.raises(ParameterError, match="different cutoffs"):
+        mode_product(pair, vacuum_state(N_MAX - 1))
+    # A vector without its batch axis would read as a batch of no modes.
+    with pytest.raises(ParameterError, match="trailing batch axis"):
+        mode_product(vacuum_state(N_MAX)[:, 0], vacuum_state(N_MAX))
 
 
 def test_beamsplitter_coherent_identity():
@@ -196,24 +203,24 @@ def test_beamsplitter_coherent_identity():
     expected = mode_product(
         coherent_fock(math.sqrt(2.0) * alpha, N_MAX), vacuum_state(N_MAX)
     )
-    assert np.allclose(out.amplitudes, expected.amplitudes, atol=1e-12)
+    assert np.allclose(out, expected, atol=1e-12)
 
 
 def test_beamsplitter_single_photon():
     # |1, 0> -> (|1, 0> + |0, 1>) / sqrt(2)
-    amps = np.zeros((N_MAX + 1, N_MAX + 1), dtype=complex)
+    amps = np.zeros((N_MAX + 1, N_MAX + 1, 1), dtype=complex)
     amps[1, 0] = 1.0
-    out = beamsplitter_apply(TruncatedOpticalState(amps, N_MAX), 0, 1, 0.5)
+    out = beamsplitter_apply(amps, 0, 1, 0.5)
     root_half = 1.0 / math.sqrt(2.0)
-    assert out.amplitudes[1, 0] == pytest.approx(root_half, abs=1e-14)
-    assert out.amplitudes[0, 1] == pytest.approx(root_half, abs=1e-14)
-    assert out.norm() == pytest.approx(1.0, abs=1e-12)
+    assert out[1, 0, 0] == pytest.approx(root_half, abs=1e-14)
+    assert out[0, 1, 0] == pytest.approx(root_half, abs=1e-14)
+    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
-def _mean_photons(state: TruncatedOpticalState) -> list[float]:
-    """Mean photon number of each mode of a two-mode state."""
-    joint = state.number_distribution()
-    n = np.arange(state.n_max + 1)
+def _mean_photons(state: np.ndarray) -> list[float]:
+    """Mean photon number of each mode of a two-mode state (a batch of one)."""
+    joint = np.abs(state[..., 0]) ** 2
+    n = np.arange(state.shape[0])
     return [float(n @ joint.sum(axis=1)), float(n @ joint.sum(axis=0))]
 
 
@@ -224,7 +231,7 @@ def test_beamsplitter_loss_splits_coherent_state():
     assert _mean_photons(out) == pytest.approx([eta * alpha**2, (1 - eta) * alpha**2], rel=1e-10)
 
 
-def _ecs_state(mu: float, signs: tuple[int, int], parity: int) -> TruncatedOpticalState:
+def _ecs_state(mu: float, signs: tuple[int, int], parity: int) -> np.ndarray:
     """(|s1 a>|s2 a> + parity |-s1 a>|-s2 a>) normalized, in Fock space."""
     alpha = math.sqrt(mu)
     s1, s2 = signs
@@ -233,8 +240,7 @@ def _ecs_state(mu: float, signs: tuple[int, int], parity: int) -> TruncatedOptic
         coherent_fock(-s1 * alpha, N_MAX), coherent_fock(-s2 * alpha, N_MAX)
     )
     norm = math.sqrt(2.0 * (1.0 + parity * math.exp(-4.0 * mu)))
-    amps = (first.amplitudes + parity * second.amplitudes) / norm
-    return TruncatedOpticalState(amps, N_MAX)
+    return (first + parity * second) / norm
 
 
 def test_parity_law_after_central_beamsplitter():
@@ -250,20 +256,20 @@ def test_parity_law_after_central_beamsplitter():
     ]
     for signs, parity, bright_mode, keep in cases:
         out = beamsplitter_apply(_ecs_state(mu, signs, parity), 0, 1, 0.5)
-        joint = out.number_distribution()
+        joint = np.abs(out[..., 0]) ** 2
         dark_mode = 1 - bright_mode
         dark_marginal = joint.sum(axis=bright_mode)
         assert dark_marginal[1:].sum() < 1e-12  # the other output port is vacuum
         bright_marginal = joint.sum(axis=dark_mode)
         assert bright_marginal[~keep].sum() < 1e-12
-        assert out.norm() == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_beamsplitter_rejects_cutoff_overflow():
-    amps = np.zeros((N_MAX + 1, N_MAX + 1), dtype=complex)
+    amps = np.zeros((N_MAX + 1, N_MAX + 1, 1), dtype=complex)
     amps[N_MAX, N_MAX] = 1.0  # total photon number 2 n_max cannot fit one mode
-    with pytest.raises(CutoffError):
-        beamsplitter_apply(TruncatedOpticalState(amps, N_MAX), 0, 1, 0.5)
+    with pytest.raises(CutoffError, match="in batch element 0"):
+        beamsplitter_apply(amps, 0, 1, 0.5)
 
 
 def test_beamsplitter_mode_validation():
@@ -279,7 +285,7 @@ def test_beamsplitter_mode_validation():
 def test_misalignment_identity_at_zero():
     state = mode_product(coherent_fock(0.4, N_MAX), coherent_fock(0.4, N_MAX))
     out = misalignment_rotate(state, 0, 0.0)
-    assert np.array_equal(out.amplitudes, state.amplitudes)
+    assert np.array_equal(out, state)
 
 
 def test_misalignment_mode_validation():

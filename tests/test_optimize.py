@@ -239,13 +239,16 @@ def test_sweep_config_validation():
         dict(l_max_km=MAX_SWEEP_ROWS * 5.0, protocols=("plob",)),
         # the transmittance underflows to 0 past about 32,361 km at 0.2 dB/km
         dict(l_max_km=40_000.0), dict(l_max_km=40_000.0, protocols=("bell",)),
+        # the bell rate squares it, which leaves the normal floats past about 15,373 km
+        dict(l_max_km=15_374.0), dict(l_max_km=16_000.0, protocols=("bell", "plob")),
     ]
     for fields in bad:
         with pytest.raises(ParameterError):
             SweepConfig(**fields)
     largest = SweepConfig(l_max_km=(MAX_SWEEP_ROWS - 1) * 5.0, protocols=("plob",))
     assert len(sweep_distances(largest)) == MAX_SWEEP_ROWS
-    assert SweepConfig(l_max_km=32_000.0).l_max_km == 32_000.0
+    assert SweepConfig(l_max_km=32_000.0, protocols=("ecs", "plob")).l_max_km == 32_000.0
+    assert SweepConfig(l_max_km=15_372.0).l_max_km == 15_372.0
 
 
 def test_sweep_ecs_dominates_bell_at_intercity_distances():

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from ecs_diqkd import oracle
 from ecs_diqkd.fock import (
     CutoffError,
-    TruncatedOpticalState,
     beamsplitter_apply,
     coherent_fock,
     misalignment_rotate,
@@ -23,8 +22,8 @@ from ecs_diqkd.fock import (
 from ecs_diqkd.oracle import (
     CHSH_PAIRS,
     SETTING_ANGLES,
-    CatStateDecomposition,
     acceptance_grid,
+    cat_branch,
     misaligned_e_zz_literal,
     oracle_stats,
     verify_grid,
@@ -43,18 +42,19 @@ def test_setting_table():
 
 
 def test_decomposition_normalizations():
-    decomp = CatStateDecomposition(mu=0.25, theta=math.pi / 4)
+    # The priors are (M+-)^2 / 2 with M+- = sqrt(1 +- sin(theta) e^(-2 mu)).
     overlap = math.exp(-2.0 * 0.25)
-    assert decomp.m_plus == pytest.approx(math.sqrt(1.0 + overlap / math.sqrt(2.0)), abs=1e-15)
-    assert decomp.m_minus == pytest.approx(math.sqrt(1.0 - overlap / math.sqrt(2.0)), abs=1e-15)
-    assert decomp.outcome_prior(+1) + decomp.outcome_prior(-1) == pytest.approx(1.0, abs=1e-15)
+    *_, prior_plus = cat_branch(0.25, math.pi / 4, +1)
+    *_, prior_minus = cat_branch(0.25, math.pi / 4, -1)
+    assert prior_plus == pytest.approx((1.0 + overlap / math.sqrt(2.0)) / 2.0, abs=1e-15)
+    assert prior_minus == pytest.approx((1.0 - overlap / math.sqrt(2.0)) / 2.0, abs=1e-15)
+    assert prior_plus + prior_minus == pytest.approx(1.0, abs=1e-15)
 
 
 def test_decomposition_z_basis_amplitudes():
     # theta = 0 projects onto the bare coherent states.
-    decomp = CatStateDecomposition(mu=0.3, theta=0.0)
-    assert decomp.amp_pos == pytest.approx((1.0, 0.0))
-    assert decomp.amp_neg == pytest.approx((0.0, -1.0))
+    assert cat_branch(0.3, 0.0, +1)[:2] == pytest.approx((1.0, 0.0))
+    assert cat_branch(0.3, 0.0, -1)[:2] == pytest.approx((0.0, -1.0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -64,9 +64,9 @@ def test_decomposition_z_basis_amplitudes():
 )
 def test_decomposition_superposition_normalization(mu, theta):
     # |c1|^2 + |c2|^2 + 2 c1 c2 <alpha|-alpha> = 1 for both outcomes
-    decomp = CatStateDecomposition(mu=mu, theta=theta)
     overlap = math.exp(-2.0 * mu)
-    for c1, c2 in (decomp.amp_pos, decomp.amp_neg):
+    for outcome in (+1, -1):
+        c1, c2, _ = cat_branch(mu, theta, outcome)
         assert c1 * c1 + c2 * c2 + 2.0 * c1 * c2 * overlap == pytest.approx(1.0, abs=1e-12)
 
 
@@ -76,8 +76,8 @@ def test_two_party_state_resolution():
     mu = 0.35
     alpha = math.sqrt(mu)
     dim = N_MAX + 1
-    plus = coherent_fock(alpha, N_MAX).amplitudes.real
-    minus = coherent_fock(-alpha, N_MAX).amplitudes.real
+    plus = coherent_fock(alpha, N_MAX)[:, 0].real
+    minus = coherent_fock(-alpha, N_MAX)[:, 0].real
 
     e_up = np.array([1.0, 0.0])
     e_dn = np.array([0.0, 1.0])
@@ -173,7 +173,14 @@ def test_oracle_rejects_bad_parameters():
         with pytest.raises(ParameterError):
             oracle_stats(mu, 0.5, 0.0, 0.0)
     with pytest.raises(ParameterError, match="^mu must be"):
-        CatStateDecomposition(mu=math.inf, theta=0.0)
+        cat_branch(math.inf, 0.0, +1)
+    # The cutoff follows verify_grid's rule: an integer in [1, MAX_N_MAX].
+    for n_max in (0, oracle.MAX_N_MAX + 1, 1000):
+        with pytest.raises(ParameterError, match=r"^n_max must be in \[1, 200\]"):
+            oracle_stats(0.1, 0.5, 0.0, 0.0, n_max=n_max)
+    for n_max in (60.5, 30.0, True, "30"):
+        with pytest.raises(ParameterError, match="^n_max must be an integer"):
+            oracle_stats(0.1, 0.5, 0.0, 0.0, n_max=n_max)
 
 
 def test_acceptance_grid_shape():
@@ -243,34 +250,28 @@ def _reference_oracle(mu: float, eta: float, p_d: float, e_d: float, n_max: int 
     delta0 = math.acos(1.0 - 2.0 * e_d)
     arms, priors = {}, {}
     for role, theta in SETTING_ANGLES.items():
-        decomp = CatStateDecomposition(mu=mu, theta=theta)
         for outcome in (+1, -1):
-            c_plus, c_minus = decomp.outcome_amplitudes(outcome)
-            pulse = TruncatedOpticalState(
-                c_plus * coherent_fock(alpha, n_max).amplitudes
-                + c_minus * coherent_fock(-alpha, n_max).amplitudes,
-                n_max,
+            c_plus, c_minus, prior = cat_branch(mu, theta, outcome)
+            pulse = (
+                c_plus * coherent_fock(alpha, n_max) + c_minus * coherent_fock(-alpha, n_max)
             )
             arm = beamsplitter_apply(mode_product(pulse, vacuum_state(n_max)), 0, 1, eta)
             if role.startswith("B"):
                 arm = misalignment_rotate(arm, 0, delta0)
-            psi = arm.amplitudes
+            psi = arm[..., 0]
             weights, vectors = np.linalg.eigh(psi @ psi.conj().T)
             keep = weights > 1e-14
             arms[role, outcome] = (weights[keep], vectors[:, keep])
-            priors[role, outcome] = decomp.outcome_prior(outcome)
+            priors[role, outcome] = prior
 
     def heralds(role_a, a, role_b, b):
         (w_a, v_a), (w_b, v_b) = arms[role_a, a], arms[role_b, b]
         totals = np.zeros(4)
         for p in range(len(w_a)):
             for q in range(len(w_b)):
-                joint = mode_product(
-                    TruncatedOpticalState(v_a[:, p].copy(), n_max),
-                    TruncatedOpticalState(v_b[:, q].copy(), n_max),
-                )
+                joint = mode_product(v_a[:, p:p + 1], v_b[:, q:q + 1])
                 joint = beamsplitter_apply(joint, 0, 1, 0.5)
-                totals += w_a[p] * w_b[q] * np.asarray(threshold_detect(joint, (0, 1), p_d))
+                totals += w_a[p] * w_b[q] * np.asarray(threshold_detect(joint, (0, 1), p_d))[:, 0]
         return totals  # d1_only, d2_only, none, both
 
     q_zz = error_mass = 0.0

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ecs_diqkd.fock import threshold_detect, vacuum_state
 from ecs_diqkd.optimize import SweepConfig, optimize_mu
-from ecs_diqkd.oracle import CatStateDecomposition, oracle_stats, verify_grid
+from ecs_diqkd.oracle import cat_branch, oracle_stats, verify_grid
 from ecs_diqkd.params import DetectorStats, ParameterError, ProtocolParams
 from ecs_diqkd.rates import (
     bell_state_stats,
@@ -313,7 +313,7 @@ ENTRY_POINTS = {
         lambda v: ecs_misaligned_stats(v, 0.5, 0.0, 0.0),
         lambda v: oracle_stats(v, 0.5, 0.0, 0.0),
         lambda v: verify_grid([(v, 0.5, 0.0, 0.0)]),
-        lambda v: CatStateDecomposition(mu=v, theta=0.0),
+        lambda v: cat_branch(v, 0.0, +1),
         lambda v: ProtocolParams(mu=v),
         lambda v: SweepConfig(mu=v),
     ),
