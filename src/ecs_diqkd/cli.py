@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from .optimize import SweepConfig, SweepRow, find_crossover, sweep, sweep_row
-from .params import DEFAULT_ETA_D_LITERAL, DEFAULT_N_MAX, DEFAULT_TOL, ParameterError
+from .params import DEFAULT_ETA_D_LITERAL, DEFAULT_N_MAX, DEFAULT_TOL, ParameterError, check_point
 from .rates import bell_state_stats, channel_efficiency
 
 # Unused here; bound because benchmarks/tracer.py wraps these names on this module.
@@ -74,11 +75,12 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
 
     rates_p = sub.add_parser("rates", help="evaluate one (distance, mu) point")
-    rates_p.add_argument("--mu", type=float, help="coherent-state intensity")
+    intensity = rates_p.add_mutually_exclusive_group()
+    intensity.add_argument("--mu", type=float, help="coherent-state intensity")
+    intensity.add_argument("--optimize", action="store_true",
+                           help="optimize mu instead of passing --mu")
     rates_p.add_argument("--distance", type=float, default=0.0,
                          help="total distance in km (default %(default)g)")
-    rates_p.add_argument("--optimize", action="store_true",
-                         help="optimize mu instead of passing --mu")
     rates_p.add_argument("--protocol", type=_protocol_list, default="ecs",
                          help="comma list from ecs,bell,plob (default %(default)s)")
     _add_channel_flags(rates_p)
@@ -225,6 +227,10 @@ def _emit(text: str, output: str) -> None:
 
 def _cmd_rates(args: argparse.Namespace) -> int:
     protocols, distance = args.protocol, args.distance
+    try:
+        check_point(distance_km=distance)
+    except ParameterError as exc:
+        raise UsageError(str(exc)) from exc
     config = _sweep_config(args, l_min_km=distance, l_max_km=distance, protocols=protocols)
     if "ecs" in protocols and args.mu is None and not args.optimize:
         raise UsageError("--mu is required for the ecs protocol unless --optimize is given")
@@ -304,9 +310,9 @@ def _cmd_crossover(args: argparse.Namespace) -> int:
         raise UsageError("--bracket is required")
     pair = tuple(args.pair.split("-vs-"))
     lo, hi = args.bracket
+    if not 0.0 <= lo < hi < math.inf:
+        raise UsageError(f"--bracket needs finite 0 <= LO < HI, got {lo:g} {hi:g}")
     config = _sweep_config(args, l_min_km=lo, l_max_km=hi, protocols=pair)
-    if lo == hi:  # the config has checked everything else about the bracket
-        raise UsageError(f"--bracket needs LO < HI, got {lo:g} {hi:g}")
     crossing = find_crossover(pair, config, (lo, hi))
     if crossing is None:
         print(f"no crossover in bracket [{lo:g}, {hi:g}] km")

@@ -6,10 +6,13 @@ single-mode phase rotation, and a threshold-detector readout.  Nothing in
 this file knows about cat states or the closed forms.
 
 Conventions:
-    * A state over k modes is a complex ndarray with one axis per mode, each
-      of length ``n_max + 1``, then one trailing batch axis that stacks
-      independent states of the same modes; a single state is a batch of
-      one.  Every operation acts on each element on its own, certifies each
+    * A state is a complex ndarray with one axis per mode, each of length
+      ``n_max + 1``, then one trailing batch axis that stacks independent
+      states of the same modes; a single state is a batch of one.  The
+      constructors return one-mode batches, shape ``(n_max + 1, B)``;
+      ``mode_product`` joins two of them into the one shape every other
+      operation takes, the two-mode batch ``(n_max + 1, n_max + 1, B)``.
+      Every operation acts on each element on its own, certifies each
       element, and a readout returns one value per element.  In
       ``mode_product`` a batch of one joins every element of the other
       factor.
@@ -25,12 +28,17 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
 from .params import ParameterError, check_point
 
+# Largest Fock cutoff a state may have.  The batched oracle holds every
+# eigenvector product at once, so its peak memory grows about as n_max**2
+# (about 190 MB at 200).
+MAX_N_MAX = 200
 # Certified bound on the photon-number tail mass lost to truncation.
 TAIL_MASS_BOUND = 1e-12
 # Allowed norm drift across one unitary application; more signals that the
@@ -71,28 +79,36 @@ def poisson_tail(intensity: float, n_max: int) -> float:
         n += 1
 
 
-def vacuum_state(n_max: int, num_modes: int = 1) -> np.ndarray:
-    amps = np.zeros((n_max + 1,) * num_modes + (1,), dtype=complex)
-    amps[(0,) * num_modes] = 1.0
+def check_n_max(n_max: int) -> None:
+    """Require the Fock cutoff to be an integer in [1, MAX_N_MAX]."""
+    if isinstance(n_max, bool) or not isinstance(n_max, Integral):
+        raise ParameterError(f"n_max must be an integer, got {n_max!r}")
+    if not 1 <= n_max <= MAX_N_MAX:
+        raise ParameterError(f"n_max must be in [1, {MAX_N_MAX}], got {n_max}")
+
+
+def vacuum_state(n_max: int) -> np.ndarray:
+    """Single-mode vacuum, a batch of one."""
+    check_n_max(n_max)
+    amps = np.zeros((n_max + 1, 1), dtype=complex)
+    amps[0] = 1.0
     return amps
 
 
 def mode_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product; the modes of ``b`` follow those of ``a``.
+    """Two-mode state of one-mode batches: ``a`` is the first mode, ``b`` the second.
 
     The product is taken element by element; a batch of one joins every
     element of the other factor, and otherwise the batches must have the
     same length.
     """
-    if a.ndim < 2 or b.ndim < 2:
-        raise ParameterError("a state needs a mode axis and a trailing batch axis")
+    if a.ndim != 2 or b.ndim != 2:
+        raise ParameterError("mode_product needs one-mode states: a mode and a trailing batch axis")
     if a.shape[0] != b.shape[0]:
         raise ParameterError("cannot combine states with different cutoffs")
     if a.shape[-1] != b.shape[-1] and 1 not in (a.shape[-1], b.shape[-1]):
         raise ParameterError(f"cannot pair batches of {a.shape[-1]} and {b.shape[-1]} states")
-    left = a.reshape(a.shape[:-1] + (1,) * (b.ndim - 1) + a.shape[-1:])
-    right = b.reshape((1,) * (a.ndim - 1) + b.shape)
-    return left * right
+    return a[:, np.newaxis, :] * b[np.newaxis, :, :]
 
 
 def coherent_fock(alpha: complex, n_max: int) -> np.ndarray:
@@ -101,6 +117,7 @@ def coherent_fock(alpha: complex, n_max: int) -> np.ndarray:
     Raises CutoffError unless the Poisson tail beyond ``n_max`` is below
     ``TAIL_MASS_BOUND``.
     """
+    check_n_max(n_max)
     intensity = abs(alpha) ** 2
     tail = poisson_tail(intensity, n_max)
     if tail >= TAIL_MASS_BOUND:
@@ -167,42 +184,38 @@ def _beamsplitter_blocks(
     return tuple(blocks)
 
 
-def _norms(state: np.ndarray) -> np.ndarray:
-    """The norm of each batch element."""
-    return np.linalg.norm(state.reshape(-1, state.shape[-1]), axis=0)
+def _check_two_mode(state: np.ndarray) -> None:
+    """Require a two-mode batch, shape ``(n_max + 1, n_max + 1, B)``."""
+    if state.ndim != 3 or state.shape[0] != state.shape[1]:
+        raise ParameterError(
+            f"expected a two-mode batch of shape (n_max + 1, n_max + 1, B), got {state.shape}"
+        )
 
 
-def beamsplitter_apply(
-    state: np.ndarray, mode_i: int, mode_j: int, transmittance: float
-) -> np.ndarray:
-    """Apply the two-mode beamsplitter unitary in Fock space.
+def beamsplitter_apply(state: np.ndarray, transmittance: float) -> np.ndarray:
+    """Apply the beamsplitter unitary to the two modes in Fock space.
 
     Transmittance 1/2 gives the symmetric splitter with outputs
     c = (a + b)/sqrt(2) and d = (a - b)/sqrt(2); other values model loss by
-    coupling a signal mode to a vacuum environment mode.  Every other axis,
-    the batch axis included, rides along through the block products, and
-    the norm of each batch element is certified on its own.
+    coupling a signal mode (the first) to a vacuum environment mode.  The
+    batch axis rides along through the block products, and the norm of
+    each batch element is certified on its own.
     """
-    k = state.ndim - 1
-    if not (0 <= mode_i < k and 0 <= mode_j < k) or mode_i == mode_j:
-        raise ParameterError(f"invalid mode pair ({mode_i}, {mode_j}) for {k} modes")
+    _check_two_mode(state)
     if not 0.0 <= transmittance <= 1.0:
         raise ParameterError(f"transmittance must be in [0, 1], got {transmittance}")
 
     dim = state.shape[0]
-    work = np.moveaxis(state, (mode_i, mode_j), (0, 1))
-    trailing = work.shape[2:]
     # Rows are the flat (n, m) index; the real blocks act on the real and
-    # imaginary parts of every trailing column at once.
-    work = np.ascontiguousarray(work.reshape(dim * dim, -1), dtype=complex).view(np.float64)
+    # imaginary parts of every batch column at once.
+    work = np.ascontiguousarray(state.reshape(dim * dim, -1), dtype=complex).view(np.float64)
     out = np.empty_like(work)
     for idx, co_idx, block in _beamsplitter_blocks(dim - 1, transmittance):
         flat = idx * dim + co_idx
         out[flat] = block @ work[flat]
-    out = out.view(complex).reshape(dim, dim, *trailing)
-    out = np.moveaxis(out, (0, 1), (mode_i, mode_j))
+    out = out.view(complex).reshape(state.shape)
 
-    before, after = _norms(state), _norms(out)
+    before, after = np.linalg.norm(state, axis=(0, 1)), np.linalg.norm(out, axis=(0, 1))
     drift = np.abs(after - before) > NORM_DRIFT_TOL * np.maximum(1.0, before)
     if np.any(drift):
         where = int(np.flatnonzero(drift)[0])
@@ -213,24 +226,17 @@ def beamsplitter_apply(
     return out
 
 
-def misalignment_rotate(state: np.ndarray, mode: int, delta0: float | np.ndarray) -> np.ndarray:
-    """Phase rotation e^(i n delta0) of one mode; exactly norm-preserving.
+def misalignment_rotate(state: np.ndarray, delta0: float | np.ndarray) -> np.ndarray:
+    """Phase rotation e^(i n delta0) of the first mode; exactly norm-preserving.
 
     ``delta0`` is one angle for every batch element or one angle per element.
     """
-    if not 0 <= mode < state.ndim - 1:
-        raise ParameterError(f"mode {mode} out of range")
+    _check_two_mode(state)
     angles = np.asarray(delta0, dtype=float)
     if angles.ndim and angles.shape != state.shape[-1:]:
         raise ParameterError("per-element angles need a batch of the same length")
-    if not np.any(angles):
-        return state.copy()
     phases = np.exp(1j * np.multiply.outer(np.arange(state.shape[0]), angles))
-    shape = [1] * state.ndim
-    shape[mode] = state.shape[0]
-    if angles.ndim:
-        shape[-1] = angles.size
-    return state * phases.reshape(shape)
+    return state * phases.reshape(state.shape[0], 1, angles.size)
 
 
 class HeraldProbabilities(NamedTuple):
@@ -252,28 +258,21 @@ class HeraldProbabilities(NamedTuple):
         return self.d1_only + self.d2_only + self.none + self.both
 
 
-def threshold_detect(
-    state: np.ndarray, detector_modes: tuple[int, int], p_d: float
-) -> HeraldProbabilities:
+def threshold_detect(state: np.ndarray, p_d: float) -> HeraldProbabilities:
     """Threshold-detector readout with independent dark counts.
 
-    With V1 = P(n_i = 0), V2 = P(n_j = 0) and V12 = P(both zero) taken from
-    the joint photon-number distribution (all other modes summed out):
+    D1 watches the first mode and D2 the second.  With V1 = P(n_1 = 0),
+    V2 = P(n_2 = 0) and V12 = P(both zero) taken from the joint
+    photon-number distribution:
 
         P(D1 only) = (1-p_d) V2 - (1-p_d)^2 V12
         P(D2 only) = (1-p_d) V1 - (1-p_d)^2 V12
         P(none)    = (1-p_d)^2 V12
         P(both)    = remainder
     """
-    mode_i, mode_j = detector_modes
-    k = state.ndim - 1
-    if not (0 <= mode_i < k and 0 <= mode_j < k) or mode_i == mode_j:
-        raise ParameterError(f"invalid detector modes {detector_modes} for {k} modes")
+    _check_two_mode(state)
     check_point(p_d=p_d)
-    other_axes = tuple(a for a in range(k) if a not in (mode_i, mode_j))
-    joint = (np.abs(state) ** 2).sum(axis=other_axes)
-    if mode_j < mode_i:
-        joint = joint.swapaxes(0, 1)
+    joint = np.abs(state) ** 2
     total = joint.sum(axis=(0, 1))
     v1 = joint[0].sum(axis=0)
     v2 = joint[:, 0].sum(axis=0)

@@ -14,16 +14,17 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from . import rates
 from .fock import (
+    MAX_N_MAX,
     TAIL_MASS_BOUND,
     CutoffError,
     HeraldProbabilities,
     beamsplitter_apply,
+    check_n_max,
     coherent_fock,
     misalignment_rotate,
     mode_product,
@@ -40,10 +41,6 @@ from .params import (
     check_point,
 )
 
-# Largest cutoff oracle_stats and verify_grid accept.  The batched oracle
-# holds every eigenvector product at once, so peak memory grows about as
-# n_max**2 (about 190 MB at 200).
-MAX_N_MAX = 200
 # Eigenvalues of an arm density matrix below this weight are numerical noise
 # of the exact rank-2 mixture and are dropped.
 _EIG_WEIGHT_FLOOR = 1e-14
@@ -113,9 +110,9 @@ def _arm_mixtures(
     c_plus, c_minus, _ = np.array(branches).T
     priors = {arm: prior for arm, (_, _, prior) in zip(ARMS, branches)}
     pulses = coherent_fock(alpha, n_max) * c_plus + coherent_fock(-alpha, n_max) * c_minus
-    arms = beamsplitter_apply(mode_product(pulses, vacuum_state(n_max)), 0, 1, eta)
+    arms = beamsplitter_apply(mode_product(pulses, vacuum_state(n_max)), eta)
     drifts = np.array([delta0 if role.startswith("B") else 0.0 for role, _ in ARMS])
-    arms = misalignment_rotate(arms, 0, drifts)
+    arms = misalignment_rotate(arms, drifts)
     # Trace out the environment: rho = Psi Psi+ over the signal index.
     psi = np.moveaxis(arms, -1, 0)
     rho = psi @ psi.conj().swapaxes(1, 2)
@@ -148,8 +145,8 @@ def _pair_heralds(
                 product_weights.append(weights[i, p] * weights[j, q])
                 owner.append(c)
     joint = mode_product(np.stack(left, axis=-1), np.stack(right, axis=-1))
-    joint = beamsplitter_apply(joint, 0, 1, 0.5)
-    heralds = np.asarray(threshold_detect(joint, (0, 1), p_d)) * np.array(product_weights)
+    joint = beamsplitter_apply(joint, 0.5)
+    heralds = np.asarray(threshold_detect(joint, p_d)) * np.array(product_weights)
     sums = np.stack([np.bincount(owner, weights=row, minlength=len(combos)) for row in heralds])
     result = {}
     for c, combo in enumerate(combos):
@@ -160,14 +157,6 @@ def _pair_heralds(
             )
         result[combo] = herald
     return result
-
-
-def check_n_max(n_max: int) -> None:
-    """Require the Fock cutoff to be an integer in [1, MAX_N_MAX]."""
-    if isinstance(n_max, bool) or not isinstance(n_max, Integral):
-        raise ParameterError(f"n_max must be an integer, got {n_max!r}")
-    if not 1 <= n_max <= MAX_N_MAX:
-        raise ParameterError(f"n_max must be in [1, {MAX_N_MAX}], got {n_max}")
 
 
 def certify_cutoff(mu: float, n_max: int) -> None:

@@ -159,7 +159,7 @@ def test_criterion_7_parity_law():
             )
             norm = math.sqrt(2.0 * (1.0 + parity * math.exp(-4.0 * mu)))
             state = (first + parity * second) / norm
-            joint = np.abs(beamsplitter_apply(state, 0, 1, 0.5)[..., 0]) ** 2
+            joint = np.abs(beamsplitter_apply(state, 0.5)[..., 0]) ** 2
             dark_mass = joint.sum(axis=bright_mode)[1:].sum()
             wrong_parity = joint.sum(axis=1 - bright_mode)[~keep].sum()
             worst = max(worst, dark_mass, wrong_parity)

@@ -57,8 +57,25 @@ def test_rates_ideal_point(capsys):
     assert report["rate_ecs"] == pytest.approx(0.08698712742165916, abs=1e-12)
 
 
-def test_rates_requires_mu_or_optimize(capsys):
+def test_rates_requires_mu_or_optimize(capsys, tmp_path):
     assert cli.main(["rates", "--distance", "100"]) == cli.EXIT_USAGE
+    # Exactly one of the two: a fixed mu with --optimize is refused, whichever
+    # flag comes from a config file.
+    mu_file, optimize_file = tmp_path / "mu.json", tmp_path / "optimize.json"
+    mu_file.write_text('{"mu": 0.1}')
+    optimize_file.write_text('{"optimize": true}')
+    for argv in (
+        ["rates", "--mu", "0.1", "--optimize", "--distance", "100"],
+        ["rates", "--optimize", "--mu", "0.1"],
+        ["rates", "--config", str(mu_file), "--optimize"],
+        ["rates", "--config", str(optimize_file), "--mu", "0.1"],
+    ):
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "not allowed with argument" in err
 
 
 def test_rates_optimize_flag(capsys):
@@ -109,6 +126,22 @@ def test_invalid_parameter_value_is_usage_error(capsys):
     assert cli.main(["rates", "--mu", "0.1", "--eta-d", "2.0"]) == cli.EXIT_USAGE
     assert cli.main(["rates", "--mu", "0"]) == cli.EXIT_USAGE
     assert cli.main(["rates", "--mu", "-1", "--protocol", "bell"]) == cli.EXIT_USAGE
+    # Each message names the flag's own rule, not a grid field the user never typed.
+    for argv, message in (
+        (["rates", "--mu", "0.1", "--distance", "-1"],
+         "distance_km must be finite and >= 0, got -1.0"),
+        (["rates", "--mu", "0.1", "--distance", "nan"],
+         "distance_km must be finite and >= 0, got nan"),
+        (["crossover", "--pair", "ecs-vs-plob", "--bracket", "-5", "100"],
+         "--bracket needs finite 0 <= LO < HI, got -5 100"),
+        (["crossover", "--pair", "ecs-vs-plob", "--bracket", "nan", "100"],
+         "--bracket needs finite 0 <= LO < HI, got nan 100"),
+        (["crossover", "--pair", "ecs-vs-plob", "--bracket", "200", "100"],
+         "--bracket needs finite 0 <= LO < HI, got 200 100"),
+    ):
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {message}\n"
     # Past about 32,361 km at 0.2 dB/km the arm transmittance underflows to 0.
     for argv in (
         ["rates", "--mu", "0.1", "--distance", "40000"],

@@ -10,6 +10,7 @@ from scipy.special import comb
 from scipy.stats import poisson
 
 from ecs_diqkd.fock import (
+    MAX_N_MAX,
     CutoffError,
     _beamsplitter_blocks,
     beamsplitter_apply,
@@ -84,6 +85,20 @@ def test_coherent_fock_rejects_non_finite_amplitude(alpha):
         coherent_fock(alpha, 10)
 
 
+def test_constructors_check_the_cutoff():
+    # The rule oracle_stats applies: an integer in [1, MAX_N_MAX].
+    constructors = (vacuum_state, lambda n_max: coherent_fock(1e-9, n_max),
+                    lambda n_max: coherent_fock(0.3, n_max))
+    for make in constructors:
+        for n_max in (2.5, 30.0, True, "30"):
+            with pytest.raises(ParameterError, match="^n_max must be an integer"):
+                make(n_max)
+        for n_max in (-1, 0, MAX_N_MAX + 1):
+            with pytest.raises(ParameterError, match=r"^n_max must be in \[1, 200\]"):
+                make(n_max)
+        assert make(MAX_N_MAX).shape == (MAX_N_MAX + 1, 1)
+
+
 def _binomial_blocks(n_max: int, transmittance: float) -> list[np.ndarray]:
     """Blocks read off (t a1+ + r a2+)^n (r a1+ - t a2+)^m |0,0> by expanding
     both binomials and convolving their coefficients."""
@@ -146,14 +161,14 @@ def test_batched_operations_match_each_element():
     assert np.array_equal(batch, _batch(*singles))
 
     angles = np.array([0.0, 0.3, -1.1])
-    rotated = misalignment_rotate(batch, 1, angles)
-    out = beamsplitter_apply(rotated, 0, 1, 0.37)
-    herald = threshold_detect(out, (1, 0), 1e-3)
+    rotated = misalignment_rotate(batch, angles)
+    out = beamsplitter_apply(rotated, 0.37)
+    herald = threshold_detect(out, 1e-3)
     for b, single in enumerate(singles):
-        expected = beamsplitter_apply(misalignment_rotate(single, 1, angles[b]), 0, 1, 0.37)
+        expected = beamsplitter_apply(misalignment_rotate(single, angles[b]), 0.37)
         assert np.max(np.abs(out[..., b:b + 1] - expected)) < 1e-15
         assert np.linalg.norm(out[..., b]) == pytest.approx(np.linalg.norm(expected), abs=1e-15)
-        single_herald = threshold_detect(expected, (1, 0), 1e-3)
+        single_herald = threshold_detect(expected, 1e-3)
         for got, want in zip(herald, single_herald):
             assert got[b] == pytest.approx(want[0], abs=1e-15)
 
@@ -175,16 +190,21 @@ def test_batched_cutoff_overflow_in_one_element():
     overflow[N_MAX, N_MAX] = 1.0
     batch = _batch(fine, overflow, fine)
     with pytest.raises(CutoffError, match="batch element 1"):
-        beamsplitter_apply(batch, 0, 1, 0.5)
-    beamsplitter_apply(_batch(fine, fine), 0, 1, 0.5)
+        beamsplitter_apply(batch, 0.5)
+    beamsplitter_apply(_batch(fine, fine), 0.5)
+
+
+def _vacuum_pair() -> np.ndarray:
+    """Two-mode vacuum, a batch of one."""
+    return mode_product(vacuum_state(N_MAX), vacuum_state(N_MAX))
 
 
 def test_batched_validation():
-    batch = _batch(vacuum_state(N_MAX, 2), vacuum_state(N_MAX, 2))
+    batch = _batch(_vacuum_pair(), _vacuum_pair())
     with pytest.raises(ParameterError):
-        misalignment_rotate(batch, 0, np.array([0.1, 0.2, 0.3]))
+        misalignment_rotate(batch, np.array([0.1, 0.2, 0.3]))
     with pytest.raises(ParameterError):
-        misalignment_rotate(vacuum_state(N_MAX, 2), 0, np.array([0.1, 0.2]))
+        misalignment_rotate(_vacuum_pair(), np.array([0.1, 0.2]))
     pair = _batch(vacuum_state(N_MAX), vacuum_state(N_MAX))
     with pytest.raises(ParameterError, match="cannot pair batches of 2 and 3 states"):
         mode_product(pair, _batch(pair, vacuum_state(N_MAX)))
@@ -193,13 +213,35 @@ def test_batched_validation():
     # A vector without its batch axis would read as a batch of no modes.
     with pytest.raises(ParameterError, match="trailing batch axis"):
         mode_product(vacuum_state(N_MAX)[:, 0], vacuum_state(N_MAX))
+    with pytest.raises(ParameterError, match="trailing batch axis"):
+        mode_product(_vacuum_pair(), vacuum_state(N_MAX))
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        vacuum_state(N_MAX),
+        np.zeros((N_MAX + 1,) * 3 + (1,), dtype=complex),
+        np.zeros((N_MAX + 1, N_MAX, 1), dtype=complex),
+    ],
+    ids=["one-mode", "three-mode", "unequal-cutoffs"],
+)
+def test_operations_take_only_two_mode_batches(state):
+    operations = (
+        lambda s: beamsplitter_apply(s, 0.5),
+        lambda s: misalignment_rotate(s, 0.1),
+        lambda s: threshold_detect(s, 0.0),
+    )
+    for operation in operations:
+        with pytest.raises(ParameterError, match="two-mode batch of shape"):
+            operation(state)
 
 
 def test_beamsplitter_coherent_identity():
     # |alpha>|alpha> -> |sqrt(2) alpha>|0>
     alpha = 0.5
     state = mode_product(coherent_fock(alpha, N_MAX), coherent_fock(alpha, N_MAX))
-    out = beamsplitter_apply(state, 0, 1, 0.5)
+    out = beamsplitter_apply(state, 0.5)
     expected = mode_product(
         coherent_fock(math.sqrt(2.0) * alpha, N_MAX), vacuum_state(N_MAX)
     )
@@ -210,7 +252,7 @@ def test_beamsplitter_single_photon():
     # |1, 0> -> (|1, 0> + |0, 1>) / sqrt(2)
     amps = np.zeros((N_MAX + 1, N_MAX + 1, 1), dtype=complex)
     amps[1, 0] = 1.0
-    out = beamsplitter_apply(amps, 0, 1, 0.5)
+    out = beamsplitter_apply(amps, 0.5)
     root_half = 1.0 / math.sqrt(2.0)
     assert out[1, 0, 0] == pytest.approx(root_half, abs=1e-14)
     assert out[0, 1, 0] == pytest.approx(root_half, abs=1e-14)
@@ -227,7 +269,7 @@ def _mean_photons(state: np.ndarray) -> list[float]:
 def test_beamsplitter_loss_splits_coherent_state():
     alpha, eta = 0.8, 0.3
     state = mode_product(coherent_fock(alpha, N_MAX), vacuum_state(N_MAX))
-    out = beamsplitter_apply(state, 0, 1, eta)
+    out = beamsplitter_apply(state, eta)
     assert _mean_photons(out) == pytest.approx([eta * alpha**2, (1 - eta) * alpha**2], rel=1e-10)
 
 
@@ -255,7 +297,7 @@ def test_parity_law_after_central_beamsplitter():
         ((+1, -1), -1, 1, ~even),
     ]
     for signs, parity, bright_mode, keep in cases:
-        out = beamsplitter_apply(_ecs_state(mu, signs, parity), 0, 1, 0.5)
+        out = beamsplitter_apply(_ecs_state(mu, signs, parity), 0.5)
         joint = np.abs(out[..., 0]) ** 2
         dark_mode = 1 - bright_mode
         dark_marginal = joint.sum(axis=bright_mode)
@@ -269,33 +311,23 @@ def test_beamsplitter_rejects_cutoff_overflow():
     amps = np.zeros((N_MAX + 1, N_MAX + 1, 1), dtype=complex)
     amps[N_MAX, N_MAX] = 1.0  # total photon number 2 n_max cannot fit one mode
     with pytest.raises(CutoffError, match="in batch element 0"):
-        beamsplitter_apply(amps, 0, 1, 0.5)
+        beamsplitter_apply(amps, 0.5)
 
 
-def test_beamsplitter_mode_validation():
-    state = vacuum_state(N_MAX, 2)
-    with pytest.raises(ParameterError):
-        beamsplitter_apply(state, 0, 0, 0.5)
-    with pytest.raises(ParameterError):
-        beamsplitter_apply(state, 0, 2, 0.5)
-    with pytest.raises(ParameterError):
-        beamsplitter_apply(state, 0, 1, 1.5)
+def test_beamsplitter_transmittance_validation():
+    with pytest.raises(ParameterError, match="transmittance must be in"):
+        beamsplitter_apply(_vacuum_pair(), 1.5)
 
 
 def test_misalignment_identity_at_zero():
     state = mode_product(coherent_fock(0.4, N_MAX), coherent_fock(0.4, N_MAX))
-    out = misalignment_rotate(state, 0, 0.0)
+    out = misalignment_rotate(state, 0.0)
     assert np.array_equal(out, state)
-
-
-def test_misalignment_mode_validation():
-    with pytest.raises(ParameterError):
-        misalignment_rotate(vacuum_state(N_MAX, 2), 2, 0.1)
 
 
 @pytest.mark.parametrize("relative_sign", [+1, -1])
 def test_misalignment_routing_through_beamsplitter(relative_sign):
-    # With drift delta0 = arccos(1 - 2 e_d) on one arm, equal-sign inputs
+    # With drift delta0 = arccos(1 - 2 e_d) on the first arm, equal-sign inputs
     # route intensity 2 mu (1 - e_d) to the first port and 2 mu e_d to the
     # second; opposite-sign inputs swap the two.
     mu, e_d = 0.3, 0.04
@@ -304,23 +336,22 @@ def test_misalignment_routing_through_beamsplitter(relative_sign):
     state = mode_product(
         coherent_fock(alpha, N_MAX), coherent_fock(relative_sign * alpha, N_MAX)
     )
-    state = misalignment_rotate(state, 1, delta0)
-    out = beamsplitter_apply(state, 0, 1, 0.5)
+    state = misalignment_rotate(state, delta0)
+    out = beamsplitter_apply(state, 0.5)
     bright, dim = 2.0 * mu * (1.0 - e_d), 2.0 * mu * e_d
     expected = [bright, dim] if relative_sign > 0 else [dim, bright]
     assert _mean_photons(out) == pytest.approx(expected, rel=1e-10)
 
 
 def test_threshold_detect_vacuum():
-    state = vacuum_state(N_MAX, 2)
-    herald = threshold_detect(state, (0, 1), 0.0)
+    herald = threshold_detect(_vacuum_pair(), 0.0)
     assert herald.none == 1.0
     assert herald.d1_only == herald.d2_only == herald.both == 0.0
 
 
 def test_threshold_detect_dark_counts_on_vacuum():
     p_d = 0.25
-    herald = threshold_detect(vacuum_state(N_MAX, 2), (0, 1), p_d)
+    herald = threshold_detect(_vacuum_pair(), p_d)
     assert herald.d1_only == pytest.approx(p_d * (1 - p_d), abs=1e-15)
     assert herald.d2_only == pytest.approx(p_d * (1 - p_d), abs=1e-15)
     assert herald.none == pytest.approx((1 - p_d) ** 2, abs=1e-15)
@@ -333,24 +364,12 @@ def test_threshold_detect_bright_port():
     state = mode_product(
         coherent_fock(math.sqrt(2.0 * mu), N_MAX), vacuum_state(N_MAX)
     )
-    herald = threshold_detect(state, (0, 1), 0.0)
+    herald = threshold_detect(state, 0.0)
     assert herald.d1_only == pytest.approx(-math.expm1(-2.0 * mu), rel=1e-12)
     assert herald.d2_only == 0.0
 
 
-def test_threshold_detect_mode_order():
-    mu = 0.25
-    state = mode_product(
-        coherent_fock(math.sqrt(2.0 * mu), N_MAX), vacuum_state(N_MAX)
-    )
-    swapped = threshold_detect(state, (1, 0), 0.0)
-    assert swapped.d2_only == pytest.approx(-math.expm1(-2.0 * mu), rel=1e-12)
-    assert swapped.d1_only == 0.0
-
-
 def test_threshold_detect_validation():
-    with pytest.raises(ParameterError):
-        threshold_detect(vacuum_state(N_MAX, 2), (0, 0), 0.0)
     for p_d in (1.0, math.nan, math.inf):
         with pytest.raises(ParameterError, match="^p_d must be"):
-            threshold_detect(vacuum_state(N_MAX, 2), (0, 1), p_d)
+            threshold_detect(_vacuum_pair(), p_d)

@@ -255,9 +255,9 @@ def _reference_oracle(mu: float, eta: float, p_d: float, e_d: float, n_max: int 
             pulse = (
                 c_plus * coherent_fock(alpha, n_max) + c_minus * coherent_fock(-alpha, n_max)
             )
-            arm = beamsplitter_apply(mode_product(pulse, vacuum_state(n_max)), 0, 1, eta)
+            arm = beamsplitter_apply(mode_product(pulse, vacuum_state(n_max)), eta)
             if role.startswith("B"):
-                arm = misalignment_rotate(arm, 0, delta0)
+                arm = misalignment_rotate(arm, delta0)
             psi = arm[..., 0]
             weights, vectors = np.linalg.eigh(psi @ psi.conj().T)
             keep = weights > 1e-14
@@ -270,8 +270,8 @@ def _reference_oracle(mu: float, eta: float, p_d: float, e_d: float, n_max: int 
         for p in range(len(w_a)):
             for q in range(len(w_b)):
                 joint = mode_product(v_a[:, p:p + 1], v_b[:, q:q + 1])
-                joint = beamsplitter_apply(joint, 0, 1, 0.5)
-                totals += w_a[p] * w_b[q] * np.asarray(threshold_detect(joint, (0, 1), p_d))[:, 0]
+                joint = beamsplitter_apply(joint, 0.5)
+                totals += w_a[p] * w_b[q] * np.asarray(threshold_detect(joint, p_d))[:, 0]
         return totals  # d1_only, d2_only, none, both
 
     q_zz = error_mass = 0.0

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ecs_diqkd.fock import threshold_detect, vacuum_state
+from ecs_diqkd.fock import mode_product, threshold_detect, vacuum_state
 from ecs_diqkd.optimize import SweepConfig, optimize_mu
 from ecs_diqkd.oracle import cat_branch, oracle_stats, verify_grid
 from ecs_diqkd.params import DetectorStats, ParameterError, ProtocolParams
@@ -338,7 +338,7 @@ ENTRY_POINTS = {
         lambda v: bell_state_stats(0.5, v),
         lambda v: oracle_stats(0.1, 0.5, v, 0.0),
         lambda v: verify_grid([(0.1, 0.5, v, 0.0)]),
-        lambda v: threshold_detect(vacuum_state(4, 2), (0, 1), v),
+        lambda v: threshold_detect(mode_product(vacuum_state(4), vacuum_state(4)), v),
         lambda v: optimize_mu(10.0, 0.2, 0.8, v, 0.0),
         lambda v: ProtocolParams(mu=0.1, p_d=v),
         lambda v: SweepConfig(p_d=v),
