@@ -255,8 +255,17 @@ def _cmd_rates(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _sweep_config(args, l_min_km=args.l_min, l_max_km=args.l_max,
-                           l_step_km=args.l_step, protocols=args.protocols)
+    lo = SweepConfig.l_min_km if args.l_min is None else args.l_min
+    hi = SweepConfig.l_max_km if args.l_max is None else args.l_max
+    step = SweepConfig.l_step_km if args.l_step is None else args.l_step
+    # SweepConfig would name its fields; name the flags the user typed.
+    if not 0.0 <= lo <= hi < math.inf:
+        raise UsageError(f"--l-min and --l-max need finite 0 <= L_MIN <= L_MAX, "
+                         f"got {lo:g} {hi:g}")
+    if not 0.0 < step < math.inf:
+        raise UsageError(f"--l-step needs a finite value > 0, got {step:g}")
+    config = _sweep_config(args, l_min_km=lo, l_max_km=hi, l_step_km=step,
+                           protocols=args.protocols)
     rows = sweep(config)
     _emit(rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows), args.output)
     return EXIT_OK

@@ -7,8 +7,9 @@ import struct
 import sys
 from dataclasses import dataclass, replace
 
-from .params import DetectorStats, ParameterError, check_point
+from .params import ParameterError, check_point, check_stats
 from .rates import (
+    _ecs_misaligned,
     _fiber_transmittance,
     bell_state_stats,
     channel_efficiency,
@@ -70,8 +71,8 @@ SEEDS: tuple[float, ...] = struct.unpack("<200d", bytes.fromhex(
 GOLDEN_XTOL = 1e-9
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Largest distance grid a SweepConfig accepts.  An optimized row costs about
-# 1.2 ms (one core of a 2-vCPU Xeon VM), so a grid this size takes about two
-# minutes; a tiny step over a long range would otherwise run for hours or days.
+# 0.6 ms (one core of a 2-vCPU Xeon VM), so a grid this size takes about a
+# minute; a tiny step over a long range would otherwise run for hours or days.
 MAX_SWEEP_ROWS = 100_000
 
 
@@ -158,16 +159,16 @@ class SweepRow:
     flagged: bool = False
 
 
-def _signed_rate(stats: DetectorStats) -> float:
+def _signed_rate(q_zz: float, s: float, e_zz: float) -> float:
     """Key rate before its clamp, continued below the CHSH threshold.
 
     Where s > 2 this is :func:`key_rate_margin`, at least -1; where s <= 2 it
     is -1 - (2 - s), below every margin and still falling as s falls, so a
     bracket that straddles s = 2 stays unimodal.
     """
-    if stats.s > 2.0:
-        return key_rate_margin(stats)
-    return -1.0 - (2.0 - stats.s)
+    if s > 2.0:
+        return key_rate_margin(q_zz, s, e_zz)
+    return -1.0 - (2.0 - s)
 
 
 def _golden_max(objective, best: int, best_value: float) -> tuple[float, float]:
@@ -215,17 +216,27 @@ def optimize_mu(
     wherever either is positive and keeps falling where the rate is clamped
     to 0, so a positive window narrower than one seed cell, as where the
     rate falls to zero with distance, is still found.
+
+    Inputs are checked once per search, not per evaluation:
+    :func:`channel_efficiency` checks the distance, loss and detector
+    efficiency, then ``check_point`` the arm transmittance, ``p_d`` and
+    ``e_d``, in the order and with the messages of
+    :func:`ecs_misaligned_stats`.  Each scored ``(q_zz, s, e_zz)`` passes
+    :func:`params.check_stats`, as a :class:`DetectorStats` would.
     """
     eta = channel_efficiency(distance_km, beta_db_per_km, eta_d)
+    check_point(eta=eta, p_d=p_d, e_d=e_d)
 
-    def stats_at(mu: float) -> DetectorStats:
-        return ecs_misaligned_stats(mu, eta, p_d, e_d)
+    def stats_at(mu: float) -> tuple[float, float, float]:
+        triple = _ecs_misaligned(mu, eta, p_d, e_d)
+        check_stats(*triple)
+        return triple
 
     seed_stats = [stats_at(m) for m in SEEDS]
-    if any(stats.s > 2.0 for stats in seed_stats):
-        signed = [_signed_rate(stats) for stats in seed_stats]
+    if any(s > 2.0 for _, s, _ in seed_stats):
+        signed = [_signed_rate(*triple) for triple in seed_stats]
         best = signed.index(max(signed))  # the first maximum, as np.argmax picks
-        mu, rate = _golden_max(lambda m: _signed_rate(stats_at(m)), best, signed[best])
+        mu, rate = _golden_max(lambda m: _signed_rate(*stats_at(m)), best, signed[best])
         if rate > 0.0:
             return MuOptimum(mu_star=mu, rate_star=rate, flagged=False)
     lo, hi = MU_SEARCH_BOUNDS

@@ -54,6 +54,21 @@ def check_point(
         raise ParameterError(f"e_d must be in [0, 0.5], got {e_d}")
 
 
+def check_stats(q_zz: float, s: float, e_zz: float) -> None:
+    """Reject a heralded-statistics triple outside its range.
+
+    The one statement of the rules that :class:`DetectorStats` and the
+    intensity search share: ``q_zz`` and ``e_zz`` in [0, 1], and ``|s|`` at
+    most ``CHSH_MAX`` plus ``CHSH_TOL``.
+    """
+    if not 0.0 <= q_zz <= 1.0:
+        raise ParameterError(f"q_zz must be in [0, 1], got {q_zz}")
+    if not 0.0 <= e_zz <= 1.0:
+        raise ParameterError(f"e_zz must be in [0, 1], got {e_zz}")
+    if abs(s) > CHSH_MAX + CHSH_TOL:
+        raise ParameterError(f"|s| exceeds 2*sqrt(2): {s}")
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Physical inputs of one protocol evaluation.
@@ -94,12 +109,7 @@ class DetectorStats:
     e_zz: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.q_zz <= 1.0:
-            raise ParameterError(f"q_zz must be in [0, 1], got {self.q_zz}")
-        if not 0.0 <= self.e_zz <= 1.0:
-            raise ParameterError(f"e_zz must be in [0, 1], got {self.e_zz}")
-        if abs(self.s) > CHSH_MAX + CHSH_TOL:
-            raise ParameterError(f"|s| exceeds 2*sqrt(2): {self.s}")
+        check_stats(self.q_zz, self.s, self.e_zz)
 
 
 @dataclass(frozen=True)

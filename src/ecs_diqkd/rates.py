@@ -25,6 +25,11 @@ def binary_entropy(x: float) -> float:
     """Binary Shannon entropy in bits; the limits at 0 and 1 return exactly 0."""
     if not 0.0 <= x <= 1.0:
         raise ParameterError(f"binary_entropy argument must be in [0, 1], got {x}")
+    return _entropy(x)
+
+
+def _entropy(x: float) -> float:
+    """:func:`binary_entropy` for an ``x`` the caller knows lies in [0, 1]."""
     if x == 0.0 or x == 1.0:
         return 0.0
     return -(x * math.log2(x) + (1.0 - x) * math.log1p(-x) / _LN2)
@@ -39,20 +44,21 @@ def key_rate(stats: DetectorStats) -> float:
     """
     if stats.s <= 2.0:
         return 0.0
-    return max(0.0, key_rate_margin(stats))
+    return max(0.0, key_rate_margin(stats.q_zz, stats.s, stats.e_zz))
 
 
-def key_rate_margin(stats: DetectorStats) -> float:
+def key_rate_margin(q_zz: float, s: float, e_zz: float) -> float:
     """q_zz times the rate bracket 1 - h(e_zz) - h(x), before the clamp.
 
-    Defined for s > 2 only.  Negative where the protocol aborts, and never
-    below -1, since q_zz <= 1 and each entropy is at most 1.
+    Defined for s > 2 and a triple that passes :func:`params.check_stats`,
+    which the caller guarantees.  Negative where the protocol aborts, and
+    never below -1, since q_zz <= 1 and each entropy is at most 1.
     """
-    # s may carry the permitted 1e-9 slack above 2*sqrt(2); clamp the
-    # entropy argument back into [0, 1].
-    x = 0.5 * (1.0 + math.sqrt((stats.s / 2.0) ** 2 - 1.0))
+    # s > 2 puts x above 1/2; s may carry the permitted 1e-9 slack above
+    # 2*sqrt(2), so clamp x back to at most 1.
+    x = 0.5 * (1.0 + math.sqrt((s / 2.0) ** 2 - 1.0))
     x = min(x, 1.0)
-    return stats.q_zz * (1.0 - binary_entropy(stats.e_zz) - binary_entropy(x))
+    return q_zz * (1.0 - _entropy(e_zz) - _entropy(x))
 
 
 def channel_efficiency(distance_km: float, beta_db_per_km: float, eta_d: float) -> float:
@@ -121,6 +127,15 @@ def ecs_misaligned_stats(mu: float, eta: float, p_d: float, e_d: float) -> Detec
     Fock-space oracle confirms this reading (see the verify command).
     """
     check_point(mu, eta, p_d, e_d)
+    return DetectorStats(*_ecs_misaligned(mu, eta, p_d, e_d))
+
+
+def _ecs_misaligned(mu: float, eta: float, p_d: float, e_d: float) -> tuple[float, float, float]:
+    """The ``(q_zz, s, e_zz)`` of :func:`ecs_misaligned_stats`, unchecked.
+
+    The caller checks the inputs with ``check_point`` and the triple with
+    ``check_stats``.
+    """
     x_dim = 2.0 * mu * eta * e_d            # intensity routed to the dim port
     x_bright = 2.0 * mu * eta * (1.0 - e_d)  # intensity routed to the bright port
     bracket = math.expm1(x_dim) + math.expm1(x_bright) + 2.0 * p_d
@@ -133,7 +148,7 @@ def ecs_misaligned_stats(mu: float, eta: float, p_d: float, e_d: float) -> Detec
     )
     s = _SQRT2 * w / (math.exp(2.0 * mu * (1.0 - eta)) * bracket)
     e_zz = (math.expm1(x_dim) + p_d) / bracket
-    return DetectorStats(q_zz=q_zz, s=s, e_zz=e_zz)
+    return q_zz, s, e_zz
 
 
 def bell_state_stats(eta: float, p_d: float) -> DetectorStats:

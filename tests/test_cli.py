@@ -138,6 +138,16 @@ def test_invalid_parameter_value_is_usage_error(capsys):
          "--bracket needs finite 0 <= LO < HI, got nan 100"),
         (["crossover", "--pair", "ecs-vs-plob", "--bracket", "200", "100"],
          "--bracket needs finite 0 <= LO < HI, got 200 100"),
+        (["sweep", "--l-min", "-5"],
+         "--l-min and --l-max need finite 0 <= L_MIN <= L_MAX, got -5 600"),
+        (["sweep", "--l-min", "nan"],
+         "--l-min and --l-max need finite 0 <= L_MIN <= L_MAX, got nan 600"),
+        (["sweep", "--l-min", "10", "--l-max", "0"],
+         "--l-min and --l-max need finite 0 <= L_MIN <= L_MAX, got 10 0"),
+        (["sweep", "--l-max", "inf"],
+         "--l-min and --l-max need finite 0 <= L_MIN <= L_MAX, got 0 inf"),
+        (["sweep", "--l-step", "0"], "--l-step needs a finite value > 0, got 0"),
+        (["sweep", "--l-step", "nan"], "--l-step needs a finite value > 0, got nan"),
     ):
         capsys.readouterr()
         assert cli.main(argv) == cli.EXIT_USAGE

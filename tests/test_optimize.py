@@ -19,7 +19,7 @@ from ecs_diqkd.optimize import (
     sweep_row,
 )
 from ecs_diqkd.params import ParameterError
-from ecs_diqkd.rates import channel_efficiency, ecs_misaligned_stats, key_rate
+from ecs_diqkd.rates import binary_entropy, channel_efficiency, ecs_misaligned_stats, key_rate
 
 FIG2 = dict(beta_db_per_km=0.2, eta_d=0.8, p_d=1e-7, e_d=0.0)
 
@@ -81,14 +81,15 @@ def test_optimizer_finds_window_narrower_than_a_seed_cell(channel):
 
 
 def _counted_search(monkeypatch, *args):
+    # The search scores the bare kernel, not the public ecs_misaligned_stats.
     calls = []
-    closed_form = optimize.ecs_misaligned_stats
+    closed_form = optimize._ecs_misaligned
 
     def counted(*a):
         calls.append(a)
         return closed_form(*a)
 
-    monkeypatch.setattr(optimize, "ecs_misaligned_stats", counted)
+    monkeypatch.setattr(optimize, "_ecs_misaligned", counted)
     return optimize_mu(*args), len(calls)
 
 
@@ -106,6 +107,67 @@ def test_optimizer_evaluation_counts_per_branch(monkeypatch):
     optimum, calls = _counted_search(monkeypatch, 450.0, 0.2, 0.8, 1e-7, 0.03)
     assert calls > 200
     assert optimum == optimize.MuOptimum(0.5 * sum(MU_SEARCH_BOUNDS), 0.0, True)
+
+
+def _reference_search(distance_km, beta_db_per_km, eta_d, p_d, e_d):
+    """``optimize_mu`` scoring checked records, as it did before the kernel.
+
+    Every point goes through the public ``ecs_misaligned_stats`` and
+    ``binary_entropy``, with the same continuation below s = 2.
+    """
+    eta = channel_efficiency(distance_km, beta_db_per_km, eta_d)
+
+    def signed(stats):
+        if stats.s <= 2.0:
+            return -1.0 - (2.0 - stats.s)
+        x = min(0.5 * (1.0 + math.sqrt((stats.s / 2.0) ** 2 - 1.0)), 1.0)
+        return stats.q_zz * (1.0 - binary_entropy(stats.e_zz) - binary_entropy(x))
+
+    seed_stats = [ecs_misaligned_stats(mu, eta, p_d, e_d) for mu in optimize.SEEDS]
+    if any(stats.s > 2.0 for stats in seed_stats):
+        values = [signed(stats) for stats in seed_stats]
+        best = values.index(max(values))
+        mu, rate = optimize._golden_max(
+            lambda mu: signed(ecs_misaligned_stats(mu, eta, p_d, e_d)), best, values[best]
+        )
+        if rate > 0.0:
+            return optimize.MuOptimum(mu_star=mu, rate_star=rate, flagged=False)
+    return optimize.MuOptimum(mu_star=0.5 * sum(MU_SEARCH_BOUNDS), rate_star=0.0, flagged=True)
+
+
+def _outcome(search, *args):
+    try:
+        return repr(search(*args))
+    except ParameterError as exc:
+        return f"ParameterError: {exc}"
+
+
+def test_search_on_bare_triples_equals_the_checked_search():
+    rng = np.random.default_rng(20261018)
+    channels = [(0.2, 0.8, 1e-7, 0.0)] + [
+        (0.2, float(rng.uniform(0.5, 1.0)), float(10.0 ** rng.uniform(-9, -5)),
+         float(rng.uniform(0.0, 0.05)))
+        for _ in range(10)
+    ]
+    searches = [(distance, *channel) for channel in channels for distance in range(0, 701, 20)]
+    searches += [(distance, 0.2, eta_d, p_d, e_d) for distance, eta_d, p_d, e_d in NARROW_WINDOWS]
+    flagged = 0
+    for args in searches:
+        expected = _reference_search(*args)
+        assert repr(optimize_mu(*args)) == repr(expected), args
+        flagged += expected.flagged
+    assert 0 < flagged < len(searches)
+    # One check per search keeps every message and its order of precedence.
+    for args, message in (
+        ((40_000.0, 0.2, 0.8, 1e-7, 0.0), "eta must be in (0, 1], got 0.0"),
+        ((100.0, 0.2, 0.8, 1.5, 0.0), "p_d must be in [0, 1), got 1.5"),
+        ((100.0, 0.2, 0.8, 1e-7, math.nan), "e_d must be in [0, 0.5], got nan"),
+        ((100.0, 0.2, 0.8, -1e-7, 0.7), "p_d must be in [0, 1), got -1e-07"),
+        ((-1.0, 0.2, 0.8, 1.5, 0.0), "distance_km must be finite and >= 0, got -1.0"),
+        ((32_000.0, 0.2, 0.8, 0.0, 0.0), "degenerate denominator in misaligned statistics"),
+    ):
+        assert _outcome(optimize_mu, *args) == f"ParameterError: {message}"
+        assert _outcome(_reference_search, *args) == f"ParameterError: {message}"
 
 
 def test_seed_table_is_the_log_grid():
