@@ -281,12 +281,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = oracle.verify_grid(
         points=args.point, tol=args.tol, n_max=args.n_max, eta_d_literal=args.eta_d
     )
+
+    def where(check: oracle.PointCheck) -> str:
+        return f"at (mu={check.mu}, eta={check.eta}, p_d={check.p_d}, e_d={check.e_d})"
+
     print(f"points checked: {len(report.points)} (n_max={report.n_max})")
     for check in report.errors:
-        print(
-            f"ERROR at (mu={check.mu}, eta={check.eta}, p_d={check.p_d}, "
-            f"e_d={check.e_d}): {check.error}"
-        )
+        print(f"ERROR {where(check)}: {check.error}")
     print(f"max |dQ_zz| = {report.max_dev_q_zz:.3e}")
     print(f"max |dS|    = {report.max_dev_s:.3e}")
     print(f"max |de_zz| = {report.max_dev_e_zz:.3e}")
@@ -301,11 +302,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_COMPUTE
     if report.failures:
         for check in report.failures:
-            print(
-                f"FAIL at (mu={check.mu}, eta={check.eta}, p_d={check.p_d}, "
-                f"e_d={check.e_d}): dQ={check.dev_q_zz:.3e} dS={check.dev_s:.3e} "
-                f"de={check.dev_e_zz:.3e}"
-            )
+            print(f"FAIL {where(check)}: dQ={check.dev_q_zz:.3e} dS={check.dev_s:.3e} "
+                  f"de={check.dev_e_zz:.3e}")
         print(f"FAIL: deviations at or above {report.tol:g}")
         return EXIT_VERIFY
     print(f"PASS: all deviations below {report.tol:g}")

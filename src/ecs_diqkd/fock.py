@@ -251,9 +251,6 @@ class HeraldProbabilities(NamedTuple):
     none: float | np.ndarray
     both: float | np.ndarray
 
-    def success(self) -> float | np.ndarray:
-        return self.d1_only + self.d2_only
-
     def total(self) -> float | np.ndarray:
         return self.d1_only + self.d2_only + self.none + self.both
 

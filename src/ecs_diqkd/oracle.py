@@ -11,6 +11,7 @@ module is imported only by the comparison report at the bottom.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -22,7 +23,6 @@ from .fock import (
     MAX_N_MAX,
     TAIL_MASS_BOUND,
     CutoffError,
-    HeraldProbabilities,
     beamsplitter_apply,
     check_n_max,
     coherent_fock,
@@ -120,23 +120,20 @@ def _arm_mixtures(
     return priors, weights, vectors
 
 
-def _pair_heralds(
-    weights: np.ndarray, vectors: np.ndarray, p_d: float
-) -> dict[tuple[str, str, int, int], HeraldProbabilities]:
+def _pair_heralds(weights: np.ndarray, vectors: np.ndarray, p_d: float) -> np.ndarray:
     """Herald probabilities of every (role pair, outcome pair) arm product.
 
     The detector formulas are linear in the joint photon-number
     distribution, so each mixture readout is the weighted sum over pure
     eigenvector products (eigenweights at or below the floor dropped).  All
     products of all pairs go through the central beamsplitter as one batch.
+    Returns shape ``(4, len(ROLE_PAIRS), len(OUTCOME_PAIRS))``; axis 0 follows
+    the fields of ``fock.HeraldProbabilities`` (d1_only, d2_only, none, both).
     """
     kept = [np.flatnonzero(w > _EIG_WEIGHT_FLOOR) for w in weights]
     position = {arm: i for i, arm in enumerate(ARMS)}
-    combos = [
-        (role_a, role_b, a, b) for role_a, role_b in ROLE_PAIRS for a, b in OUTCOME_PAIRS
-    ]
     left, right, product_weights, owner = [], [], [], []
-    for c, (role_a, role_b, a, b) in enumerate(combos):
+    for c, ((role_a, role_b), (a, b)) in enumerate(itertools.product(ROLE_PAIRS, OUTCOME_PAIRS)):
         i, j = position[role_a, a], position[role_b, b]
         for p in kept[i]:
             for q in kept[j]:
@@ -147,16 +144,18 @@ def _pair_heralds(
     joint = mode_product(np.stack(left, axis=-1), np.stack(right, axis=-1))
     joint = beamsplitter_apply(joint, 0.5)
     heralds = np.asarray(threshold_detect(joint, p_d)) * np.array(product_weights)
-    sums = np.stack([np.bincount(owner, weights=row, minlength=len(combos)) for row in heralds])
-    result = {}
-    for c, combo in enumerate(combos):
-        herald = HeraldProbabilities(*(float(x) for x in sums[:, c]))
-        if abs(herald.total() - 1.0) > 1e-10:
-            raise CutoffError(
-                f"herald probabilities of {combo} sum to {herald.total():.12f}; cutoff too small"
-            )
-        result[combo] = herald
-    return result
+    combos = len(ROLE_PAIRS) * len(OUTCOME_PAIRS)
+    sums = np.stack([np.bincount(owner, weights=row, minlength=combos) for row in heralds])
+    sums = sums.reshape(len(heralds), len(ROLE_PAIRS), len(OUTCOME_PAIRS))
+    total = sum(sums)  # d1_only + d2_only + none + both, in that order
+    bad = np.argwhere(abs(total - 1.0) > 1e-10)
+    if bad.size:
+        r, o = bad[0]
+        raise CutoffError(
+            f"herald probabilities of {(*ROLE_PAIRS[r], *OUTCOME_PAIRS[o])} sum to "
+            f"{total[r, o]:.12f}; cutoff too small"
+        )
+    return sums
 
 
 def certify_cutoff(mu: float, n_max: int) -> None:
@@ -189,33 +188,30 @@ def oracle_stats(
 
     delta0 = math.acos(1.0 - 2.0 * e_d)
     priors, weights, vectors = _arm_mixtures(mu, eta, delta0, n_max)
-    heralds = _pair_heralds(weights, vectors, p_d)
+    d1, d2 = _pair_heralds(weights, vectors, p_d)[:2]
+    # Spin-outcome prior of each (role pair, outcome pair), shaped as d1 and d2.
+    prior = np.array([[priors[role_a, a] * priors[role_b, b] for a, b in OUTCOME_PAIRS]
+                      for role_a, role_b in ROLE_PAIRS])
+    parity = np.array([a * b for a, b in OUTCOME_PAIRS])
+    differ = np.array([a != b for a, b in OUTCOME_PAIRS])
+    flip = np.array([[-1.0 if SETTING_ANGLES[role_b] == 0.0 else 1.0]
+                     for _, role_b in ROLE_PAIRS])
+    # Summed as Python floats in outcome order: ndarray.sum adds in another
+    # order, and a zero gain must raise ZeroDivisionError, not warn.
+    success = (prior * (d1 + d2)).tolist()
+    correlated = (prior * parity * (d1 + flip * d2)).tolist()
 
-    def pair_heralds(role_a: str, role_b: str):
-        for a, b in OUTCOME_PAIRS:
-            yield a, b, priors[role_a, a] * priors[role_b, b], heralds[role_a, role_b, a, b]
+    # Raw key pair (A0, B1), row 0: gain and Z-basis error rate after the
+    # flip rule.  D1 heralds keep b; D2 heralds flip it.  An error is a != b_final.
+    q_zz = sum(success[0])
+    e_zz = sum((prior[0] * np.where(differ, d1[0], d2[0])).tolist()) / q_zz
 
-    # Raw key pair (A0, B1): gain and Z-basis error rate after the flip rule.
-    q_zz = 0.0
-    error_mass = 0.0
-    for a, b, weight, herald in pair_heralds("A0", "B1"):
-        q_zz += weight * herald.success()
-        # D1 heralds keep b; D2 heralds flip it.  An error is a != b_final.
-        error_mass += weight * (herald.d1_only if a != b else herald.d2_only)
-    e_zz = error_mass / q_zz
-
-    # CHSH pairs: the flip applies to D2 heralds only when Bob measured Z (B1).
+    # CHSH pairs, rows 1 on: correlators conditioned on success.
     s = 0.0
-    for role_a, role_b, sign in CHSH_PAIRS:
-        flip = -1.0 if SETTING_ANGLES[role_b] == 0.0 else 1.0
-        numerator = 0.0
-        success = 0.0
-        for a, b, weight, herald in pair_heralds(role_a, role_b):
-            numerator += weight * a * b * (herald.d1_only + flip * herald.d2_only)
-            success += weight * herald.success()
-        s += sign * numerator / success
+    for row, (_, _, sign) in enumerate(CHSH_PAIRS, start=1):
+        s += sign * sum(correlated[row]) / sum(success[row])
 
-    return DetectorStats(q_zz=float(q_zz), s=float(s), e_zz=float(e_zz))
+    return DetectorStats(q_zz=q_zz, s=s, e_zz=e_zz)
 
 
 # --- comparison against the closed forms -----------------------------------
@@ -262,16 +258,19 @@ def misaligned_e_zz_literal(
 
 @dataclass(frozen=True)
 class PointCheck:
-    """Deviations between closed forms and oracle at one grid point."""
+    """Deviations between closed forms and oracle at one grid point.
+
+    A point the cutoff cannot certify keeps NaN deviations and its ``error``.
+    """
 
     mu: float
     eta: float
     p_d: float
     e_d: float
-    dev_q_zz: float
-    dev_s: float
-    dev_e_zz: float
-    dev_e_zz_literal: float
+    dev_q_zz: float = math.nan
+    dev_s: float = math.nan
+    dev_e_zz: float = math.nan
+    dev_e_zz_literal: float = math.nan
     error: str | None = None
 
     def max_dev(self) -> float:
@@ -291,23 +290,25 @@ class VerificationReport:
     def errors(self) -> list[PointCheck]:
         return [p for p in self.points if p.error is not None]
 
+    def _max_dev(self, field: str) -> float:
+        """Largest deviation of one field over the points without an error."""
+        return max((getattr(p, field) for p in self.points if p.error is None), default=0.0)
+
     @property
     def max_dev_q_zz(self) -> float:
-        return max((p.dev_q_zz for p in self.points if p.error is None), default=0.0)
+        return self._max_dev("dev_q_zz")
 
     @property
     def max_dev_s(self) -> float:
-        return max((p.dev_s for p in self.points if p.error is None), default=0.0)
+        return self._max_dev("dev_s")
 
     @property
     def max_dev_e_zz(self) -> float:
-        return max((p.dev_e_zz for p in self.points if p.error is None), default=0.0)
+        return self._max_dev("dev_e_zz")
 
     @property
     def max_dev_e_zz_literal(self) -> float:
-        return max(
-            (p.dev_e_zz_literal for p in self.points if p.error is None), default=0.0
-        )
+        return self._max_dev("dev_e_zz_literal")
 
     @property
     def supported_e_zz_reading(self) -> str:
@@ -357,32 +358,15 @@ def verify_grid(
             closed = ecs_misaligned_stats(mu, eta, p_d, e_d)
             actual = oracle_stats(mu, eta, p_d, e_d, n_max=n_max)
             literal = misaligned_e_zz_literal(mu, eta, eta_d_literal, p_d, e_d)
-            checks.append(
-                PointCheck(
-                    mu=mu,
-                    eta=eta,
-                    p_d=p_d,
-                    e_d=e_d,
-                    dev_q_zz=abs(actual.q_zz - closed.q_zz),
-                    dev_s=abs(actual.s - closed.s),
-                    dev_e_zz=abs(actual.e_zz - closed.e_zz),
-                    dev_e_zz_literal=abs(actual.e_zz - literal),
-                )
+            outcome = dict(
+                dev_q_zz=abs(actual.q_zz - closed.q_zz),
+                dev_s=abs(actual.s - closed.s),
+                dev_e_zz=abs(actual.e_zz - closed.e_zz),
+                dev_e_zz_literal=abs(actual.e_zz - literal),
             )
         except CutoffError as exc:
-            checks.append(
-                PointCheck(
-                    mu=mu,
-                    eta=eta,
-                    p_d=p_d,
-                    e_d=e_d,
-                    dev_q_zz=math.nan,
-                    dev_s=math.nan,
-                    dev_e_zz=math.nan,
-                    dev_e_zz_literal=math.nan,
-                    error=str(exc),
-                )
-            )
+            outcome = dict(error=str(exc))
+        checks.append(PointCheck(mu, eta, p_d, e_d, **outcome))
     return VerificationReport(
         points=checks, tol=tol, n_max=n_max, eta_d_literal=eta_d_literal
     )
