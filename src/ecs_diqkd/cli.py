@@ -56,15 +56,15 @@ def _point(text: str) -> tuple[float, float, float, float]:
 
 
 def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
-    """The channel flags; unset ones take the :class:`SweepConfig` defaults."""
-    parser.add_argument("--beta", type=float,
-                        help=f"fiber loss in dB/km (default {SweepConfig.beta_db_per_km:g})")
-    parser.add_argument("--eta-d", dest="eta_d", type=float,
-                        help=f"detector efficiency (default {SweepConfig.eta_d:g})")
-    parser.add_argument("--p-d", dest="p_d", type=float,
-                        help=f"dark count probability (default {SweepConfig.p_d:g})")
-    parser.add_argument("--e-d", dest="e_d", type=float,
-                        help=f"misalignment error (default {SweepConfig.e_d:g})")
+    """The channel flags, with the :class:`SweepConfig` defaults."""
+    parser.add_argument("--beta", type=float, default=SweepConfig.beta_db_per_km,
+                        help="fiber loss in dB/km (default %(default)g)")
+    parser.add_argument("--eta-d", dest="eta_d", type=float, default=SweepConfig.eta_d,
+                        help="detector efficiency (default %(default)g)")
+    parser.add_argument("--p-d", dest="p_d", type=float, default=SweepConfig.p_d,
+                        help="dark count probability (default %(default)g)")
+    parser.add_argument("--e-d", dest="e_d", type=float, default=SweepConfig.e_d,
+                        help="misalignment error (default %(default)g)")
 
 
 def build_parser() -> _Parser:
@@ -86,14 +86,14 @@ def build_parser() -> _Parser:
     _add_channel_flags(rates_p)
 
     sweep_p = sub.add_parser("sweep", help="rate-versus-distance table (CSV or JSON)")
-    sweep_p.add_argument("--l-min", dest="l_min", type=float,
-                         help=f"first distance, km (default {SweepConfig.l_min_km:g})")
-    sweep_p.add_argument("--l-max", dest="l_max", type=float,
-                         help=f"last distance, km (default {SweepConfig.l_max_km:g})")
-    sweep_p.add_argument("--l-step", dest="l_step", type=float,
-                         help=f"grid step, km (default {SweepConfig.l_step_km:g})")
+    sweep_p.add_argument("--l-min", dest="l_min", type=float, default=SweepConfig.l_min_km,
+                         help="first distance, km (default %(default)g)")
+    sweep_p.add_argument("--l-max", dest="l_max", type=float, default=SweepConfig.l_max_km,
+                         help="last distance, km (default %(default)g)")
+    sweep_p.add_argument("--l-step", dest="l_step", type=float, default=SweepConfig.l_step_km,
+                         help="grid step, km (default %(default)g)")
     sweep_p.add_argument("--mu", type=float, help="fix the intensity; omit to optimize per distance")
-    sweep_p.add_argument("--protocols", type=_protocol_list,
+    sweep_p.add_argument("--protocols", type=_protocol_list, default=SweepConfig.protocols,
                          help="comma list from ecs,bell,plob (default all)")
     sweep_p.add_argument("--output", default="-", help="output path, or - for stdout")
     sweep_p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
@@ -174,13 +174,11 @@ def _config_tokens(path: Path, command_p: argparse.ArgumentParser) -> list[str]:
 def _sweep_config(args: argparse.Namespace, **grid) -> SweepConfig:
     """The validated config of ``rates``, ``sweep`` and ``crossover``.
 
-    Only the values given reach it, so unset ones take its defaults.  Every
-    bad value is a usage error (exit 1), whichever subcommand got it.
+    Every bad value is a usage error (exit 1), whichever subcommand got it.
     """
-    given = dict(beta_db_per_km=args.beta, eta_d=args.eta_d, p_d=args.p_d, e_d=args.e_d,
-                 mu=args.mu, **grid)
     try:
-        return SweepConfig(**{key: value for key, value in given.items() if value is not None})
+        return SweepConfig(beta_db_per_km=args.beta, eta_d=args.eta_d, p_d=args.p_d,
+                           e_d=args.e_d, mu=args.mu, **grid)
     except ParameterError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -255,9 +253,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    lo = SweepConfig.l_min_km if args.l_min is None else args.l_min
-    hi = SweepConfig.l_max_km if args.l_max is None else args.l_max
-    step = SweepConfig.l_step_km if args.l_step is None else args.l_step
+    lo, hi, step = args.l_min, args.l_max, args.l_step
     # SweepConfig would name its fields; name the flags the user typed.
     if not 0.0 <= lo <= hi < math.inf:
         raise UsageError(f"--l-min and --l-max need finite 0 <= L_MIN <= L_MAX, "
@@ -319,7 +315,8 @@ def _cmd_crossover(args: argparse.Namespace) -> int:
     lo, hi = args.bracket
     if not 0.0 <= lo < hi < math.inf:
         raise UsageError(f"--bracket needs finite 0 <= LO < HI, got {lo:g} {hi:g}")
-    config = _sweep_config(args, l_min_km=lo, l_max_km=hi, protocols=pair)
+    # The step is the whole bracket: find_crossover scans its own grid.
+    config = _sweep_config(args, l_min_km=lo, l_max_km=hi, l_step_km=hi - lo, protocols=pair)
     crossing = find_crossover(pair, config, (lo, hi))
     if crossing is None:
         print(f"no crossover in bracket [{lo:g}, {hi:g}] km")

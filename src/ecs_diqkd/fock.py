@@ -258,24 +258,29 @@ class HeraldProbabilities(NamedTuple):
 def threshold_detect(state: np.ndarray, p_d: float) -> HeraldProbabilities:
     """Threshold-detector readout with independent dark counts.
 
-    D1 watches the first mode and D2 the second.  With V1 = P(n_1 = 0),
-    V2 = P(n_2 = 0) and V12 = P(both zero) taken from the joint
-    photon-number distribution:
+    D1 watches the first mode and D2 the second.  With V12 = P(n_1 = n_2 = 0),
+    only1 = P(n_1 > 0, n_2 = 0), only2 = P(n_1 = 0, n_2 > 0) and
+    lit = P(n_1 > 0, n_2 > 0) summed straight from the joint photon-number
+    distribution:
 
-        P(D1 only) = (1-p_d) V2 - (1-p_d)^2 V12
-        P(D2 only) = (1-p_d) V1 - (1-p_d)^2 V12
+        P(D1 only) = (1-p_d) (only1 + p_d V12)
+        P(D2 only) = (1-p_d) (only2 + p_d V12)
         P(none)    = (1-p_d)^2 V12
-        P(both)    = remainder
+        P(both)    = lit + p_d (only1 + only2) + p_d^2 V12
+
+    Each click probability is a sum of clicked events, never a difference
+    of no-click probabilities near 1, so it keeps its relative precision
+    however faint the light.
     """
     _check_two_mode(state)
     check_point(p_d=p_d)
     joint = np.abs(state) ** 2
-    total = joint.sum(axis=(0, 1))
-    v1 = joint[0].sum(axis=0)
-    v2 = joint[:, 0].sum(axis=0)
     v12 = joint[0, 0]
+    only1 = joint[1:, 0].sum(axis=0)
+    only2 = joint[0, 1:].sum(axis=0)
+    lit = joint[1:, 1:].sum(axis=(0, 1))
+    d1 = (1.0 - p_d) * (only1 + p_d * v12)
+    d2 = (1.0 - p_d) * (only2 + p_d * v12)
     no_click = (1.0 - p_d) ** 2 * v12
-    d1 = (1.0 - p_d) * v2 - no_click
-    d2 = (1.0 - p_d) * v1 - no_click
-    both = total - (1.0 - p_d) * v1 - (1.0 - p_d) * v2 + no_click
+    both = lit + p_d * (only1 + only2) + p_d**2 * v12
     return HeraldProbabilities(d1_only=d1, d2_only=d2, none=no_click, both=both)

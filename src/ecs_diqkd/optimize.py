@@ -125,8 +125,8 @@ class SweepConfig:
             raise ParameterError("l_step_km must be > 0")
         if (self.l_max_km - self.l_min_km) / self.l_step_km + 1e-9 >= MAX_SWEEP_ROWS:
             raise ParameterError(
-                f"the distance grid exceeds {MAX_SWEEP_ROWS} rows; widen l_step_km "
-                "or narrow the range"
+                f"the distance grid exceeds {MAX_SWEEP_ROWS} rows; use a larger step "
+                "or a shorter range"
             )
         if not self.protocols:
             raise ParameterError("protocol set must not be empty")

@@ -193,7 +193,6 @@ def oracle_stats(
     prior = np.array([[priors[role_a, a] * priors[role_b, b] for a, b in OUTCOME_PAIRS]
                       for role_a, role_b in ROLE_PAIRS])
     parity = np.array([a * b for a, b in OUTCOME_PAIRS])
-    differ = np.array([a != b for a, b in OUTCOME_PAIRS])
     flip = np.array([[-1.0 if SETTING_ANGLES[role_b] == 0.0 else 1.0]
                      for _, role_b in ROLE_PAIRS])
     # Summed as Python floats in outcome order: ndarray.sum adds in another
@@ -204,12 +203,11 @@ def oracle_stats(
     # Raw key pair (A0, B1), row 0: gain and Z-basis error rate after the
     # flip rule.  D1 heralds keep b; D2 heralds flip it.  An error is a != b_final.
     q_zz = sum(success[0])
-    e_zz = sum((prior[0] * np.where(differ, d1[0], d2[0])).tolist()) / q_zz
+    e_zz = sum((prior[0] * np.where(parity < 0, d1[0], d2[0])).tolist()) / q_zz
 
     # CHSH pairs, rows 1 on: correlators conditioned on success.
-    s = 0.0
-    for row, (_, _, sign) in enumerate(CHSH_PAIRS, start=1):
-        s += sign * sum(correlated[row]) / sum(success[row])
+    s = sum(sign * sum(correlated[row]) / sum(success[row])
+            for row, (_, _, sign) in enumerate(CHSH_PAIRS, start=1))
 
     return DetectorStats(q_zz=q_zz, s=s, e_zz=e_zz)
 

@@ -148,6 +148,8 @@ def test_invalid_parameter_value_is_usage_error(capsys):
          "--l-min and --l-max need finite 0 <= L_MIN <= L_MAX, got 0 inf"),
         (["sweep", "--l-step", "0"], "--l-step needs a finite value > 0, got 0"),
         (["sweep", "--l-step", "nan"], "--l-step needs a finite value > 0, got nan"),
+        (["sweep", "--l-step", "1e-11"],
+         "the distance grid exceeds 100000 rows; use a larger step or a shorter range"),
     ):
         capsys.readouterr()
         assert cli.main(argv) == cli.EXIT_USAGE
@@ -528,6 +530,23 @@ def test_crossover_empty_bracket(capsys):
                      "--bracket", "5", "30"])
     assert code == 0
     assert "no crossover in bracket" in capsys.readouterr().out
+
+
+def test_crossover_bracket_builds_no_sweep_grid(capsys):
+    # find_crossover scans 65 points of any bracket, so a bracket of more
+    # than MAX_SWEEP_ROWS default steps is no grid error.
+    argv = ["crossover", "--beta", "0.001", "--pair", "ecs-vs-plob", "--bracket", "0", "600000"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("crossover_km = ")
+    assert float(out.partition("=")[2]) == pytest.approx(27144.527435302734, abs=1e-6)
+    # Too far for any grid: the far end's transmittance underflow is the error.
+    argv = ["crossover", "--pair", "ecs-vs-plob", "--bracket", "0", "1e300"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "usage error: the arm transmittance underflows to 0 at 1e+300 km; "
+        "the ecs and bell rates need a shorter distance\n"
+    )
 
 
 def test_crossover_requires_pair_and_bracket(capsys):

@@ -210,9 +210,17 @@ def test_literal_reading_breaks_lossless_reduction():
 
 
 def test_verify_reports_cutoff_failures():
-    report = verify_grid(points=[(1.0, 0.5, 0.0, 0.0)], n_max=10)
+    # At n_max 10 the bright point leaves too much tail mass; the dim one not.
+    report = verify_grid(points=[(1.0, 0.5, 0.0, 0.0), (0.1, 0.5, 1e-7, 0.01)], n_max=10)
     assert not report.passed
-    assert len(report.errors) == 1
+    failed, certified = report.points
+    assert report.errors == [failed]
+    assert "n_max=10 leaves tail mass" in failed.error
+    assert certified.error is None
+    # The failed point has no deviations, and the maxima skip it.
+    for field in ("dev_q_zz", "dev_s", "dev_e_zz", "dev_e_zz_literal"):
+        assert math.isnan(getattr(failed, field))
+        assert getattr(report, f"max_{field}") == getattr(certified, field)
 
 
 @pytest.mark.parametrize(
@@ -331,3 +339,23 @@ def test_oracle_matches_closed_form_at_random_points(mu, eta, p_d, e_d):
     assert abs(actual.q_zz - closed.q_zz) < 1e-8
     assert abs(actual.s - closed.s) < 1e-8
     assert abs(actual.e_zz - closed.e_zz) < 1e-8
+
+
+# Below the acceptance grid, down to the transmittances where the paper's
+# ECS rate beats the PLOB bound, the click probabilities are of order
+# mu eta.  A readout that forms them as differences of no-click
+# probabilities near 1 keeps only about 1e-16 / (mu eta) of their relative
+# precision, up to 4e-8 here; summing the clicked events keeps roundoff.
+def test_oracle_matches_closed_form_at_low_transmittance():
+    rng = np.random.default_rng(20261018)
+    for _ in range(40):
+        eta = float(10.0 ** rng.uniform(-8.0, math.log10(0.05)))
+        mu = float(10.0 ** rng.uniform(-3.0, 0.0))
+        p_d = float(10.0 ** rng.uniform(-9.0, -5.0))
+        e_d = float(rng.uniform(0.0, 0.07))
+        closed = ecs_misaligned_stats(mu, eta, p_d, e_d)
+        actual = oracle_stats(mu, eta, p_d, e_d)
+        point = (mu, eta, p_d, e_d)
+        assert actual.q_zz == pytest.approx(closed.q_zz, rel=1e-12, abs=0.0), point
+        assert actual.s == pytest.approx(closed.s, rel=0.0, abs=1e-12), point
+        assert actual.e_zz == pytest.approx(closed.e_zz, rel=1e-12, abs=0.0), point
