@@ -344,8 +344,8 @@ def test_oracle_matches_closed_form_at_random_points(mu, eta, p_d, e_d):
 # Below the acceptance grid, down to the transmittances where the paper's
 # ECS rate beats the PLOB bound, the click probabilities are of order
 # mu eta.  A readout that forms them as differences of no-click
-# probabilities near 1 keeps only about 1e-16 / (mu eta) of their relative
-# precision, up to 4e-8 here; summing the clicked events keeps roundoff.
+# probabilities near 1 errs by about 1e-16 / (mu eta) relative, up to 4e-8
+# here; summing the clicked events keeps them to roundoff.
 def test_oracle_matches_closed_form_at_low_transmittance():
     rng = np.random.default_rng(20261018)
     for _ in range(40):
