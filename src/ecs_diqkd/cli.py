@@ -7,7 +7,6 @@ Exit codes are a stable contract for CI: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -55,15 +54,19 @@ def _point(text: str) -> tuple[float, float, float, float]:
         raise argparse.ArgumentTypeError(f"bad value {text!r}") from None
 
 
+# The SweepConfig defaults; its class attributes are the field accessors.
+_DEFAULT = SweepConfig._field_defaults
+
+
 def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
     """The channel flags, with the :class:`SweepConfig` defaults."""
-    parser.add_argument("--beta", type=float, default=SweepConfig.beta_db_per_km,
+    parser.add_argument("--beta", type=float, default=_DEFAULT["beta_db_per_km"],
                         help="fiber loss in dB/km (default %(default)g)")
-    parser.add_argument("--eta-d", dest="eta_d", type=float, default=SweepConfig.eta_d,
+    parser.add_argument("--eta-d", dest="eta_d", type=float, default=_DEFAULT["eta_d"],
                         help="detector efficiency (default %(default)g)")
-    parser.add_argument("--p-d", dest="p_d", type=float, default=SweepConfig.p_d,
+    parser.add_argument("--p-d", dest="p_d", type=float, default=_DEFAULT["p_d"],
                         help="dark count probability (default %(default)g)")
-    parser.add_argument("--e-d", dest="e_d", type=float, default=SweepConfig.e_d,
+    parser.add_argument("--e-d", dest="e_d", type=float, default=_DEFAULT["e_d"],
                         help="misalignment error (default %(default)g)")
 
 
@@ -86,14 +89,14 @@ def build_parser() -> _Parser:
     _add_channel_flags(rates_p)
 
     sweep_p = sub.add_parser("sweep", help="rate-versus-distance table (CSV or JSON)")
-    sweep_p.add_argument("--l-min", dest="l_min", type=float, default=SweepConfig.l_min_km,
+    sweep_p.add_argument("--l-min", dest="l_min", type=float, default=_DEFAULT["l_min_km"],
                          help="first distance, km (default %(default)g)")
-    sweep_p.add_argument("--l-max", dest="l_max", type=float, default=SweepConfig.l_max_km,
+    sweep_p.add_argument("--l-max", dest="l_max", type=float, default=_DEFAULT["l_max_km"],
                          help="last distance, km (default %(default)g)")
-    sweep_p.add_argument("--l-step", dest="l_step", type=float, default=SweepConfig.l_step_km,
+    sweep_p.add_argument("--l-step", dest="l_step", type=float, default=_DEFAULT["l_step_km"],
                          help="grid step, km (default %(default)g)")
     sweep_p.add_argument("--mu", type=float, help="fix the intensity; omit to optimize per distance")
-    sweep_p.add_argument("--protocols", type=_protocol_list, default=SweepConfig.protocols,
+    sweep_p.add_argument("--protocols", type=_protocol_list, default=_DEFAULT["protocols"],
                          help="comma list from ecs,bell,plob (default all)")
     sweep_p.add_argument("--output", default="-", help="output path, or - for stdout")
     sweep_p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
@@ -136,6 +139,8 @@ def _config_tokens(path: Path, command_p: argparse.ArgumentParser) -> list[str]:
     numbers needs JSON numbers; ``null``, objects and the keys ``config`` and
     ``help`` are refused.
     """
+    import json  # only a config file needs it
+
     try:
         data = json.loads(path.read_text())
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
@@ -212,6 +217,8 @@ def rows_from_csv(text: str) -> list[SweepRow]:
 
 
 def rows_to_json(rows: list[SweepRow]) -> str:
+    import json  # only JSON output needs it
+
     payload = [{f: getattr(row, f) for f in CSV_FIELDS} for row in rows]
     return json.dumps(payload, indent=2) + "\n"
 

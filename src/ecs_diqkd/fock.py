@@ -27,9 +27,9 @@ Conventions:
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
 from numbers import Integral
-from typing import NamedTuple
 
 import numpy as np
 
@@ -239,17 +239,14 @@ def misalignment_rotate(state: np.ndarray, delta0: float | np.ndarray) -> np.nda
     return state * phases.reshape(state.shape[0], 1, angles.size)
 
 
-class HeraldProbabilities(NamedTuple):
+class HeraldProbabilities(namedtuple("HeraldProbabilities", "d1_only d2_only none both")):
     """Probabilities of the four threshold-detector outcomes of one trial.
 
-    Each field holds one value per batch element when read by
-    :func:`threshold_detect`.
+    Each field is a float, or an array of one value per batch element when
+    read by :func:`threshold_detect`.
     """
 
-    d1_only: float | np.ndarray
-    d2_only: float | np.ndarray
-    none: float | np.ndarray
-    both: float | np.ndarray
+    __slots__ = ()
 
     def total(self) -> float | np.ndarray:
         return self.d1_only + self.d2_only + self.none + self.both

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .params import ParameterError, check_point, check_stats
 from .rates import (
@@ -71,13 +71,12 @@ SEEDS: tuple[float, ...] = struct.unpack("<200d", bytes.fromhex(
 GOLDEN_XTOL = 1e-9
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Largest distance grid a SweepConfig accepts.  An optimized row costs about
-# 0.6 ms (one core of a 2-vCPU Xeon VM), so a grid this size takes about a
+# 0.47 ms (one core of a 2-vCPU Xeon VM), so a grid this size takes about a
 # minute; a tiny step over a long range would otherwise run for hours or days.
 MAX_SWEEP_ROWS = 100_000
 
 
-@dataclass(frozen=True)
-class MuOptimum:
+class MuOptimum(namedtuple("MuOptimum", "mu_star rate_star flagged", defaults=(False,))):
     """Result of the one-dimensional intensity search.
 
     ``flagged`` marks the degenerate case where the rate vanished over the
@@ -85,33 +84,28 @@ class MuOptimum:
     ``mu_star`` and ``rate_star`` are plain floats.
     """
 
-    mu_star: float
-    rate_star: float
-    flagged: bool = False
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(namedtuple(
+    "SweepConfig", "l_min_km l_max_km l_step_km beta_db_per_km eta_d p_d e_d mu protocols",
+    defaults=(0.0, 600.0, 5.0, 0.2, 0.8, 1e-7, 0.0, None, PROTOCOLS),
+)):
     """Distance grid plus the channel parameters shared by every row.
 
-    ``mu = None`` optimizes the intensity at each distance; a number fixes it.
-    Construction is the one validation of these inputs: every number must be
-    finite and in range, the grid must hold at most ``MAX_SWEEP_ROWS``, the
-    ecs and bell rates need a transmittance above 0 at ``l_max_km``, and the
-    bell rate, which squares it, needs that square to be a normal float.
+    ``protocols`` is a tuple of names from ``PROTOCOLS`` and the other fields
+    are floats; ``mu = None`` optimizes the intensity at each distance, a
+    number fixes it.  Construction is the one validation of these inputs:
+    every number must be finite and in range, the grid must hold at most
+    ``MAX_SWEEP_ROWS``, the ecs and bell rates need a transmittance above 0
+    at ``l_max_km``, and the bell rate, which squares it, needs that square
+    to be a normal float.  The defaults are in ``SweepConfig._field_defaults``.
     """
 
-    l_min_km: float = 0.0
-    l_max_km: float = 600.0
-    l_step_km: float = 5.0
-    beta_db_per_km: float = 0.2
-    eta_d: float = 0.8
-    p_d: float = 1e-7
-    e_d: float = 0.0
-    mu: float | None = None
-    protocols: tuple[str, ...] = PROTOCOLS
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         check_point(self.mu, self.eta_d, self.p_d, self.e_d,
                     beta_db_per_km=self.beta_db_per_km, eta_name="eta_d")
         for name in ("l_min_km", "l_max_km", "l_step_km"):
@@ -142,21 +136,16 @@ class SweepConfig:
         if eta_far**2 < sys.float_info.min and "bell" in self.protocols:
             raise ParameterError(f"the squared arm transmittance underflows at {self.l_max_km} "
                                  "km; the bell rate needs a shorter distance")
+        return self
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One distance point; fields are None for protocols not requested."""
+class SweepRow(namedtuple(
+    "SweepRow", "distance_km mu q_zz s e_zz rate_ecs rate_bell rate_plob flagged",
+    defaults=(None, None, None, None, None, None, None, False),
+)):
+    """One distance point: float fields, None for protocols not requested."""
 
-    distance_km: float
-    mu: float | None = None
-    q_zz: float | None = None
-    s: float | None = None
-    e_zz: float | None = None
-    rate_ecs: float | None = None
-    rate_bell: float | None = None
-    rate_plob: float | None = None
-    flagged: bool = False
+    __slots__ = ()
 
 
 def _signed_rate(q_zz: float, s: float, e_zz: float) -> float:
@@ -310,7 +299,8 @@ def find_crossover(
     lo, hi = bracket
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi or lo < 0.0:
         raise ParameterError(f"invalid bracket {bracket}")
-    pair_config = replace(config, protocols=(first, second))
+    # Through the class, not _replace alone, so the pair is checked.
+    pair_config = SweepConfig(*config._replace(protocols=(first, second)))
 
     def diff(distance_km: float) -> float:
         row = sweep_row(pair_config, distance_km)

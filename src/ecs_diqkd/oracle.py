@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -254,35 +254,30 @@ def misaligned_e_zz_literal(
     return num / den
 
 
-@dataclass(frozen=True)
-class PointCheck:
-    """Deviations between closed forms and oracle at one grid point.
+class PointCheck(namedtuple(
+    "PointCheck", "mu eta p_d e_d dev_q_zz dev_s dev_e_zz dev_e_zz_literal error",
+    defaults=(math.nan, math.nan, math.nan, math.nan, None),
+)):
+    """Deviations between closed forms and oracle at one grid point; float fields.
 
-    A point the cutoff cannot certify keeps NaN deviations and its ``error``.
+    A point the cutoff cannot certify keeps NaN deviations and its ``error``
+    message; ``error`` is None otherwise.
     """
 
-    mu: float
-    eta: float
-    p_d: float
-    e_d: float
-    dev_q_zz: float = math.nan
-    dev_s: float = math.nan
-    dev_e_zz: float = math.nan
-    dev_e_zz_literal: float = math.nan
-    error: str | None = None
+    __slots__ = ()
 
     def max_dev(self) -> float:
         return max(self.dev_q_zz, self.dev_s, self.dev_e_zz)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of an oracle-versus-closed-form sweep."""
+class VerificationReport(namedtuple("VerificationReport", "points tol n_max eta_d_literal")):
+    """Outcome of an oracle-versus-closed-form sweep.
 
-    points: list[PointCheck]
-    tol: float
-    n_max: int
-    eta_d_literal: float
+    ``points`` is a list of :class:`PointCheck`; the other fields are the
+    settings that produced it.
+    """
+
+    __slots__ = ()
 
     @property
     def errors(self) -> list[PointCheck]:

@@ -1,9 +1,14 @@
-"""Validated parameter records and statistics containers shared by all modules."""
+"""Validated parameter records and statistics containers shared by all modules.
+
+Every record in the package is an immutable ``collections.namedtuple``
+subclass.  One that validates does so in ``__new__``, which ``_replace`` and
+``_make`` skip, so a changed record is rebuilt through its class.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 # Algebraic ceiling of the CHSH combination (Tsirelson bound), with the slack
 # we grant to floating-point results produced by the closed forms or oracle.
@@ -69,9 +74,9 @@ def check_stats(q_zz: float, s: float, e_zz: float) -> None:
         raise ParameterError(f"|s| exceeds 2*sqrt(2): {s}")
 
 
-@dataclass(frozen=True)
-class ProtocolParams:
-    """Physical inputs of one protocol evaluation.
+class ProtocolParams(namedtuple("ProtocolParams", "mu beta_db_per_km eta_d p_d e_d distance_km",
+                                 defaults=(0.2, 0.8, 1e-7, 0.0, 0.0))):
+    """Physical inputs of one protocol evaluation; every field a float.
 
     Attributes:
         mu: coherent-state intensity (mean photon number of each pulse), > 0.
@@ -83,47 +88,38 @@ class ProtocolParams:
             station sits midway, so each arm sees half of it.
     """
 
-    mu: float
-    beta_db_per_km: float = 0.2
-    eta_d: float = 0.8
-    p_d: float = 1e-7
-    e_d: float = 0.0
-    distance_km: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         check_point(self.mu, self.eta_d, self.p_d, self.e_d, beta_db_per_km=self.beta_db_per_km,
                     distance_km=self.distance_km, eta_name="eta_d")
+        return self
 
 
-@dataclass(frozen=True)
-class DetectorStats:
-    """Heralded statistics triple: gain, CHSH value, and Z-basis error rate.
+class DetectorStats(namedtuple("DetectorStats", "q_zz s e_zz")):
+    """Heralded statistics triple of floats: gain, CHSH value, and Z-basis error rate.
 
     `s` is a signed combination of correlators; it can legitimately fall
     below zero when dark counts dominate at extreme loss, so only the
     algebraic ceiling |s| <= 2*sqrt(2) is enforced here.
     """
 
-    q_zz: float
-    s: float
-    e_zz: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_stats(self.q_zz, self.s, self.e_zz)
+    def __new__(cls, q_zz: float, s: float, e_zz: float):
+        check_stats(q_zz, s, e_zz)
+        return tuple.__new__(cls, (q_zz, s, e_zz))
 
 
-@dataclass(frozen=True)
-class KeyRatePoint:
+class KeyRatePoint(namedtuple("KeyRatePoint", "rate stats params")):
     """Secret key rate per protocol trial together with its inputs."""
 
-    rate: float
-    stats: DetectorStats
-    params: ProtocolParams
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.rate < 0.0:
-            raise ParameterError(f"rate must be clamped to >= 0, got {self.rate}")
-        if self.rate > self.stats.q_zz + 1e-12:
-            raise ParameterError(
-                f"rate {self.rate} exceeds the heralded gain {self.stats.q_zz}"
-            )
+    def __new__(cls, rate: float, stats: DetectorStats, params: ProtocolParams):
+        if rate < 0.0:
+            raise ParameterError(f"rate must be clamped to >= 0, got {rate}")
+        if rate > stats.q_zz + 1e-12:
+            raise ParameterError(f"rate {rate} exceeds the heralded gain {stats.q_zz}")
+        return tuple.__new__(cls, (rate, stats, params))

@@ -138,7 +138,8 @@ def _ecs_misaligned(mu: float, eta: float, p_d: float, e_d: float) -> tuple[floa
     """
     x_dim = 2.0 * mu * eta * e_d            # intensity routed to the dim port
     x_bright = 2.0 * mu * eta * (1.0 - e_d)  # intensity routed to the bright port
-    bracket = math.expm1(x_dim) + math.expm1(x_bright) + 2.0 * p_d
+    dim = math.expm1(x_dim)
+    bracket = dim + math.expm1(x_bright) + 2.0 * p_d
     if bracket <= 0.0:
         raise ParameterError("degenerate denominator in misaligned statistics")
     q_zz = (1.0 - p_d) * math.exp(-2.0 * mu * eta) * bracket
@@ -147,7 +148,7 @@ def _ecs_misaligned(mu: float, eta: float, p_d: float, e_d: float) -> tuple[floa
         - 2.0 * math.exp(-2.0 * mu * (1.0 - eta)) * (math.expm1(-x_dim) + p_d)
     )
     s = _SQRT2 * w / (math.exp(2.0 * mu * (1.0 - eta)) * bracket)
-    e_zz = (math.expm1(x_dim) + p_d) / bracket
+    e_zz = (dim + p_d) / bracket
     return q_zz, s, e_zz
 
 

@@ -240,13 +240,15 @@ def test_arithmetic_overflow_is_compute_error():
         assert done.stdout == ""
 
 
-# Runs one CLI command in a fresh interpreter and reports the heavy packages
+# Runs one CLI command in a fresh interpreter and reports the heavy modules
 # loaded by `import ecs_diqkd`, then by the command, then by asking the
-# package for a Fock-space name.
+# package for a Fock-space name.  `dataclasses` (with `inspect`) and `json`
+# count as heavy because they cost start-up time on every call; the probe
+# imports `json` for its report only after the last measurement.
 _LOAD_PROBE = (
-    "import json, runpy, sys\n"
+    "import runpy, sys\n"
     "def heavy():\n"
-    "    roots = ('numpy', 'scipy', 'concurrent', 'multiprocessing')\n"
+    "    roots = ('numpy', 'scipy', 'concurrent', 'multiprocessing', 'dataclasses', 'json')\n"
     "    return sorted({m.split('.')[0] for m in sys.modules} & set(roots))\n"
     "import ecs_diqkd\n"
     "after_import = heavy()\n"
@@ -257,7 +259,9 @@ _LOAD_PROBE = (
     "    code = exc.code\n"
     "after_cli = heavy()\n"
     "assert ecs_diqkd.verify_grid is ecs_diqkd.oracle.verify_grid\n"
-    "print(json.dumps([after_import, after_cli, code, heavy()]), file=sys.stderr)\n"
+    "after_lazy = heavy()\n"
+    "import json\n"
+    "print(json.dumps([after_import, after_cli, code, after_lazy]), file=sys.stderr)\n"
 )
 
 
@@ -268,6 +272,7 @@ def _load_probe(*argv: str) -> tuple[list[str], list[str], int, list[str], str]:
 
 
 def test_import_and_cli_load_no_scipy():
+    """Neither the import nor a ``rates`` call loads scipy, numpy, dataclasses or json."""
     after_import, after_cli, code, _, out = _load_probe("rates", "--mu", "0.1", "--distance", "100")
     assert code == 0
     assert "rate_ecs = " in out
@@ -286,7 +291,8 @@ def test_import_and_cli_load_no_scipy():
     ids=["rates", "sweep", "crossover", "verify"],
 )
 def test_closed_form_path_loads_no_numpy(argv, printed):
-    """Only the oracle needs numpy: the closed-form subcommands never load it."""
+    """Only the oracle needs numpy: the closed-form subcommands never load it.
+    None of these commands loads dataclasses or json."""
     after_import, after_cli, code, after_lazy, out = _load_probe(*argv)
     assert code == 0
     assert printed in out
