@@ -132,23 +132,25 @@ def _pair_heralds(weights: np.ndarray, vectors: np.ndarray, p_d: float) -> np.nd
     """
     kept = [np.flatnonzero(w > _EIG_WEIGHT_FLOOR) for w in weights]
     position = {arm: i for i, arm in enumerate(ARMS)}
-    left, right, product_weights, owner = [], [], [], []
+    # One row (pair index, arm i, vector p, arm j, vector q) per product.
+    products = []
     for c, ((role_a, role_b), (a, b)) in enumerate(itertools.product(ROLE_PAIRS, OUTCOME_PAIRS)):
         i, j = position[role_a, a], position[role_b, b]
-        for p in kept[i]:
-            for q in kept[j]:
-                left.append(vectors[i, :, p])
-                right.append(vectors[j, :, q])
-                product_weights.append(weights[i, p] * weights[j, q])
-                owner.append(c)
-    joint = mode_product(np.stack(left, axis=-1), np.stack(right, axis=-1))
-    joint = beamsplitter_apply(joint, 0.5)
-    heralds = np.asarray(threshold_detect(joint, p_d)) * np.array(product_weights)
+        products += [(c, i, p, j, q) for p, q in itertools.product(kept[i], kept[j])]
+    owner, arm_i, vec_p, arm_j, vec_q = np.array(products).T
+    # The transposed gathers are Fortran-ordered, and so would be their
+    # mode product, which beamsplitter_apply would copy; made C-ordered here.
+    left = np.ascontiguousarray(vectors[arm_i, :, vec_p].T)
+    right = np.ascontiguousarray(vectors[arm_j, :, vec_q].T)
+    joint = beamsplitter_apply(mode_product(left, right), 0.5)
+    product_weights = weights[arm_i, vec_p] * weights[arm_j, vec_q]
+    heralds = np.asarray(threshold_detect(joint, p_d)) * product_weights
     combos = len(ROLE_PAIRS) * len(OUTCOME_PAIRS)
     sums = np.stack([np.bincount(owner, weights=row, minlength=combos) for row in heralds])
     sums = sums.reshape(len(heralds), len(ROLE_PAIRS), len(OUTCOME_PAIRS))
     total = sum(sums)  # d1_only + d2_only + none + both, in that order
-    bad = np.argwhere(abs(total - 1.0) > 1e-10)
+    # Written so that a NaN sum fails the check too.
+    bad = np.argwhere(~(abs(total - 1.0) <= 1e-10))
     if bad.size:
         r, o = bad[0]
         raise CutoffError(

@@ -121,6 +121,15 @@ def _binomial_blocks(n_max: int, transmittance: float) -> list[np.ndarray]:
     return blocks
 
 
+def _block_modes(n_max: int, total: int, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, m) mode numbers of a block's rows, checked to be (k, N - k)."""
+    dim = n_max + 1
+    n, m = np.divmod(np.arange(dim * dim)[rows], dim)
+    assert np.array_equal(n, np.arange(max(0, total - n_max), min(n_max, total) + 1))
+    assert np.array_equal(n + m, np.full(n.size, total))
+    return n, m
+
+
 @pytest.mark.parametrize("transmittance", [0.5, 0.2, 0.83, 1.0])
 def test_beamsplitter_blocks_match_binomial_build(transmittance):
     # n_max = 12 keeps every block below the photon numbers where the
@@ -128,10 +137,10 @@ def test_beamsplitter_blocks_match_binomial_build(transmittance):
     n_max = 12
     blocks = _beamsplitter_blocks(n_max, transmittance)
     assert len(blocks) == 2 * n_max + 1
-    for total, ((idx, co_idx, block), expected) in enumerate(
+    for total, ((rows, block), expected) in enumerate(
         zip(blocks, _binomial_blocks(n_max, transmittance))
     ):
-        assert np.array_equal(idx + co_idx, np.full(idx.size, total))
+        _block_modes(n_max, total, rows)
         assert np.max(np.abs(block - expected)) < 1e-13, total
 
 
@@ -139,8 +148,49 @@ def test_beamsplitter_blocks_are_orthogonal():
     # Uncropped blocks (total photon number <= n_max) are real orthogonal.
     n_max = 30
     for transmittance in (0.5, 0.37):
-        for idx, _, block in _beamsplitter_blocks(n_max, transmittance)[: n_max + 1]:
-            assert np.max(np.abs(block @ block.T - np.eye(idx.size))) < 1e-12
+        blocks = _beamsplitter_blocks(n_max, transmittance)
+        for total, (rows, block) in enumerate(blocks[: n_max + 1]):
+            n, _ = _block_modes(n_max, total, rows)
+            assert np.max(np.abs(block @ block.T - np.eye(n.size))) < 1e-12
+        for total, (rows, _) in enumerate(blocks[n_max + 1:], start=n_max + 1):
+            _block_modes(n_max, total, rows)
+
+
+def _gather_scatter_reference(state: np.ndarray, transmittance: float) -> np.ndarray:
+    """``beamsplitter_apply`` without its certificate, each block's rows
+    gathered by a fancy index and scattered back."""
+    dim = state.shape[0]
+    work = np.ascontiguousarray(state.reshape(dim * dim, -1), dtype=complex).view(np.float64)
+    out = np.empty_like(work)
+    for total, (_, block) in enumerate(_beamsplitter_blocks(dim - 1, transmittance)):
+        k = np.arange(max(0, total - dim + 1), min(dim - 1, total) + 1)
+        flat = k * dim + (total - k)
+        out[flat] = block @ work[flat]
+    return out.view(complex).reshape(state.shape)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 7, 30])
+@pytest.mark.parametrize("transmittance", [0.0, 0.37, 0.5, 1.0])
+def test_beamsplitter_row_views_match_gather_scatter_bit_for_bit(n_max, transmittance):
+    # Random states whose amplitude past total photon number n_max is tiny
+    # enough to pass the norm certificate, yet drives every cropped block.
+    rng = np.random.default_rng(n_max)
+    dim = n_max + 1
+    outside = np.add.outer(np.arange(dim), np.arange(dim)) > n_max
+    for size in (1, 10, 52):
+        state = rng.normal(size=(dim, dim, size)) + 1j * rng.normal(size=(dim, dim, size))
+        state[outside] *= 1e-12
+        layouts = {"C": np.ascontiguousarray(state), "Fortran": np.asfortranarray(state),
+                   "reversed batch": state[..., ::-1]}
+        for layout, view in layouts.items():
+            expected = _gather_scatter_reference(view, transmittance)
+            assert np.array_equal(beamsplitter_apply(view, transmittance), expected), (
+                size, layout)
+
+
+def test_beamsplitter_certificate_fails_a_nan_state():
+    with pytest.raises(CutoffError, match="batch element 0"):
+        beamsplitter_apply(np.full((11, 11, 1), np.nan, dtype=complex), 0.5)
 
 
 def _batch(*states: np.ndarray) -> np.ndarray:
@@ -317,6 +367,14 @@ def test_beamsplitter_rejects_cutoff_overflow():
 def test_beamsplitter_transmittance_validation():
     with pytest.raises(ParameterError, match="transmittance must be in"):
         beamsplitter_apply(_vacuum_pair(), 1.5)
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_misalignment_rejects_non_finite_angles(angle):
+    batch = _batch(_vacuum_pair(), _vacuum_pair())
+    for angles in (angle, np.array([0.1, angle])):
+        with pytest.raises(ParameterError, match="^misalignment angles must be finite"):
+            misalignment_rotate(batch, angles)
 
 
 def test_misalignment_identity_at_zero():

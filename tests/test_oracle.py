@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ecs_diqkd import oracle
 from ecs_diqkd.fock import (
     CutoffError,
+    HeraldProbabilities,
     beamsplitter_apply,
     coherent_fock,
     misalignment_rotate,
@@ -162,6 +163,15 @@ def test_oracle_cutoff_certificate():
         oracle_stats(1.0, 0.5, 0.0, 0.0, n_max=10)
 
 
+def test_oracle_herald_sum_check_fails_nan_heralds(monkeypatch):
+    def nan_readout(state, p_d):
+        return HeraldProbabilities(*np.full((4, state.shape[-1]), np.nan))
+
+    monkeypatch.setattr(oracle, "threshold_detect", nan_readout)
+    with pytest.raises(CutoffError, match="sum to nan"):
+        oracle_stats(0.25, 0.5, 1e-5, 0.01)
+
+
 def test_oracle_rejects_bad_parameters():
     with pytest.raises(ParameterError):
         oracle_stats(0.0, 0.5, 0.0, 0.0)
@@ -187,6 +197,16 @@ def test_acceptance_grid_shape():
     grid = acceptance_grid()
     assert len(grid) == 5 * 4 * 3 * 3
     assert (0.25, 1.0, 0.0, 0.0) in grid
+
+
+def test_verify_point_does_not_depend_on_its_call_mates():
+    # No cache across calls and no batch widened across points: a point
+    # checked alone reads the same as in a call with eleven others.
+    points = acceptance_grid()[::15]
+    assert len(points) == 12
+    together = verify_grid(points=points).points
+    for point, shared in zip(points, together):
+        assert repr(verify_grid(points=[point]).points[0]) == repr(shared)
 
 
 def test_verify_adjudicates_e_zz_reading():
