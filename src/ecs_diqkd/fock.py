@@ -36,8 +36,8 @@ import numpy as np
 from .params import ParameterError, check_point
 
 # Largest Fock cutoff a state may have.  The batched oracle holds every
-# eigenvector product at once, so its peak memory grows about as n_max**2
-# (one oracle_stats call at 200 peaks at 159 MB resident).
+# arm-component product at once, so its peak memory grows about as n_max**2
+# (one oracle_stats call at 200 peaks at 138 MB resident, 33 MB at 30).
 MAX_N_MAX = 200
 # Certified bound on the photon-number tail mass lost to truncation.
 TAIL_MASS_BOUND = 1e-12

@@ -41,9 +41,14 @@ from .params import (
     check_point,
 )
 
-# Eigenvalues of an arm density matrix below this weight are numerical noise
-# of the exact rank-2 mixture and are dropped.
+# Eigenvalues of an arm's 2x2 mixture below this weight are rounding noise,
+# the null direction of an arm that is a pure state, and are dropped.
 _EIG_WEIGHT_FLOOR = 1e-14
+# Largest squared norm an arm state may leave outside the span of its first
+# two environment columns.  The exact model leaves none; rounding left at
+# most 8e-31 on the acceptance grid, on 200 seeded points with eta down to
+# 1e-8 (n_max 30 and 60), and at mu = 20 with n_max = 120.
+_SPAN_RESIDUAL_BOUND = 1e-14
 
 # Spin measurement directions chi_theta = cos(theta) sigma_z + sin(theta) sigma_x.
 SETTING_ANGLES: dict[str, float] = {
@@ -96,14 +101,18 @@ ARMS: tuple[tuple[str, int], ...] = tuple(
 def _arm_mixtures(
     mu: float, eta: float, delta0: float, n_max: int
 ) -> tuple[dict[tuple[str, int], float], np.ndarray, np.ndarray]:
-    """Reduced states of every arm at the central station, eigendecomposed.
+    """Reduced states of every arm at the central station, as rank-2 mixtures.
 
     Builds the ten conditional pulses as one batch, couples each to a vacuum
     environment mode through a beamsplitter of transmittance eta, applies
-    the misalignment phase to the surviving mode of Bob's arms, traces the
-    environment out, and eigendecomposes the stack of single-mode density
-    matrices.  Returns the spin-outcome prior of each arm, and the weights
-    and column-eigenvectors indexed by the position of the arm in ``ARMS``.
+    the misalignment phase to the surviving mode of Bob's arms, and traces
+    the environment out.  Environment photon number m leaves the signal in
+    c_plus |t alpha> + (-1)^m c_minus |-t alpha> (t = sqrt(eta), up to a
+    factor), so the environment columns 0 and 1 span each arm's range: the
+    mixture is eigendecomposed in that two-dimensional span, and the
+    certificate below requires every column to lie in it.  Returns the
+    spin-outcome prior of each arm, and the two weights and column-vectors
+    of each arm, indexed by the position of the arm in ``ARMS``.
     """
     alpha = math.sqrt(mu)
     branches = [cat_branch(mu, SETTING_ANGLES[role], outcome) for role, outcome in ARMS]
@@ -113,23 +122,43 @@ def _arm_mixtures(
     arms = beamsplitter_apply(mode_product(pulses, vacuum_state(n_max)), eta)
     drifts = np.array([delta0 if role.startswith("B") else 0.0 for role, _ in ARMS])
     arms = misalignment_rotate(arms, drifts)
-    # Trace out the environment: rho = Psi Psi+ over the signal index.
+    # psi[arm] is (signal, environment); tracing the environment out gives
+    # rho = psi psi+ = basis (coords coords+) basis+.
     psi = np.moveaxis(arms, -1, 0)
-    rho = psi @ psi.conj().swapaxes(1, 2)
-    weights, vectors = np.linalg.eigh(rho)
-    return priors, weights, vectors
+    basis, _ = np.linalg.qr(psi[:, :, :2])
+    coords = basis.conj().swapaxes(1, 2) @ psi
+    # Summed from the residual itself, not as a difference of norms near 1;
+    # written so that a NaN mass fails the check too.
+    residual = psi - basis @ coords
+    outside = (residual.real**2 + residual.imag**2).sum(axis=(1, 2))
+    bad = np.flatnonzero(~(outside <= _SPAN_RESIDUAL_BOUND))
+    if bad.size:
+        raise CutoffError(
+            f"arm {ARMS[bad[0]]} leaves mass {outside[bad[0]]:.3e} outside the span "
+            f"of its first two environment columns"
+        )
+    weights, small = np.linalg.eigh(coords @ coords.conj().swapaxes(1, 2))
+    return priors, weights, basis @ small
 
 
-def _pair_heralds(weights: np.ndarray, vectors: np.ndarray, p_d: float) -> np.ndarray:
-    """Herald probabilities of every (role pair, outcome pair) arm product.
+# The p_d-free part of one point: the spin-outcome prior of each (role pair,
+# outcome pair), shape (len(ROLE_PAIRS), len(OUTCOME_PAIRS)); the pair index
+# and mixture weight of every arm-component product; and those products after
+# the central beamsplitter, as one two-mode batch.
+_OpticalState = namedtuple("_OpticalState", "prior owner weights joint")
+
+
+def _optical_state(mu: float, eta: float, e_d: float, n_max: int) -> _OpticalState:
+    """Everything of a point that dark counts do not enter.
 
     The detector formulas are linear in the joint photon-number
     distribution, so each mixture readout is the weighted sum over pure
-    eigenvector products (eigenweights at or below the floor dropped).  All
+    component products (arm weights at or below the floor dropped).  All
     products of all pairs go through the central beamsplitter as one batch.
-    Returns shape ``(4, len(ROLE_PAIRS), len(OUTCOME_PAIRS))``; axis 0 follows
-    the fields of ``fock.HeraldProbabilities`` (d1_only, d2_only, none, both).
     """
+    certify_cutoff(mu, n_max)
+    delta0 = math.acos(1.0 - 2.0 * e_d)
+    priors, weights, vectors = _arm_mixtures(mu, eta, delta0, n_max)
     kept = [np.flatnonzero(w > _EIG_WEIGHT_FLOOR) for w in weights]
     position = {arm: i for i, arm in enumerate(ARMS)}
     # One row (pair index, arm i, vector p, arm j, vector q) per product.
@@ -143,10 +172,20 @@ def _pair_heralds(weights: np.ndarray, vectors: np.ndarray, p_d: float) -> np.nd
     left = np.ascontiguousarray(vectors[arm_i, :, vec_p].T)
     right = np.ascontiguousarray(vectors[arm_j, :, vec_q].T)
     joint = beamsplitter_apply(mode_product(left, right), 0.5)
-    product_weights = weights[arm_i, vec_p] * weights[arm_j, vec_q]
-    heralds = np.asarray(threshold_detect(joint, p_d)) * product_weights
+    prior = np.array([[priors[role_a, a] * priors[role_b, b] for a, b in OUTCOME_PAIRS]
+                      for role_a, role_b in ROLE_PAIRS])
+    return _OpticalState(prior, owner, weights[arm_i, vec_p] * weights[arm_j, vec_q], joint)
+
+
+def _pair_heralds(state: _OpticalState, p_d: float) -> np.ndarray:
+    """Herald probabilities of every (role pair, outcome pair): the dark-count readout.
+
+    Returns shape ``(4, len(ROLE_PAIRS), len(OUTCOME_PAIRS))``; axis 0 follows
+    the fields of ``fock.HeraldProbabilities`` (d1_only, d2_only, none, both).
+    """
+    heralds = np.asarray(threshold_detect(state.joint, p_d)) * state.weights
     combos = len(ROLE_PAIRS) * len(OUTCOME_PAIRS)
-    sums = np.stack([np.bincount(owner, weights=row, minlength=combos) for row in heralds])
+    sums = np.stack([np.bincount(state.owner, weights=row, minlength=combos) for row in heralds])
     sums = sums.reshape(len(heralds), len(ROLE_PAIRS), len(OUTCOME_PAIRS))
     total = sum(sums)  # d1_only + d2_only + none + both, in that order
     # Written so that a NaN sum fails the check too.
@@ -173,27 +212,10 @@ def certify_cutoff(mu: float, n_max: int) -> None:
         )
 
 
-def oracle_stats(
-    mu: float, eta: float, p_d: float, e_d: float = 0.0, n_max: int = DEFAULT_N_MAX
-) -> DetectorStats:
-    """Heralded statistics computed from the full quantum model.
-
-    Aggregation follows the protocol steps: a trial succeeds when exactly
-    one detector clicks; Bob flips his outcome on a D2 herald only when his
-    basis is Z; the gain and error rate come from the Z/Z setting pair and
-    the CHSH value from the four test pairs, with correlators conditioned
-    on success.
-    """
-    check_point(mu, eta, p_d, e_d)
-    check_n_max(n_max)
-    certify_cutoff(mu, n_max)
-
-    delta0 = math.acos(1.0 - 2.0 * e_d)
-    priors, weights, vectors = _arm_mixtures(mu, eta, delta0, n_max)
-    d1, d2 = _pair_heralds(weights, vectors, p_d)[:2]
-    # Spin-outcome prior of each (role pair, outcome pair), shaped as d1 and d2.
-    prior = np.array([[priors[role_a, a] * priors[role_b, b] for a, b in OUTCOME_PAIRS]
-                      for role_a, role_b in ROLE_PAIRS])
+def _detector_stats(state: _OpticalState, p_d: float) -> DetectorStats:
+    """The statistics of :func:`oracle_stats` from one optical state and dark counts p_d."""
+    d1, d2 = _pair_heralds(state, p_d)[:2]
+    prior = state.prior
     parity = np.array([a * b for a, b in OUTCOME_PAIRS])
     flip = np.array([[-1.0 if SETTING_ANGLES[role_b] == 0.0 else 1.0]
                      for _, role_b in ROLE_PAIRS])
@@ -212,6 +234,22 @@ def oracle_stats(
             for row, (_, _, sign) in enumerate(CHSH_PAIRS, start=1))
 
     return DetectorStats(q_zz=q_zz, s=s, e_zz=e_zz)
+
+
+def oracle_stats(
+    mu: float, eta: float, p_d: float, e_d: float = 0.0, n_max: int = DEFAULT_N_MAX
+) -> DetectorStats:
+    """Heralded statistics computed from the full quantum model.
+
+    Aggregation follows the protocol steps: a trial succeeds when exactly
+    one detector clicks; Bob flips his outcome on a D2 herald only when his
+    basis is Z; the gain and error rate come from the Z/Z setting pair and
+    the CHSH value from the four test pairs, with correlators conditioned
+    on success.
+    """
+    check_point(mu, eta, p_d, e_d)
+    check_n_max(n_max)
+    return _detector_stats(_optical_state(mu, eta, e_d, n_max), p_d)
 
 
 # --- comparison against the closed forms -----------------------------------
@@ -347,21 +385,36 @@ def verify_grid(
     """Compare closed forms with the oracle over a grid of parameter tuples."""
     points = acceptance_grid() if points is None else points
     check_verify_settings(tol, n_max, eta_d_literal, points)
-    checks: list[PointCheck] = []
-    for mu, eta, p_d, e_d in points:
+    # Dark counts enter only the readout, so points that differ only in p_d
+    # share one optical state.  It lives for one group of this call: nothing
+    # is cached across calls, and no batch spans two optical states.
+    groups: dict[tuple[float, float, float], list[int]] = {}
+    for index, (mu, eta, _, e_d) in enumerate(points):
+        groups.setdefault((mu, eta, e_d), []).append(index)
+    checks: list[PointCheck | None] = [None] * len(points)
+    for (mu, eta, e_d), members in groups.items():
         try:
-            closed = ecs_misaligned_stats(mu, eta, p_d, e_d)
-            actual = oracle_stats(mu, eta, p_d, e_d, n_max=n_max)
-            literal = misaligned_e_zz_literal(mu, eta, eta_d_literal, p_d, e_d)
-            outcome = dict(
-                dev_q_zz=abs(actual.q_zz - closed.q_zz),
-                dev_s=abs(actual.s - closed.s),
-                dev_e_zz=abs(actual.e_zz - closed.e_zz),
-                dev_e_zz_literal=abs(actual.e_zz - literal),
-            )
+            state, failure = _optical_state(mu, eta, e_d, n_max), None
         except CutoffError as exc:
-            outcome = dict(error=str(exc))
-        checks.append(PointCheck(mu, eta, p_d, e_d, **outcome))
+            state, failure = None, str(exc)
+        for index in members:
+            mu, eta, p_d, e_d = points[index]
+            outcome = dict(error=failure)
+            if state is not None:
+                try:
+                    actual = _detector_stats(state, p_d)
+                except CutoffError as exc:
+                    outcome = dict(error=str(exc))
+                else:
+                    closed = ecs_misaligned_stats(mu, eta, p_d, e_d)
+                    literal = misaligned_e_zz_literal(mu, eta, eta_d_literal, p_d, e_d)
+                    outcome = dict(
+                        dev_q_zz=abs(actual.q_zz - closed.q_zz),
+                        dev_s=abs(actual.s - closed.s),
+                        dev_e_zz=abs(actual.e_zz - closed.e_zz),
+                        dev_e_zz_literal=abs(actual.e_zz - literal),
+                    )
+            checks[index] = PointCheck(mu, eta, p_d, e_d, **outcome)
     return VerificationReport(
         points=checks, tol=tol, n_max=n_max, eta_d_literal=eta_d_literal
     )

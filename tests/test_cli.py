@@ -494,7 +494,7 @@ def test_verify_cutoff_out_of_range_is_usage_error(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("oracle work started")
 
-    monkeypatch.setattr(oracle, "oracle_stats", refuse)
+    monkeypatch.setattr(oracle, "_optical_state", refuse)
     for flags, message in (
         (["--n-max", "100000"], "n_max must be in [1, 200]"),
         (["--n-max", "0"], "n_max must be in [1, 200]"),

@@ -201,12 +201,35 @@ def test_acceptance_grid_shape():
 
 def test_verify_point_does_not_depend_on_its_call_mates():
     # No cache across calls and no batch widened across points: a point
-    # checked alone reads the same as in a call with eleven others.
-    points = acceptance_grid()[::15]
-    assert len(points) == 12
+    # checked alone reads the same as in the whole grid, where it shares its
+    # optical state with the two points that differ from it only in p_d.
+    points = acceptance_grid()
     together = verify_grid(points=points).points
+    assert [check[:4] for check in together] == points
     for point, shared in zip(points, together):
         assert repr(verify_grid(points=[point]).points[0]) == repr(shared)
+
+
+def test_verify_builds_one_optical_state_per_dark_count_group(monkeypatch):
+    # p_d enters only the readout: the 180 grid points need 60 optical states.
+    calls = []
+    arm_mixtures = oracle._arm_mixtures
+
+    def counted(*args):
+        calls.append(args)
+        return arm_mixtures(*args)
+
+    monkeypatch.setattr(oracle, "_arm_mixtures", counted)
+    assert verify_grid().passed
+    assert len(calls) == 60
+
+
+def test_verify_reads_out_a_failed_optical_state_as_an_error_per_point():
+    # All three p_d siblings of an uncertifiable point carry the same error.
+    points = [(1.0, 0.5, p_d, 0.0) for p_d in oracle.ACCEPTANCE_PDS]
+    report = verify_grid(points=points + [(0.1, 0.5, 1e-7, 0.01)], n_max=10)
+    assert [check.error is None for check in report.points] == [False, False, False, True]
+    assert len({check.error for check in report.errors}) == 1
 
 
 def test_verify_adjudicates_e_zz_reading():
@@ -262,7 +285,7 @@ def test_verify_rejects_bad_literal_eta_d_and_points(kwargs, monkeypatch):
     def refuse(*args, **kw):
         raise AssertionError("oracle work started")
 
-    monkeypatch.setattr(oracle, "oracle_stats", refuse)
+    monkeypatch.setattr(oracle, "_optical_state", refuse)
     with pytest.raises(ParameterError):
         verify_grid(**{"points": [(0.25, 1.0, 0.0, 0.0)], **kwargs})
 
@@ -331,6 +354,8 @@ def _reference_oracle(mu: float, eta: float, p_d: float, e_d: float, n_max: int 
         (0.5, 1.0, 1e-6, 0.03),
         (0.01, 0.2, 3e-8, 0.2),
         (0.37, 0.61, 2e-5, 0.5),
+        (0.25, 1.0, 1e-6, 0.0),  # every arm a pure state
+        (0.3, 1e-6, 1e-7, 0.02),
     ],
 )
 def test_oracle_matches_per_product_reference(point):
@@ -379,3 +404,55 @@ def test_oracle_matches_closed_form_at_low_transmittance():
         assert actual.q_zz == pytest.approx(closed.q_zz, rel=1e-12, abs=0.0), point
         assert actual.s == pytest.approx(closed.s, rel=0.0, abs=1e-12), point
         assert actual.e_zz == pytest.approx(closed.e_zz, rel=1e-12, abs=0.0), point
+
+
+def _arm_cases():
+    """(mu, eta, e_d, n_max) of the acceptance grid, 40 seeded points, and eta = 1, e_d = 0."""
+    cases = sorted({(mu, eta, e_d, N_MAX) for mu, eta, _, e_d in acceptance_grid()})
+    rng = np.random.default_rng(20261019)
+    for k in range(40):
+        eta = float(10.0 ** rng.uniform(-8.0, 0.0))
+        mu = float(10.0 ** rng.uniform(-3.0, 0.0))
+        cases.append((mu, eta, float(rng.uniform(0.0, 0.5)), (30, 60)[k % 2]))
+    return cases + [(0.3, 1.0, 0.0, N_MAX)]
+
+
+def test_arm_factor_reproduces_the_mixture(monkeypatch):
+    # The rank-2 factor gives every arm's density matrix, and keeps as many
+    # components as a full eigendecomposition of it with the same floor.
+    captured = []
+
+    def capture(state, delta0):
+        captured.append(misalignment_rotate(state, delta0))
+        return captured[-1]
+
+    monkeypatch.setattr(oracle, "misalignment_rotate", capture)
+    for mu, eta, e_d, n_max in _arm_cases():
+        captured.clear()
+        _, weights, vectors = oracle._arm_mixtures(mu, eta, math.acos(1.0 - 2.0 * e_d), n_max)
+        psi = np.moveaxis(captured[0], -1, 0)
+        rho = psi @ psi.conj().swapaxes(1, 2)
+        full = np.linalg.eigvalsh(rho)
+        for arm, (w, v) in enumerate(zip(weights, vectors)):
+            keep = w > oracle._EIG_WEIGHT_FLOOR
+            mixture = (v[:, keep] * w[keep]) @ v[:, keep].conj().T
+            assert np.max(np.abs(mixture - rho[arm])) <= 1e-14, (mu, eta, e_d, n_max, arm)
+            assert keep.sum() == (full[arm] > oracle._EIG_WEIGHT_FLOOR).sum(), (
+                mu, eta, e_d, n_max, arm
+            )
+        if eta == 1.0 and e_d == 0.0:
+            assert (weights > oracle._EIG_WEIGHT_FLOOR).sum(axis=1).tolist() == [1] * 10
+
+
+@pytest.mark.parametrize("extra", [1e-3, math.nan], ids=["third component", "nan"])
+def test_arm_span_certificate_fires(monkeypatch, extra):
+    # An amplitude outside the span of an arm's first two environment
+    # columns (or a NaN one) cannot be written as a rank-2 mixture.
+    def corrupt(state, delta0):
+        rotated = misalignment_rotate(state, delta0)
+        rotated[5, 2, 3] += extra  # signal |5>, environment |2>, arm 3
+        return rotated
+
+    monkeypatch.setattr(oracle, "misalignment_rotate", corrupt)
+    with pytest.raises(CutoffError, match=r"arm \('A1', -1\) leaves mass .* outside the span"):
+        oracle_stats(0.25, 0.5, 1e-5, 0.01)
