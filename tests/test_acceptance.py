@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ecs_diqkd.fock import beamsplitter_apply, coherent_fock, mode_product
 from ecs_diqkd.optimize import (
@@ -38,8 +37,21 @@ def _report(number: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {number}: {detail}"
 
 
+def _bisect(f, lo: float, hi: float, xtol: float) -> float:
+    """Root of f in [lo, hi], where f changes sign, to within xtol."""
+    lo_negative = f(lo) < 0.0
+    assert lo_negative != (f(hi) < 0.0), "no sign change in the bracket"
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if (f(mid) < 0.0) == lo_negative:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def test_criterion_1_chsh_violation_threshold():
-    root = brentq(lambda mu: ecs_ideal_stats(mu).s - 2.0, 0.3, 0.6, xtol=1e-13)
+    root = _bisect(lambda mu: ecs_ideal_stats(mu).s - 2.0, 0.3, 0.6, xtol=1e-13)
     analytic = -math.log(math.sqrt(2.0) - 1.0) / 2.0
     ok = abs(root - 0.4407) <= 1e-4 and abs(root - analytic) <= 1e-10
     _report(1, ok, f"violation boundary at mu = {root:.6f} (analytic {analytic:.6f})")

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
+import decimal
 import math
 
 import numpy as np
 import pytest
-from scipy.special import comb
-from scipy.stats import poisson
 
 from ecs_diqkd.fock import (
     MAX_N_MAX,
@@ -55,17 +54,37 @@ def test_coherent_cutoff_certificate():
     assert poisson_tail(9.0, 10) > 1e-12
 
 
+def _decimal_poisson_tail(intensity: float, n_max: int) -> float:
+    """P(n > n_max) for Poisson mean ``intensity``, summed term by term in
+    50-digit decimal arithmetic, whose exponent range holds every term."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        mu = decimal.Decimal(intensity)
+        term = (-mu).exp()
+        for n in range(1, n_max + 2):
+            term = term * mu / n
+        # term is P(n_max + 1); the terms rise up to n = mu, then fall.
+        total, n = decimal.Decimal(0), n_max + 1
+        while n <= intensity or term > total.scaleb(-50):
+            total += term
+            n += 1
+            term = term * mu / n
+        return float(total)
+
+
 @pytest.mark.parametrize("n_max", [0, 1, 5, 10, 30, 60])
 def test_poisson_tail_matches_scipy(n_max):
+    # The reference was scipy.stats.poisson.sf; it is now the 50-digit sum above.
     # Intensities span 1e-6 to 100, far above n_max for the small cutoffs.
-    # Below 1e-290 the reference sits in or near the subnormal range, where
-    # doubles hold fewer digits, so both values need only be that small.
+    # Below 1e-290 poisson_tail's double terms sit in or near the subnormal
+    # range, where they hold fewer digits, so both values need only be that
+    # small.
     edges = [n_max, n_max + 0.5, n_max + 1.0, n_max + 1.5]
     intensities = list(np.geomspace(1e-6, 100.0, 97)) + edges
     for intensity in intensities:
         intensity = float(intensity)
         ours = poisson_tail(intensity, n_max)
-        reference = float(poisson.sf(n_max, intensity))
+        reference = _decimal_poisson_tail(intensity, n_max)
         if reference < 1e-290:
             assert ours < 1e-290, (intensity, ours, reference)
         else:
@@ -99,6 +118,11 @@ def test_constructors_check_the_cutoff():
         assert make(MAX_N_MAX).shape == (MAX_N_MAX + 1, 1)
 
 
+def _comb(n: int, ks: np.ndarray) -> np.ndarray:
+    """Binomial coefficients C(n, k) for each k, exact before the cast to float."""
+    return np.array([math.comb(n, int(k)) for k in ks], dtype=float)
+
+
 def _binomial_blocks(n_max: int, transmittance: float) -> list[np.ndarray]:
     """Blocks read off (t a1+ + r a2+)^n (r a1+ - t a2+)^m |0,0> by expanding
     both binomials and convolving their coefficients."""
@@ -111,7 +135,7 @@ def _binomial_blocks(n_max: int, transmittance: float) -> list[np.ndarray]:
             m = total - n
             i, j = np.arange(n + 1), np.arange(m + 1)
             coeffs = np.convolve(
-                comb(n, i) * t**i * r ** (n - i), comb(m, j) * r**j * (-t) ** (m - j)
+                _comb(n, i) * t**i * r ** (n - i), _comb(m, j) * r**j * (-t) ** (m - j)
             )
             scale = [math.factorial(k) * math.factorial(total - k) for k in idx]
             block[:, col] = coeffs[idx] * np.sqrt(
