@@ -44,10 +44,10 @@ from .params import (
 # Eigenvalues of an arm's 2x2 mixture below this weight are rounding noise,
 # the null direction of an arm that is a pure state, and are dropped.
 _EIG_WEIGHT_FLOOR = 1e-14
-# Largest squared norm an arm state may leave outside the span of its first
-# two environment columns.  The exact model leaves none; rounding left at
-# most 8e-31 on the acceptance grid, on 200 seeded points with eta down to
-# 1e-8 (n_max 30 and 60), and at mu = 20 with n_max = 120.
+# Largest squared norm an arm state may leave outside the two-dimensional
+# basis of its side.  The exact model leaves none; rounding left at most
+# 1.6e-30 on the acceptance grid, 1.3e-29 on 200 seeded points with eta down
+# to 1e-8 (n_max 30 and 60), and 3.5e-31 at mu = 20 with n_max = 120.
 _SPAN_RESIDUAL_BOUND = 1e-14
 
 # Spin measurement directions chi_theta = cos(theta) sigma_z + sin(theta) sigma_x.
@@ -96,85 +96,82 @@ OUTCOME_PAIRS: tuple[tuple[int, int], ...] = ((+1, +1), (+1, -1), (-1, +1), (-1,
 ARMS: tuple[tuple[str, int], ...] = tuple(
     (role, outcome) for role in SETTING_ANGLES for outcome in (+1, -1)
 )
-
-
-def _arm_mixtures(
-    mu: float, eta: float, delta0: float, n_max: int
-) -> tuple[dict[tuple[str, int], float], np.ndarray, np.ndarray]:
-    """Reduced states of every arm at the central station, as rank-2 mixtures.
-
-    Builds the ten conditional pulses as one batch, couples each to a vacuum
-    environment mode through a beamsplitter of transmittance eta, applies
-    the misalignment phase to the surviving mode of Bob's arms, and traces
-    the environment out.  Environment photon number m leaves the signal in
-    c_plus |t alpha> + (-1)^m c_minus |-t alpha> (t = sqrt(eta), up to a
-    factor), so the environment columns 0 and 1 span each arm's range: the
-    mixture is eigendecomposed in that two-dimensional span, and the
-    certificate below requires every column to lie in it.  Returns the
-    spin-outcome prior of each arm, and the two weights and column-vectors
-    of each arm, indexed by the position of the arm in ``ARMS``.
-    """
-    alpha = math.sqrt(mu)
-    branches = [cat_branch(mu, SETTING_ANGLES[role], outcome) for role, outcome in ARMS]
-    c_plus, c_minus, _ = np.array(branches).T
-    priors = {arm: prior for arm, (_, _, prior) in zip(ARMS, branches)}
-    pulses = coherent_fock(alpha, n_max) * c_plus + coherent_fock(-alpha, n_max) * c_minus
-    arms = beamsplitter_apply(mode_product(pulses, vacuum_state(n_max)), eta)
-    drifts = np.array([delta0 if role.startswith("B") else 0.0 for role, _ in ARMS])
-    arms = misalignment_rotate(arms, drifts)
-    # psi[arm] is (signal, environment); tracing the environment out gives
-    # rho = psi psi+ = basis (coords coords+) basis+.
-    psi = np.moveaxis(arms, -1, 0)
-    basis, _ = np.linalg.qr(psi[:, :, :2])
-    coords = basis.conj().swapaxes(1, 2) @ psi
-    # Summed from the residual itself, not as a difference of norms near 1;
-    # written so that a NaN mass fails the check too.
-    residual = psi - basis @ coords
-    outside = (residual.real**2 + residual.imag**2).sum(axis=(1, 2))
-    bad = np.flatnonzero(~(outside <= _SPAN_RESIDUAL_BOUND))
-    if bad.size:
-        raise CutoffError(
-            f"arm {ARMS[bad[0]]} leaves mass {outside[bad[0]]:.3e} outside the span "
-            f"of its first two environment columns"
-        )
-    weights, small = np.linalg.eigh(coords @ coords.conj().swapaxes(1, 2))
-    return priors, weights, basis @ small
-
+# The side of each arm (0 Alice, 1 Bob), and the arms (Alice's, Bob's) of
+# each (role pair, outcome pair), in the order of the prior's rows.
+_ARM_SIDE = np.array([role.startswith("B") for role, _ in ARMS], dtype=int)
+_PAIR_ARMS = np.array([(ARMS.index((role_a, a)), ARMS.index((role_b, b)))
+                       for role_a, role_b in ROLE_PAIRS for a, b in OUTCOME_PAIRS]).T
 
 # The p_d-free part of one point: the spin-outcome prior of each (role pair,
-# outcome pair), shape (len(ROLE_PAIRS), len(OUTCOME_PAIRS)); the pair index
-# and mixture weight of every arm-component product; and those products after
-# the central beamsplitter, as one two-mode batch.
-_OpticalState = namedtuple("_OpticalState", "prior owner weights joint")
+# outcome pair); the pair index and weight of every kept component product,
+# and its output of the central beamsplitter (a two-mode batch); each side's
+# basis, shape (2, n_max + 1, 2), Alice's first; and each arm's mixture
+# weights and eigenvectors in its side's coordinates.
+_OpticalState = namedtuple(
+    "_OpticalState", "prior owner weights joint basis arm_weights arm_vectors"
+)
 
 
 def _optical_state(mu: float, eta: float, e_d: float, n_max: int) -> _OpticalState:
     """Everything of a point that dark counts do not enter.
 
-    The detector formulas are linear in the joint photon-number
-    distribution, so each mixture readout is the weighted sum over pure
-    component products (arm weights at or below the floor dropped).  All
-    products of all pairs go through the central beamsplitter as one batch.
+    Each arm leaves its source as c_plus |alpha> + c_minus |-alpha>, and
+    loss, Bob's misalignment phase and the central beamsplitter are linear,
+    so they act only on the two pulses and on products of basis vectors.
+    Environment photon number m leaves a lost pulse in |+-t alpha>
+    (t = sqrt(eta)) up to a factor, so environment column 0 of a side's
+    lost pair spans every arm of that side: one QR per side gives its basis,
+    and each arm's 2x2 mixture is eigendecomposed in side coordinates.  The
+    detector formulas are linear in the joint photon-number distribution,
+    so a readout sums over pure component products (weights at or below the
+    floor dropped); u (x) v leaves the central beamsplitter as the sum of
+    u_x v_y times the output of basis product (x, y).
     """
     certify_cutoff(mu, n_max)
+    dim = n_max + 1
+    alpha = math.sqrt(mu)
     delta0 = math.acos(1.0 - 2.0 * e_d)
-    priors, weights, vectors = _arm_mixtures(mu, eta, delta0, n_max)
-    kept = [np.flatnonzero(w > _EIG_WEIGHT_FLOOR) for w in weights]
-    position = {arm: i for i, arm in enumerate(ARMS)}
-    # One row (pair index, arm i, vector p, arm j, vector q) per product.
-    products = []
-    for c, ((role_a, role_b), (a, b)) in enumerate(itertools.product(ROLE_PAIRS, OUTCOME_PAIRS)):
-        i, j = position[role_a, a], position[role_b, b]
-        products += [(c, i, p, j, q) for p, q in itertools.product(kept[i], kept[j])]
-    owner, arm_i, vec_p, arm_j, vec_q = np.array(products).T
-    # The transposed gathers are Fortran-ordered, and so would be their
-    # mode product, which beamsplitter_apply would copy; made C-ordered here.
-    left = np.ascontiguousarray(vectors[arm_i, :, vec_p].T)
-    right = np.ascontiguousarray(vectors[arm_j, :, vec_q].T)
-    joint = beamsplitter_apply(mode_product(left, right), 0.5)
-    prior = np.array([[priors[role_a, a] * priors[role_b, b] for a, b in OUTCOME_PAIRS]
-                      for role_a, role_b in ROLE_PAIRS])
-    return _OpticalState(prior, owner, weights[arm_i, vec_p] * weights[arm_j, vec_q], joint)
+    pulses = np.hstack([coherent_fock(alpha, n_max), coherent_fock(-alpha, n_max)])
+    lost = beamsplitter_apply(mode_product(pulses, vacuum_state(n_max)), eta)
+    # sides[side] is (signal, environment, pulse), Alice's side first.
+    sides = np.stack([lost, misalignment_rotate(lost, delta0)])
+    basis, _ = np.linalg.qr(sides[:, :, 0, :])
+    flat = sides.reshape(2, dim, 2 * dim)  # environment and pulse on one axis
+    coords = basis.conj().swapaxes(1, 2) @ flat
+    residuals = (flat - basis @ coords).reshape(2, dim * dim, 2)
+
+    # psi[arm] = c_plus psi_plus + c_minus psi_minus of its side, as
+    # (signal, environment); rho = psi psi+ = basis (arm_coords arm_coords+) basis+.
+    branches = np.array([cat_branch(mu, SETTING_ANGLES[role], outcome) for role, outcome in ARMS])
+    amplitudes = branches[:, :2, np.newaxis]
+    # Summed from each arm's residual itself, not as a difference of norms
+    # near 1; written so that a NaN mass fails the check too.
+    residual = residuals[_ARM_SIDE] @ amplitudes
+    outside = (residual.real**2 + residual.imag**2).sum(axis=(1, 2))
+    bad = np.flatnonzero(~(outside <= _SPAN_RESIDUAL_BOUND))
+    if bad.size:
+        raise CutoffError(f"arm {ARMS[bad[0]]} leaves mass {outside[bad[0]]:.3e} "
+                          "outside the span of its side's basis")
+    arm_coords = (coords.reshape(2, 2 * dim, 2)[_ARM_SIDE] @ amplitudes).reshape(-1, 2, dim)
+    arm_weights, arm_vectors = np.linalg.eigh(arm_coords @ arm_coords.conj().swapaxes(1, 2))
+
+    # One product (pair index, Alice's vector p, Bob's vector q) per pair of
+    # kept components, in that order.
+    alice, bob = _PAIR_ARMS
+    kept = arm_weights > _EIG_WEIGHT_FLOOR
+    owner, vec_p, vec_q = np.nonzero(kept[alice][:, :, np.newaxis] & kept[bob][:, np.newaxis, :])
+    arm_i, arm_j = alice[owner], bob[owner]
+    # Basis products (x, y) in the order 00, 01, 10, 11, and the matching
+    # coefficients u_x v_y of every kept product.
+    outputs = beamsplitter_apply(
+        mode_product(basis[0][:, [0, 0, 1, 1]], basis[1][:, [0, 1, 0, 1]]), 0.5
+    )
+    left, right = arm_vectors[arm_i, :, vec_p], arm_vectors[arm_j, :, vec_q]
+    coefficients = (left[:, :, np.newaxis] * right[:, np.newaxis, :]).reshape(-1, 4).T
+    joint = (outputs.reshape(dim * dim, 4) @ coefficients).reshape(dim, dim, -1)
+    prior = (branches[alice, 2] * branches[bob, 2]).reshape(len(ROLE_PAIRS), len(OUTCOME_PAIRS))
+    return _OpticalState(prior, owner, arm_weights[arm_i, vec_p] * arm_weights[arm_j, vec_q],
+                         joint, basis, arm_weights, arm_vectors)
 
 
 def _pair_heralds(state: _OpticalState, p_d: float) -> np.ndarray:
@@ -266,13 +263,9 @@ ACCEPTANCE_EDS = (0.0, 0.01, 0.07)
 
 def acceptance_grid() -> list[tuple[float, float, float, float]]:
     """The default verification grid of (mu, eta, p_d, e_d) tuples."""
-    return [
-        (mu, eta, p_d, e_d)
-        for mu in ACCEPTANCE_MUS
-        for eta in ACCEPTANCE_ETAS
-        for p_d in ACCEPTANCE_PDS
-        for e_d in ACCEPTANCE_EDS
-    ]
+    return list(
+        itertools.product(ACCEPTANCE_MUS, ACCEPTANCE_ETAS, ACCEPTANCE_PDS, ACCEPTANCE_EDS)
+    )
 
 
 def misaligned_e_zz_literal(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -213,13 +214,13 @@ def test_verify_point_does_not_depend_on_its_call_mates():
 def test_verify_builds_one_optical_state_per_dark_count_group(monkeypatch):
     # p_d enters only the readout: the 180 grid points need 60 optical states.
     calls = []
-    arm_mixtures = oracle._arm_mixtures
+    optical_state = oracle._optical_state
 
     def counted(*args):
         calls.append(args)
-        return arm_mixtures(*args)
+        return optical_state(*args)
 
-    monkeypatch.setattr(oracle, "_arm_mixtures", counted)
+    monkeypatch.setattr(oracle, "_optical_state", counted)
     assert verify_grid().passed
     assert len(calls) == 60
 
@@ -417,42 +418,89 @@ def _arm_cases():
     return cases + [(0.3, 1.0, 0.0, N_MAX)]
 
 
-def test_arm_factor_reproduces_the_mixture(monkeypatch):
-    # The rank-2 factor gives every arm's density matrix, and keeps as many
-    # components as a full eigendecomposition of it with the same floor.
-    captured = []
+def _arm_states(mu: float, eta: float, e_d: float, n_max: int) -> np.ndarray:
+    """Every arm's lost state, shape (len(ARMS), signal, environment), built
+    from its own conditional pulse rather than from the two coherent pulses."""
+    alpha = math.sqrt(mu)
+    c_plus, c_minus, _ = np.array(
+        [cat_branch(mu, SETTING_ANGLES[role], outcome) for role, outcome in oracle.ARMS]
+    ).T
+    pulses = c_plus * coherent_fock(alpha, n_max) + c_minus * coherent_fock(-alpha, n_max)
+    arms = beamsplitter_apply(mode_product(pulses, vacuum_state(n_max)), eta)
+    drift = math.acos(1.0 - 2.0 * e_d)
+    arms = misalignment_rotate(arms, [drift * role.startswith("B") for role, _ in oracle.ARMS])
+    return np.moveaxis(arms, -1, 0)
 
-    def capture(state, delta0):
-        captured.append(misalignment_rotate(state, delta0))
-        return captured[-1]
 
-    monkeypatch.setattr(oracle, "misalignment_rotate", capture)
+def test_arm_factor_reproduces_the_mixture():
+    # In its side's coordinates, every arm's kept components rebuild its
+    # density matrix, and they are as many as a full eigendecomposition of
+    # that (n_max + 1)-square matrix keeps with the same floor.
     for mu, eta, e_d, n_max in _arm_cases():
-        captured.clear()
-        _, weights, vectors = oracle._arm_mixtures(mu, eta, math.acos(1.0 - 2.0 * e_d), n_max)
-        psi = np.moveaxis(captured[0], -1, 0)
+        state = oracle._optical_state(mu, eta, e_d, n_max)
+        psi = _arm_states(mu, eta, e_d, n_max)
         rho = psi @ psi.conj().swapaxes(1, 2)
         full = np.linalg.eigvalsh(rho)
-        for arm, (w, v) in enumerate(zip(weights, vectors)):
+        for arm, (w, v) in enumerate(zip(state.arm_weights, state.arm_vectors)):
+            basis = state.basis[int(oracle.ARMS[arm][0].startswith("B"))]
             keep = w > oracle._EIG_WEIGHT_FLOOR
             mixture = (v[:, keep] * w[keep]) @ v[:, keep].conj().T
-            assert np.max(np.abs(mixture - rho[arm])) <= 1e-14, (mu, eta, e_d, n_max, arm)
+            in_side = basis.conj().T @ rho[arm] @ basis
+            assert np.max(np.abs(mixture - in_side)) <= 1e-14, (mu, eta, e_d, n_max, arm)
             assert keep.sum() == (full[arm] > oracle._EIG_WEIGHT_FLOOR).sum(), (
                 mu, eta, e_d, n_max, arm
             )
         if eta == 1.0 and e_d == 0.0:
-            assert (weights > oracle._EIG_WEIGHT_FLOOR).sum(axis=1).tolist() == [1] * 10
+            kept = (state.arm_weights > oracle._EIG_WEIGHT_FLOOR).sum(axis=1)
+            assert kept.tolist() == [1] * len(oracle.ARMS)
 
 
 @pytest.mark.parametrize("extra", [1e-3, math.nan], ids=["third component", "nan"])
 def test_arm_span_certificate_fires(monkeypatch, extra):
-    # An amplitude outside the span of an arm's first two environment
-    # columns (or a NaN one) cannot be written as a rank-2 mixture.
+    # An amplitude of Bob's lost |alpha> outside the span of its side's basis
+    # (or a NaN one) leaves each arm that carries that pulse outside it too.
     def corrupt(state, delta0):
         rotated = misalignment_rotate(state, delta0)
-        rotated[5, 2, 3] += extra  # signal |5>, environment |2>, arm 3
+        rotated[5, 2, 0] += extra  # signal |5>, environment |2>, pulse |alpha>
         return rotated
 
     monkeypatch.setattr(oracle, "misalignment_rotate", corrupt)
-    with pytest.raises(CutoffError, match=r"arm \('A1', -1\) leaves mass .* outside the span"):
+    with pytest.raises(CutoffError, match=r"arm \('B1', 1\) leaves mass .* outside the span"):
         oracle_stats(0.25, 0.5, 1e-5, 0.01)
+
+
+def test_central_splitter_output_is_linear_in_the_basis_products():
+    # Each kept product u (x) v, rebuilt from its side bases, goes through the
+    # central beamsplitter on its own and matches the combined output.
+    for mu, eta, e_d, n_max in _arm_cases() + [(20.0, 0.5, 0.03, 120)]:
+        state = oracle._optical_state(mu, eta, e_d, n_max)
+        kept = state.arm_weights > oracle._EIG_WEIGHT_FLOOR
+        rows = []
+        for c, ((role_a, role_b), (a, b)) in enumerate(
+            itertools.product(oracle.ROLE_PAIRS, oracle.OUTCOME_PAIRS)
+        ):
+            i, j = oracle.ARMS.index((role_a, a)), oracle.ARMS.index((role_b, b))
+            rows += [(c, i, p, j, q) for p in np.flatnonzero(kept[i])
+                     for q in np.flatnonzero(kept[j])]
+        owner, arm_i, vec_p, arm_j, vec_q = np.array(rows).T
+        assert state.owner.tolist() == owner.tolist()
+        left = state.basis[0] @ state.arm_vectors[arm_i, :, vec_p].T
+        right = state.basis[1] @ state.arm_vectors[arm_j, :, vec_q].T
+        direct = beamsplitter_apply(mode_product(left, right), 0.5)
+        assert np.max(np.abs(direct - state.joint)) <= 1e-14, (mu, eta, e_d, n_max)
+        weights = state.arm_weights[arm_i, vec_p] * state.arm_weights[arm_j, vec_q]
+        assert np.array_equal(state.weights, weights)
+
+
+def test_optical_state_splits_two_pulses_and_four_basis_products(monkeypatch):
+    # Loss acts on |alpha> and |-alpha> only, the central splitter on the
+    # four products of the side bases only, whatever the number of arms.
+    batches = []
+
+    def recorded(state, transmittance):
+        batches.append((state.shape[-1], transmittance))
+        return beamsplitter_apply(state, transmittance)
+
+    monkeypatch.setattr(oracle, "beamsplitter_apply", recorded)
+    oracle_stats(0.25, 0.37, 1e-5, 0.01)
+    assert batches == [(2, 0.37), (4, 0.5)]
