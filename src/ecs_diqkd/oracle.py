@@ -2,7 +2,8 @@
 
 For every measurement setting pair and spin outcome pair, this module builds
 the conditional optical state sent to the central station, evolves it through
-loss, misalignment, and the symmetric beamsplitter in a truncated Fock space,
+loss, misalignment, and the symmetric beamsplitter in a truncated Fock space
+(by linearity, from the two coherent pulses and the products of basis vectors),
 reads out threshold detectors with dark counts, applies the classical flip
 rule, and aggregates the same triple the closed forms predict.  It never
 calls anything in :mod:`ecs_diqkd.rates` to produce its numbers; the rates
@@ -11,7 +12,6 @@ module is imported only by the comparison report at the bottom.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 from collections.abc import Sequence
@@ -263,9 +263,13 @@ ACCEPTANCE_EDS = (0.0, 0.01, 0.07)
 
 def acceptance_grid() -> list[tuple[float, float, float, float]]:
     """The default verification grid of (mu, eta, p_d, e_d) tuples."""
-    return list(
-        itertools.product(ACCEPTANCE_MUS, ACCEPTANCE_ETAS, ACCEPTANCE_PDS, ACCEPTANCE_EDS)
-    )
+    return [
+        (mu, eta, p_d, e_d)
+        for mu in ACCEPTANCE_MUS
+        for eta in ACCEPTANCE_ETAS
+        for p_d in ACCEPTANCE_PDS
+        for e_d in ACCEPTANCE_EDS
+    ]
 
 
 def misaligned_e_zz_literal(

@@ -434,8 +434,10 @@ def _arm_states(mu: float, eta: float, e_d: float, n_max: int) -> np.ndarray:
 
 def test_arm_factor_reproduces_the_mixture():
     # In its side's coordinates, every arm's kept components rebuild its
-    # density matrix, and they are as many as a full eigendecomposition of
-    # that (n_max + 1)-square matrix keeps with the same floor.
+    # density matrix, and mapped back by the side's basis they rebuild it in
+    # Fock space, so the basis spans the arm.  They are as many as a full
+    # eigendecomposition of that (n_max + 1)-square matrix keeps with the
+    # same floor.
     for mu, eta, e_d, n_max in _arm_cases():
         state = oracle._optical_state(mu, eta, e_d, n_max)
         psi = _arm_states(mu, eta, e_d, n_max)
@@ -447,6 +449,8 @@ def test_arm_factor_reproduces_the_mixture():
             mixture = (v[:, keep] * w[keep]) @ v[:, keep].conj().T
             in_side = basis.conj().T @ rho[arm] @ basis
             assert np.max(np.abs(mixture - in_side)) <= 1e-14, (mu, eta, e_d, n_max, arm)
+            in_fock = basis @ mixture @ basis.conj().T
+            assert np.max(np.abs(in_fock - rho[arm])) <= 1e-14, (mu, eta, e_d, n_max, arm)
             assert keep.sum() == (full[arm] > oracle._EIG_WEIGHT_FLOOR).sum(), (
                 mu, eta, e_d, n_max, arm
             )
