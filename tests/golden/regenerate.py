@@ -24,7 +24,11 @@ import platform
 import random
 from pathlib import Path
 
+import numpy
+
 from ecs_diqkd import cli
+from ecs_diqkd.optimize import SweepConfig, sweep
+from ecs_diqkd.oracle import acceptance_grid, oracle_stats, verify_grid
 
 GOLDEN = Path(__file__).resolve().parent
 ORACLE_ABS_TOL = 1e-14
@@ -58,16 +62,12 @@ def cli_stdout(*argv: str) -> str:
 
 def flagged_rows() -> str:
     """The rows past the optimizer's reach, with the ``flagged`` field both writers drop."""
-    from ecs_diqkd.optimize import SweepConfig, sweep
-
     config = SweepConfig(l_min_km=590.0, l_max_km=700.0, l_step_km=30.0, protocols=("ecs",))
     return "".join(f"{row!r}\n" for row in sweep(config))
 
 
 def oracle_points(count: int = 60, seed: int = 20261019) -> list[tuple[float, ...]]:
     """The acceptance grid, then ``count`` seeded points with eta down to 1e-8."""
-    from ecs_diqkd.oracle import acceptance_grid
-
     rng = random.Random(seed)
     seeded = [
         (10.0 ** rng.uniform(-3.0, 0.0), 10.0 ** rng.uniform(-8.0, 0.0),
@@ -79,14 +79,10 @@ def oracle_points(count: int = 60, seed: int = 20261019) -> list[tuple[float, ..
 
 def oracle_values() -> str:
     """One ``oracle_stats`` call per point: the point, then its statistics."""
-    from ecs_diqkd.oracle import oracle_stats
-
     return "".join(f"{point!r} {oracle_stats(*point)!r}\n" for point in oracle_points())
 
 
 def verify_grid_repr() -> str:
-    from ecs_diqkd.oracle import verify_grid
-
     return f"{verify_grid()!r}\n"
 
 
@@ -126,8 +122,6 @@ CASES = [
 
 
 def versions() -> dict[str, str]:
-    import numpy
-
     return {"python": platform.python_version(), "numpy": numpy.__version__}
 
 

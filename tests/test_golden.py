@@ -10,7 +10,6 @@ import importlib.util
 import json
 import math
 import re
-import sys
 from pathlib import Path
 
 import pytest
@@ -18,7 +17,6 @@ import pytest
 GOLDEN = Path(__file__).resolve().parent / "golden"
 _spec = importlib.util.spec_from_file_location("golden_regenerate", GOLDEN / "regenerate.py")
 corpus = importlib.util.module_from_spec(_spec)
-sys.modules[_spec.name] = corpus
 _spec.loader.exec_module(corpus)
 
 # A number standing on its own: not a digit inside a name such as d1_only.
