@@ -41,8 +41,8 @@ from .params import (
     check_point,
 )
 
-# Eigenvalues of an arm's 2x2 mixture below this weight are rounding noise,
-# the null direction of an arm that is a pure state, and are dropped.
+# Eigenvalues of an arm's 2x2 mixture in its side's coordinates below this
+# weight are rounding noise, the null direction of a pure arm, and are dropped.
 _EIG_WEIGHT_FLOOR = 1e-14
 # Largest squared norm an arm state may leave outside the two-dimensional
 # basis of its side.  The exact model leaves none; rounding left at most
