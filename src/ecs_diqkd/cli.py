@@ -7,12 +7,11 @@ Exit codes are a stable contract for CI: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 from .optimize import SweepConfig, SweepRow, find_crossover, sweep, sweep_row
-from .params import DEFAULT_ETA_D_LITERAL, DEFAULT_N_MAX, DEFAULT_TOL, ParameterError, check_point
+from .params import DEFAULT_ETA_D_LITERAL, DEFAULT_N_MAX, DEFAULT_TOL, ParameterError
 from .rates import bell_state_stats, channel_efficiency
 
 # Unused here; bound because benchmarks/tracer.py wraps these names on this module.
@@ -176,6 +175,26 @@ def _config_tokens(path: Path, command_p: argparse.ArgumentParser) -> list[str]:
     return tokens
 
 
+# The flag that sets each library field, so that a usage error names what
+# the user typed; some subcommands set a field through another flag.
+_FLAGS = {"beta_db_per_km": "--beta", "eta_d": "--eta-d", "p_d": "--p-d", "e_d": "--e-d",
+          "mu": "--mu", "l_min_km": "--l-min", "l_max_km": "--l-max", "l_step_km": "--l-step",
+          "tol": "--tol", "n_max": "--n-max"}
+_COMMAND_FLAGS = {
+    "rates": {"l_min_km": "--distance", "l_max_km": "--distance"},
+    "crossover": {"l_min_km": "--bracket LO", "l_max_km": "--bracket HI",
+                  "l_step_km": "--bracket HI - LO"},
+    "verify": {field: f"--point {field}" for field in ("mu", "eta", "p_d", "e_d")},
+}
+
+
+def _usage_error(exc: ParameterError, command: str) -> UsageError:
+    """``exc`` as a usage error; a leading field name (see ``check_point``) becomes its flag."""
+    field, space, rest = str(exc).partition(" ")
+    flags = {**_FLAGS, **_COMMAND_FLAGS.get(command, {})}
+    return UsageError(flags.get(field, field) + space + rest)
+
+
 def _sweep_config(args: argparse.Namespace, **grid) -> SweepConfig:
     """The validated config of ``rates``, ``sweep`` and ``crossover``.
 
@@ -185,7 +204,7 @@ def _sweep_config(args: argparse.Namespace, **grid) -> SweepConfig:
         return SweepConfig(beta_db_per_km=args.beta, eta_d=args.eta_d, p_d=args.p_d,
                            e_d=args.e_d, mu=args.mu, **grid)
     except ParameterError as exc:
-        raise UsageError(str(exc)) from exc
+        raise _usage_error(exc, args.command) from exc
 
 
 def format_value(value: float | None) -> str:
@@ -232,10 +251,6 @@ def _emit(text: str, output: str) -> None:
 
 def _cmd_rates(args: argparse.Namespace) -> int:
     protocols, distance = args.protocol, args.distance
-    try:
-        check_point(distance_km=distance)
-    except ParameterError as exc:
-        raise UsageError(str(exc)) from exc
     config = _sweep_config(args, l_min_km=distance, l_max_km=distance, protocols=protocols)
     if "ecs" in protocols and args.mu is None and not args.optimize:
         raise UsageError("--mu is required for the ecs protocol unless --optimize is given")
@@ -260,15 +275,8 @@ def _cmd_rates(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    lo, hi, step = args.l_min, args.l_max, args.l_step
-    # SweepConfig would name its fields; name the flags the user typed.
-    if not 0.0 <= lo <= hi < math.inf:
-        raise UsageError(f"--l-min and --l-max need finite 0 <= L_MIN <= L_MAX, "
-                         f"got {lo:g} {hi:g}")
-    if not 0.0 < step < math.inf:
-        raise UsageError(f"--l-step needs a finite value > 0, got {step:g}")
-    config = _sweep_config(args, l_min_km=lo, l_max_km=hi, l_step_km=step,
-                           protocols=args.protocols)
+    config = _sweep_config(args, l_min_km=args.l_min, l_max_km=args.l_max,
+                           l_step_km=args.l_step, protocols=args.protocols)
     rows = sweep(config)
     _emit(rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows), args.output)
     return EXIT_OK
@@ -280,7 +288,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         oracle.check_verify_settings(args.tol, args.n_max, args.eta_d, args.point or ())
     except ParameterError as exc:
-        raise UsageError(str(exc)) from exc
+        raise _usage_error(exc, args.command) from exc
     report = oracle.verify_grid(
         points=args.point, tol=args.tol, n_max=args.n_max, eta_d_literal=args.eta_d
     )
@@ -320,9 +328,8 @@ def _cmd_crossover(args: argparse.Namespace) -> int:
         raise UsageError("--bracket is required")
     pair = tuple(args.pair.split("-vs-"))
     lo, hi = args.bracket
-    if not 0.0 <= lo < hi < math.inf:
-        raise UsageError(f"--bracket needs finite 0 <= LO < HI, got {lo:g} {hi:g}")
-    # The step is the whole bracket: find_crossover scans its own grid.
+    # The step is the whole bracket, so the grid rules of SweepConfig read
+    # 0 <= LO < HI < inf; find_crossover scans its own grid.
     config = _sweep_config(args, l_min_km=lo, l_max_km=hi, l_step_km=hi - lo, protocols=pair)
     crossing = find_crossover(pair, config, (lo, hi))
     if crossing is None:

@@ -112,11 +112,11 @@ class SweepConfig(namedtuple(
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.l_min_km > self.l_max_km:
-            raise ParameterError("l_min_km must not exceed l_max_km")
+            raise ParameterError(f"l_min_km must not exceed {self.l_max_km}, got {self.l_min_km}")
         if self.l_min_km < 0.0:
-            raise ParameterError("l_min_km must be >= 0")
+            raise ParameterError(f"l_min_km must be >= 0, got {self.l_min_km}")
         if not self.l_step_km > 0.0:
-            raise ParameterError("l_step_km must be > 0")
+            raise ParameterError(f"l_step_km must be > 0, got {self.l_step_km}")
         if (self.l_max_km - self.l_min_km) / self.l_step_km + 1e-9 >= MAX_SWEEP_ROWS:
             raise ParameterError(
                 f"the distance grid exceeds {MAX_SWEEP_ROWS} rows; use a larger step "

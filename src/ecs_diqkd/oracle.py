@@ -96,9 +96,8 @@ OUTCOME_PAIRS: tuple[tuple[int, int], ...] = ((+1, +1), (+1, -1), (-1, +1), (-1,
 ARMS: tuple[tuple[str, int], ...] = tuple(
     (role, outcome) for role in SETTING_ANGLES for outcome in (+1, -1)
 )
-# The side of each arm (0 Alice, 1 Bob), and the arms (Alice's, Bob's) of
-# each (role pair, outcome pair), in the order of the prior's rows.
-_ARM_SIDE = np.array([role.startswith("B") for role, _ in ARMS], dtype=int)
+# The arms (Alice's, Bob's) of each (role pair, outcome pair), in the order
+# of the prior's rows.
 _PAIR_ARMS = np.array([(ARMS.index((role_a, a)), ARMS.index((role_b, b)))
                        for role_a, role_b in ROLE_PAIRS for a, b in OUTCOME_PAIRS]).T
 
@@ -119,9 +118,10 @@ def _optical_state(mu: float, eta: float, e_d: float, n_max: int) -> _OpticalSta
     loss, Bob's misalignment phase and the central beamsplitter are linear,
     so they act only on the two pulses and on products of basis vectors.
     Environment photon number m leaves a lost pulse in |+-t alpha>
-    (t = sqrt(eta)) up to a factor, so environment column 0 of a side's
-    lost pair spans every arm of that side: one QR per side gives its basis,
-    and each arm's 2x2 mixture is eigendecomposed in side coordinates.  The
+    (t = sqrt(eta)) up to a factor, so environment column 0 of the lost
+    pair spans every arm: one QR gives Alice's basis.  Bob's is hers rotated
+    by the drift, which is diagonal in photon number, so an arm has the same
+    coordinates on either side; its 2x2 mixture is eigendecomposed there.  The
     detector formulas are linear in the joint photon-number distribution,
     so a readout sums over pure component products (weights at or below the
     floor dropped); u (x) v leaves the central beamsplitter as the sum of
@@ -132,13 +132,13 @@ def _optical_state(mu: float, eta: float, e_d: float, n_max: int) -> _OpticalSta
     alpha = math.sqrt(mu)
     delta0 = math.acos(1.0 - 2.0 * e_d)
     pulses = np.hstack([coherent_fock(alpha, n_max), coherent_fock(-alpha, n_max)])
+    # lost[n, m, k]: signal n, environment m, pulse k (|alpha> first).
     lost = beamsplitter_apply(mode_product(pulses, vacuum_state(n_max)), eta)
-    # sides[side] is (signal, environment, pulse), Alice's side first.
-    sides = np.stack([lost, misalignment_rotate(lost, delta0)])
-    basis, _ = np.linalg.qr(sides[:, :, 0, :])
-    flat = sides.reshape(2, dim, 2 * dim)  # environment and pulse on one axis
-    coords = basis.conj().swapaxes(1, 2) @ flat
-    residuals = (flat - basis @ coords).reshape(2, dim * dim, 2)
+    basis_a, _ = np.linalg.qr(lost[:, 0, :])
+    flat = lost.reshape(dim, 2 * dim)  # environment and pulse on one axis
+    coords = basis_a.conj().T @ flat
+    residuals = (flat - basis_a @ coords).reshape(dim * dim, 2)
+    basis_b = misalignment_rotate(mode_product(basis_a, vacuum_state(n_max)), delta0)[:, 0, :]
 
     # psi[arm] = c_plus psi_plus + c_minus psi_minus of its side, as
     # (signal, environment); rho = psi psi+ = basis (arm_coords arm_coords+) basis+.
@@ -146,13 +146,13 @@ def _optical_state(mu: float, eta: float, e_d: float, n_max: int) -> _OpticalSta
     amplitudes = branches[:, :2, np.newaxis]
     # Summed from each arm's residual itself, not as a difference of norms
     # near 1; written so that a NaN mass fails the check too.
-    residual = residuals[_ARM_SIDE] @ amplitudes
+    residual = residuals @ amplitudes
     outside = (residual.real**2 + residual.imag**2).sum(axis=(1, 2))
     bad = np.flatnonzero(~(outside <= _SPAN_RESIDUAL_BOUND))
     if bad.size:
         raise CutoffError(f"arm {ARMS[bad[0]]} leaves mass {outside[bad[0]]:.3e} "
                           "outside the span of its side's basis")
-    arm_coords = (coords.reshape(2, 2 * dim, 2)[_ARM_SIDE] @ amplitudes).reshape(-1, 2, dim)
+    arm_coords = (coords.reshape(2 * dim, 2) @ amplitudes).reshape(-1, 2, dim)
     arm_weights, arm_vectors = np.linalg.eigh(arm_coords @ arm_coords.conj().swapaxes(1, 2))
 
     # One product (pair index, Alice's vector p, Bob's vector q) per pair of
@@ -164,14 +164,14 @@ def _optical_state(mu: float, eta: float, e_d: float, n_max: int) -> _OpticalSta
     # Basis products (x, y) in the order 00, 01, 10, 11, and the matching
     # coefficients u_x v_y of every kept product.
     outputs = beamsplitter_apply(
-        mode_product(basis[0][:, [0, 0, 1, 1]], basis[1][:, [0, 1, 0, 1]]), 0.5
+        mode_product(basis_a[:, [0, 0, 1, 1]], basis_b[:, [0, 1, 0, 1]]), 0.5
     )
     left, right = arm_vectors[arm_i, :, vec_p], arm_vectors[arm_j, :, vec_q]
     coefficients = (left[:, :, np.newaxis] * right[:, np.newaxis, :]).reshape(-1, 4).T
     joint = (outputs.reshape(dim * dim, 4) @ coefficients).reshape(dim, dim, -1)
     prior = (branches[alice, 2] * branches[bob, 2]).reshape(len(ROLE_PAIRS), len(OUTCOME_PAIRS))
     return _OpticalState(prior, owner, arm_weights[arm_i, vec_p] * arm_weights[arm_j, vec_q],
-                         joint, basis, arm_weights, arm_vectors)
+                         joint, np.stack([basis_a, basis_b]), arm_weights, arm_vectors)
 
 
 def _pair_heralds(state: _OpticalState, p_d: float) -> np.ndarray:
@@ -297,8 +297,8 @@ class PointCheck(namedtuple(
 )):
     """Deviations between closed forms and oracle at one grid point; float fields.
 
-    A point the cutoff cannot certify keeps NaN deviations and its ``error``
-    message; ``error`` is None otherwise.
+    A point the oracle cannot read out (cutoff not certified, statistics out
+    of range) keeps NaN deviations and its ``error``; otherwise that is None.
     """
 
     __slots__ = ()
@@ -400,7 +400,7 @@ def verify_grid(
             if state is not None:
                 try:
                     actual = _detector_stats(state, p_d)
-                except CutoffError as exc:
+                except ParameterError as exc:  # a CutoffError, or a triple out of range
                     outcome = dict(error=str(exc))
                 else:
                     closed = ecs_misaligned_stats(mu, eta, p_d, e_d)

@@ -88,27 +88,14 @@ def ecs_ideal_stats(mu: float) -> DetectorStats:
 def ecs_lossy_stats(mu: float, eta: float, p_d: float) -> DetectorStats:
     """Heralded statistics with arm transmittance ``eta`` and dark counts.
 
-    Equivalent rearrangement of the raw expressions
+    The raw expressions
         Q_zz = (1-p_d) [1 - (1-2 p_d) e^(-2 mu eta)]
         S    = 2 sqrt(2) {sinh(2 mu) - cosh[2 mu (1-eta)]
                + (1-p_d) e^(-2 mu (1-eta))} / [e^(2 mu) - (1-2 p_d) e^(2 mu (1-eta))]
         e_zz = p_d e^(2 mu (1-eta)) / [e^(2 mu) - (1-2 p_d) e^(2 mu (1-eta))]
-    using sinh A - sinh B = 2 cosh((A+B)/2) sinh((A-B)/2) and expm1 so that
-    nothing cancels at small mu*eta.
+    are those of :func:`ecs_misaligned_stats` at ``e_d = 0``, which evaluates them.
     """
-    check_point(mu, eta, p_d)
-    bracket = math.expm1(2.0 * mu * eta) + 2.0 * p_d  # e^(2 mu eta) - 1 + 2 p_d
-    if bracket <= 0.0:
-        raise ParameterError("degenerate denominator in lossy statistics")
-    q_zz = (1.0 - p_d) * math.exp(-2.0 * mu * eta) * bracket
-    # numerator of S over 2 sqrt(2), times e^(2 mu (1-eta)):
-    num = (
-        2.0 * math.cosh(mu * (2.0 - eta)) * math.sinh(mu * eta)
-        - p_d * math.exp(-2.0 * mu * (1.0 - eta))
-    )
-    s = 2.0 * _SQRT2 * num / (math.exp(2.0 * mu * (1.0 - eta)) * bracket)
-    e_zz = p_d / bracket
-    return DetectorStats(q_zz=q_zz, s=s, e_zz=e_zz)
+    return ecs_misaligned_stats(mu, eta, p_d, 0.0)
 
 
 def ecs_misaligned_stats(mu: float, eta: float, p_d: float, e_d: float) -> DetectorStats:
@@ -122,9 +109,10 @@ def ecs_misaligned_stats(mu: float, eta: float, p_d: float, e_d: float) -> Detec
         w    = 2 sinh[2 mu (1-eta e_d)] - 2 cosh[2 mu (1-eta+eta e_d)]
                + 2 (1-p_d) e^(-2 mu (1-eta))
         e_zz = [e^(2 mu (1-eta+eta e_d)) - (1-p_d) e^(2 mu (1-eta))] / [same denom]
-    in cancellation-free form.  The e_zz numerator uses eta throughout: the
-    e_d -> 0 limit then reduces exactly to :func:`ecs_lossy_stats`, and the
-    Fock-space oracle confirms this reading (see the verify command).
+    in cancellation-free form.  The e_zz numerator uses eta throughout: at
+    e_d = 0 these are the lossy expressions, so :func:`ecs_lossy_stats` is
+    this function there, and the Fock-space oracle confirms this reading
+    (see the verify command).
     """
     check_point(mu, eta, p_d, e_d)
     return DetectorStats(*_ecs_misaligned(mu, eta, p_d, e_d))

@@ -126,28 +126,27 @@ def test_invalid_parameter_value_is_usage_error(capsys):
     assert cli.main(["rates", "--mu", "0.1", "--eta-d", "2.0"]) == cli.EXIT_USAGE
     assert cli.main(["rates", "--mu", "0"]) == cli.EXIT_USAGE
     assert cli.main(["rates", "--mu", "-1", "--protocol", "bell"]) == cli.EXIT_USAGE
-    # Each message names the flag's own rule, not a grid field the user never typed.
+    # Each message is the library's rule, named by the flag the user typed,
+    # not by the grid field it sets.
     for argv, message in (
-        (["rates", "--mu", "0.1", "--distance", "-1"],
-         "distance_km must be finite and >= 0, got -1.0"),
-        (["rates", "--mu", "0.1", "--distance", "nan"],
-         "distance_km must be finite and >= 0, got nan"),
+        (["rates", "--mu", "0.1", "--distance", "-1"], "--distance must be >= 0, got -1.0"),
+        (["rates", "--mu", "0.1", "--distance", "nan"], "--distance must be finite, got nan"),
         (["crossover", "--pair", "ecs-vs-plob", "--bracket", "-5", "100"],
-         "--bracket needs finite 0 <= LO < HI, got -5 100"),
+         "--bracket LO must be >= 0, got -5.0"),
         (["crossover", "--pair", "ecs-vs-plob", "--bracket", "nan", "100"],
-         "--bracket needs finite 0 <= LO < HI, got nan 100"),
+         "--bracket LO must be finite, got nan"),
         (["crossover", "--pair", "ecs-vs-plob", "--bracket", "200", "100"],
-         "--bracket needs finite 0 <= LO < HI, got 200 100"),
-        (["sweep", "--l-min", "-5"],
-         "--l-min and --l-max need finite 0 <= L_MIN <= L_MAX, got -5 600"),
-        (["sweep", "--l-min", "nan"],
-         "--l-min and --l-max need finite 0 <= L_MIN <= L_MAX, got nan 600"),
-        (["sweep", "--l-min", "10", "--l-max", "0"],
-         "--l-min and --l-max need finite 0 <= L_MIN <= L_MAX, got 10 0"),
-        (["sweep", "--l-max", "inf"],
-         "--l-min and --l-max need finite 0 <= L_MIN <= L_MAX, got 0 inf"),
-        (["sweep", "--l-step", "0"], "--l-step needs a finite value > 0, got 0"),
-        (["sweep", "--l-step", "nan"], "--l-step needs a finite value > 0, got nan"),
+         "--bracket LO must not exceed 100.0, got 200.0"),
+        (["crossover", "--pair", "ecs-vs-plob", "--bracket", "100", "100"],
+         "--bracket HI - LO must be > 0, got 0.0"),
+        (["crossover", "--pair", "ecs-vs-plob", "--bracket", "0", "inf"],
+         "--bracket HI must be finite, got inf"),
+        (["sweep", "--l-min", "-5"], "--l-min must be >= 0, got -5.0"),
+        (["sweep", "--l-min", "nan"], "--l-min must be finite, got nan"),
+        (["sweep", "--l-min", "10", "--l-max", "0"], "--l-min must not exceed 0.0, got 10.0"),
+        (["sweep", "--l-max", "inf"], "--l-max must be finite, got inf"),
+        (["sweep", "--l-step", "0"], "--l-step must be > 0, got 0.0"),
+        (["sweep", "--l-step", "nan"], "--l-step must be finite, got nan"),
         (["sweep", "--l-step", "1e-11"],
          "the distance grid exceeds 100000 rows; use a larger step or a shorter range"),
     ):
@@ -206,7 +205,15 @@ def test_bad_channel_value_is_the_same_usage_error_everywhere(flag, capsys):
         assert captured.out == ""
         messages.add(captured.err)
     assert len(messages) == 1
-    assert messages.pop().startswith("usage error: ")
+    assert messages.pop().startswith(f"usage error: {flag[0]} ")
+
+
+def test_config_file_value_error_names_the_flag(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"beta": -1}))
+    for argv in CHANNEL_COMMANDS:
+        assert cli.main([*argv, "--config", str(config)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: --beta must be finite and >= 0, got -1.0\n"
 
 
 @pytest.mark.parametrize("mu_flags, mu", [(["--mu", "0.07"], 0.07), (["--optimize"], None)])
@@ -496,13 +503,14 @@ def test_verify_cutoff_out_of_range_is_usage_error(monkeypatch, capsys):
 
     monkeypatch.setattr(oracle, "_optical_state", refuse)
     for flags, message in (
-        (["--n-max", "100000"], "n_max must be in [1, 200]"),
-        (["--n-max", "0"], "n_max must be in [1, 200]"),
-        (["--eta-d", "nan"], "eta_d must be in (0, 1]"),
-        (["--eta-d", "0"], "eta_d must be in (0, 1]"),
-        (["--eta-d", "2"], "eta_d must be in (0, 1]"),
-        (["--point", "nan,1,0,0"], "mu must be finite and > 0"),
-        (["--point", "0.25,1,0,0.9"], "e_d must be in [0, 0.5]"),
+        (["--n-max", "100000"], "usage error: --n-max must be in [1, 200]"),
+        (["--n-max", "0"], "usage error: --n-max must be in [1, 200]"),
+        (["--eta-d", "nan"], "usage error: --eta-d must be in (0, 1]"),
+        (["--eta-d", "0"], "usage error: --eta-d must be in (0, 1]"),
+        (["--eta-d", "2"], "usage error: --eta-d must be in (0, 1]"),
+        (["--point", "nan,1,0,0"], "usage error: --point mu must be finite and > 0"),
+        (["--point", "0.25,1,0,0.9"], "usage error: --point e_d must be in [0, 0.5]"),
+        (["--tol", "nan"], "usage error: --tol must be finite and > 0"),
     ):
         assert cli.main(["verify", "--point", "0.25,1,0,0", *flags]) == cli.EXIT_USAGE
         assert message in capsys.readouterr().err
@@ -512,6 +520,21 @@ def test_verify_cutoff_failure_is_compute_error(capsys):
     code = cli.main(["verify", "--point", "1.0,0.5,0,0", "--n-max", "10"])
     assert code == cli.EXIT_COMPUTE
     assert "ERROR" in capsys.readouterr().out
+
+
+def test_verify_reports_a_readout_out_of_range_and_checks_the_other_points(capsys):
+    # At mu 20 the oracle's q_zz rounds past 1; that point carries the error,
+    # and the other point is still compared.
+    code = cli.main(["verify", "--point", "20,1,0,0", "--point", "0.1,0.5,0,0", "--n-max", "120"])
+    assert code == cli.EXIT_COMPUTE
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "points checked: 2 (n_max=120)"
+    errors = [line for line in lines if line.startswith("ERROR")]
+    assert len(errors) == 1
+    assert errors[0].startswith("ERROR at (mu=20.0, eta=1.0, p_d=0.0, e_d=0.0): q_zz must be")
+    deviations = [float(line.partition("=")[2]) for line in lines if line.startswith("max |d")]
+    assert len(deviations) == 3 and max(deviations) < 1e-12  # the other point's
+    assert lines[-1] == "FAIL: truncation certificate failures"
 
 
 def test_crossover_found(capsys):

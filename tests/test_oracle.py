@@ -461,16 +461,17 @@ def test_arm_factor_reproduces_the_mixture():
 
 @pytest.mark.parametrize("extra", [1e-3, math.nan], ids=["third component", "nan"])
 def test_arm_span_certificate_fires(monkeypatch, extra):
-    # An amplitude of Bob's lost |alpha> outside the span of its side's basis
-    # (or a NaN one) leaves each arm that carries that pulse outside it too.
-    def corrupt(state, delta0):
-        rotated = misalignment_rotate(state, delta0)
-        rotated[5, 2, 0] += extra  # signal |5>, environment |2>, pulse |alpha>
-        return rotated
+    # An amplitude of the lost |alpha> outside the span of the basis (or a
+    # NaN one) leaves each arm that carries that pulse outside it too.
+    def corrupt(state, transmittance):
+        out = beamsplitter_apply(state, transmittance)
+        if transmittance != 0.5:  # the loss splitter
+            out[5, 2, 0] += extra  # signal |5>, environment |2>, pulse |alpha>
+        return out
 
-    monkeypatch.setattr(oracle, "misalignment_rotate", corrupt)
-    with pytest.raises(CutoffError, match=r"arm \('B1', 1\) leaves mass .* outside the span"):
-        oracle_stats(0.25, 0.5, 1e-5, 0.01)
+    monkeypatch.setattr(oracle, "beamsplitter_apply", corrupt)
+    with pytest.raises(CutoffError, match=r"arm \('A0', 1\) leaves mass .* outside the span"):
+        oracle_stats(0.25, 0.37, 1e-5, 0.01)
 
 
 def test_central_splitter_output_is_linear_in_the_basis_products():
