@@ -36,7 +36,6 @@ from .rates import (
 # The Fock-space names and the module each lives in.
 _LAZY = {
     "CutoffError": "fock",
-    "HeraldProbabilities": "fock",
     "beamsplitter_apply": "fock",
     "coherent_fock": "fock",
     "misalignment_rotate": "fock",
@@ -61,7 +60,6 @@ def __getattr__(name: str):
 __all__ = [
     "CutoffError",
     "DetectorStats",
-    "HeraldProbabilities",
     "KeyRatePoint",
     "MuOptimum",
     "ParameterError",

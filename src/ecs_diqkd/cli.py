@@ -309,7 +309,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         f"literal eta_d dev {report.max_dev_e_zz_literal:.3e})"
     )
     if report.errors:
-        print("FAIL: truncation certificate failures")
+        print(f"FAIL: the oracle could not read out {len(report.errors)} of "
+              f"{len(report.points)} points")
         return EXIT_COMPUTE
     if report.failures:
         for check in report.failures:

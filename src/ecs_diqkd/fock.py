@@ -27,7 +27,6 @@ Conventions:
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from functools import lru_cache
 from numbers import Integral
 
@@ -36,9 +35,11 @@ import numpy as np
 from .params import ParameterError, check_point
 
 # Largest Fock cutoff a state may have.  The oracle holds the central
-# splitter's output for every kept arm-component product at once, so its
-# peak memory grows about as n_max**2 (one oracle_stats call in a fresh
-# process peaks at 131 MB resident at 200, 33 MB at 30).
+# splitter's output for all four component products of each of its 20 arm
+# pairs at once, so its peak memory grows about as n_max**2: one
+# oracle_stats call at (mu, eta, p_d, e_d) = (0.3, 0.37, 1e-6, 0.02) in a
+# fresh process peaks at 201 MB resident at 200 and 33 MB at 30 (2-vCPU
+# Xeon, numpy 2.4).
 MAX_N_MAX = 200
 # Certified bound on the photon-number tail mass lost to truncation.
 TAIL_MASS_BOUND = 1e-12
@@ -252,21 +253,11 @@ def misalignment_rotate(state: np.ndarray, delta0: float | np.ndarray) -> np.nda
     return state * phases.reshape(state.shape[0], 1, angles.size)
 
 
-class HeraldProbabilities(namedtuple("HeraldProbabilities", "d1_only d2_only none both")):
-    """Probabilities of the four threshold-detector outcomes of one trial.
-
-    Each field is a float, or an array of one value per batch element when
-    read by :func:`threshold_detect`.
-    """
-
-    __slots__ = ()
-
-    def total(self) -> float | np.ndarray:
-        return self.d1_only + self.d2_only + self.none + self.both
-
-
-def threshold_detect(state: np.ndarray, p_d: float) -> HeraldProbabilities:
+def threshold_detect(state: np.ndarray, p_d: float) -> np.ndarray:
     """Threshold-detector readout with independent dark counts.
+
+    Returns shape ``(4, B)``: per batch element, the rows P(D1 only),
+    P(D2 only), P(none) and P(both), in that order.
 
     D1 watches the first mode and D2 the second.  With V12 = P(n_1 = n_2 = 0),
     only1 = P(n_1 > 0, n_2 = 0), only2 = P(n_1 = 0, n_2 > 0) and
@@ -293,4 +284,4 @@ def threshold_detect(state: np.ndarray, p_d: float) -> HeraldProbabilities:
     d2 = (1.0 - p_d) * (only2 + p_d * v12)
     no_click = (1.0 - p_d) ** 2 * v12
     both = lit + p_d * (only1 + only2) + p_d**2 * v12
-    return HeraldProbabilities(d1_only=d1, d2_only=d2, none=no_click, both=both)
+    return np.stack([d1, d2, no_click, both])

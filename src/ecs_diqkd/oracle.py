@@ -5,7 +5,10 @@ the conditional optical state sent to the central station, evolves it through
 loss, misalignment, and the symmetric beamsplitter in a truncated Fock space
 (by linearity, from the two coherent pulses and the products of basis vectors),
 reads out threshold detectors with dark counts, applies the classical flip
-rule, and aggregates the same triple the closed forms predict.  It never
+rule, and aggregates the same triple the closed forms predict.  Each arm's
+mixed state is F F+ for a 2x2 factor F in its side's basis, so a pair of
+arms is the sum of four pure products, and its herald probabilities are
+the sum of their readouts.  It never
 calls anything in :mod:`ecs_diqkd.rates` to produce its numbers; the rates
 module is imported only by the comparison report at the bottom.
 """
@@ -41,9 +44,6 @@ from .params import (
     check_point,
 )
 
-# Eigenvalues of an arm's 2x2 mixture in its side's coordinates below this
-# weight are rounding noise, the null direction of a pure arm, and are dropped.
-_EIG_WEIGHT_FLOOR = 1e-14
 # Largest squared norm an arm state may leave outside the two-dimensional
 # basis of its side.  The exact model leaves none; rounding left at most
 # 1.6e-30 on the acceptance grid, 1.3e-29 on 200 seeded points with eta down
@@ -102,13 +102,11 @@ _PAIR_ARMS = np.array([(ARMS.index((role_a, a)), ARMS.index((role_b, b)))
                        for role_a, role_b in ROLE_PAIRS for a, b in OUTCOME_PAIRS]).T
 
 # The p_d-free part of one point: the spin-outcome prior of each (role pair,
-# outcome pair); the pair index and weight of every kept component product,
-# and its output of the central beamsplitter (a two-mode batch); each side's
-# basis, shape (2, n_max + 1, 2), Alice's first; and each arm's mixture
-# weights and eigenvectors in its side's coordinates.
-_OpticalState = namedtuple(
-    "_OpticalState", "prior owner weights joint basis arm_weights arm_vectors"
-)
+# outcome pair); the central beamsplitter's output of each pair's four
+# component products, pair-major (a two-mode batch); each side's basis,
+# shape (2, n_max + 1, 2), Alice's first; and each arm's 2x2 factor F in its
+# side's coordinates, F F+ = the arm's mixture there.
+_OpticalState = namedtuple("_OpticalState", "prior joint basis factor")
 
 
 def _optical_state(mu: float, eta: float, e_d: float, n_max: int) -> _OpticalState:
@@ -121,10 +119,12 @@ def _optical_state(mu: float, eta: float, e_d: float, n_max: int) -> _OpticalSta
     (t = sqrt(eta)) up to a factor, so environment column 0 of the lost
     pair spans every arm: one QR gives Alice's basis.  Bob's is hers rotated
     by the drift, which is diagonal in photon number, so an arm has the same
-    coordinates on either side; its 2x2 mixture is eigendecomposed there.  The
-    detector formulas are linear in the joint photon-number distribution,
-    so a readout sums over pure component products (weights at or below the
-    floor dropped); u (x) v leaves the central beamsplitter as the sum of
+    coordinates C (2 x environment) on either side, and its mixture there is
+    C C+.  With C+ = Q R, F = R+ is a 2x2 factor with F F+ = C C+, so the
+    pair (i, j) is the sum of the four pure products F_i[:, p] (x) F_j[:, q],
+    whatever the arms' ranks.  The detector formulas are linear in the joint
+    photon-number distribution, so a pair's readout is the sum of its
+    products' readouts; u (x) v leaves the central beamsplitter as the sum of
     u_x v_y times the output of basis product (x, y).
     """
     certify_cutoff(mu, n_max)
@@ -153,37 +153,31 @@ def _optical_state(mu: float, eta: float, e_d: float, n_max: int) -> _OpticalSta
         raise CutoffError(f"arm {ARMS[bad[0]]} leaves mass {outside[bad[0]]:.3e} "
                           "outside the span of its side's basis")
     arm_coords = (coords.reshape(2 * dim, 2) @ amplitudes).reshape(-1, 2, dim)
-    arm_weights, arm_vectors = np.linalg.eigh(arm_coords @ arm_coords.conj().swapaxes(1, 2))
+    factor = np.linalg.qr(arm_coords.conj().swapaxes(1, 2), mode="r").conj().swapaxes(1, 2)
 
-    # One product (pair index, Alice's vector p, Bob's vector q) per pair of
-    # kept components, in that order.
+    # Basis products (x, y) in the order 00, 01, 10, 11, and the coefficients
+    # F_i[x, p] F_j[y, q] of product (p, q) of every pair (i, j).
     alice, bob = _PAIR_ARMS
-    kept = arm_weights > _EIG_WEIGHT_FLOOR
-    owner, vec_p, vec_q = np.nonzero(kept[alice][:, :, np.newaxis] & kept[bob][:, np.newaxis, :])
-    arm_i, arm_j = alice[owner], bob[owner]
-    # Basis products (x, y) in the order 00, 01, 10, 11, and the matching
-    # coefficients u_x v_y of every kept product.
     outputs = beamsplitter_apply(
         mode_product(basis_a[:, [0, 0, 1, 1]], basis_b[:, [0, 1, 0, 1]]), 0.5
     )
-    left, right = arm_vectors[arm_i, :, vec_p], arm_vectors[arm_j, :, vec_q]
-    coefficients = (left[:, :, np.newaxis] * right[:, np.newaxis, :]).reshape(-1, 4).T
+    coefficients = np.einsum("cxp,cyq->xycpq", factor[alice], factor[bob]).reshape(4, -1)
     joint = (outputs.reshape(dim * dim, 4) @ coefficients).reshape(dim, dim, -1)
     prior = (branches[alice, 2] * branches[bob, 2]).reshape(len(ROLE_PAIRS), len(OUTCOME_PAIRS))
-    return _OpticalState(prior, owner, arm_weights[arm_i, vec_p] * arm_weights[arm_j, vec_q],
-                         joint, np.stack([basis_a, basis_b]), arm_weights, arm_vectors)
+    return _OpticalState(prior, joint, np.stack([basis_a, basis_b]), factor)
 
 
 def _pair_heralds(state: _OpticalState, p_d: float) -> np.ndarray:
     """Herald probabilities of every (role pair, outcome pair): the dark-count readout.
 
-    Returns shape ``(4, len(ROLE_PAIRS), len(OUTCOME_PAIRS))``; axis 0 follows
-    the fields of ``fock.HeraldProbabilities`` (d1_only, d2_only, none, both).
+    Reads out every component product, then sums each pair's four; the
+    readout is linear in the photon-number distribution, so the sum is the
+    pair's readout.  Returns
+    shape ``(4, len(ROLE_PAIRS), len(OUTCOME_PAIRS))``; axis 0 follows the
+    rows of :func:`fock.threshold_detect` (d1_only, d2_only, none, both).
     """
-    heralds = np.asarray(threshold_detect(state.joint, p_d)) * state.weights
-    combos = len(ROLE_PAIRS) * len(OUTCOME_PAIRS)
-    sums = np.stack([np.bincount(state.owner, weights=row, minlength=combos) for row in heralds])
-    sums = sums.reshape(len(heralds), len(ROLE_PAIRS), len(OUTCOME_PAIRS))
+    heralds = threshold_detect(state.joint, p_d)
+    sums = heralds.reshape(len(heralds), len(ROLE_PAIRS), len(OUTCOME_PAIRS), 4).sum(axis=-1)
     total = sum(sums)  # d1_only + d2_only + none + both, in that order
     # Written so that a NaN sum fails the check too.
     bad = np.argwhere(~(abs(total - 1.0) <= 1e-10))

@@ -519,7 +519,9 @@ def test_verify_cutoff_out_of_range_is_usage_error(monkeypatch, capsys):
 def test_verify_cutoff_failure_is_compute_error(capsys):
     code = cli.main(["verify", "--point", "1.0,0.5,0,0", "--n-max", "10"])
     assert code == cli.EXIT_COMPUTE
-    assert "ERROR" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("ERROR at (mu=1.0, eta=0.5, p_d=0.0, e_d=0.0): n_max=10")
+    assert lines[-1] == "FAIL: the oracle could not read out 1 of 1 points"
 
 
 def test_verify_reports_a_readout_out_of_range_and_checks_the_other_points(capsys):
@@ -534,7 +536,7 @@ def test_verify_reports_a_readout_out_of_range_and_checks_the_other_points(capsy
     assert errors[0].startswith("ERROR at (mu=20.0, eta=1.0, p_d=0.0, e_d=0.0): q_zz must be")
     deviations = [float(line.partition("=")[2]) for line in lines if line.startswith("max |d")]
     assert len(deviations) == 3 and max(deviations) < 1e-12  # the other point's
-    assert lines[-1] == "FAIL: truncation certificate failures"
+    assert lines[-1] == "FAIL: the oracle could not read out 1 of 2 points"
 
 
 def test_crossover_found(capsys):

@@ -426,19 +426,21 @@ def test_misalignment_routing_through_beamsplitter(relative_sign):
 
 
 def test_threshold_detect_vacuum():
-    herald = threshold_detect(_vacuum_pair(), 0.0)
-    assert herald.none == 1.0
-    assert herald.d1_only == herald.d2_only == herald.both == 0.0
+    d1_only, d2_only, none, both = threshold_detect(_vacuum_pair(), 0.0)
+    assert none == 1.0
+    assert d1_only == d2_only == both == 0.0
 
 
 def test_threshold_detect_dark_counts_on_vacuum():
     p_d = 0.25
     herald = threshold_detect(_vacuum_pair(), p_d)
-    assert herald.d1_only == pytest.approx(p_d * (1 - p_d), abs=1e-15)
-    assert herald.d2_only == pytest.approx(p_d * (1 - p_d), abs=1e-15)
-    assert herald.none == pytest.approx((1 - p_d) ** 2, abs=1e-15)
-    assert herald.both == pytest.approx(p_d**2, abs=1e-15)
-    assert herald.total() == pytest.approx(1.0, abs=1e-12)
+    assert herald.shape == (4, 1)
+    d1_only, d2_only, none, both = herald
+    assert d1_only == pytest.approx(p_d * (1 - p_d), abs=1e-15)
+    assert d2_only == pytest.approx(p_d * (1 - p_d), abs=1e-15)
+    assert none == pytest.approx((1 - p_d) ** 2, abs=1e-15)
+    assert both == pytest.approx(p_d**2, abs=1e-15)
+    assert sum(herald) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_threshold_detect_bright_port():
@@ -446,9 +448,9 @@ def test_threshold_detect_bright_port():
     state = mode_product(
         coherent_fock(math.sqrt(2.0 * mu), N_MAX), vacuum_state(N_MAX)
     )
-    herald = threshold_detect(state, 0.0)
-    assert herald.d1_only == pytest.approx(-math.expm1(-2.0 * mu), rel=1e-12)
-    assert herald.d2_only == 0.0
+    d1_only, d2_only, _, _ = threshold_detect(state, 0.0)
+    assert d1_only == pytest.approx(-math.expm1(-2.0 * mu), rel=1e-12)
+    assert d2_only == 0.0
 
 
 def test_threshold_detect_validation():

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from ecs_diqkd import cli
-from ecs_diqkd.fock import HeraldProbabilities
 from ecs_diqkd.optimize import MuOptimum, SweepConfig, SweepRow, find_crossover
 from ecs_diqkd.oracle import PointCheck, VerificationReport
 from ecs_diqkd.params import DetectorStats, KeyRatePoint, ParameterError, ProtocolParams
@@ -38,8 +37,6 @@ RECORDS = [
      "dev_e_zz_literal=nan, error='cutoff')", "error"),
     (lambda: VerificationReport(points=[CHECK], tol=1e-8, n_max=30, eta_d_literal=0.8),
      f"VerificationReport(points=[{CHECK!r}], tol=1e-08, n_max=30, eta_d_literal=0.8)", "tol"),
-    (lambda: HeraldProbabilities(d1_only=0.25, d2_only=0.25, none=0.5, both=0.0),
-     "HeraldProbabilities(d1_only=0.25, d2_only=0.25, none=0.5, both=0.0)", "none"),
 ]
 IDS = [expected.partition("(")[0] for _, expected, _ in RECORDS]
 
