@@ -38,8 +38,10 @@ from .params import ParameterError, check_point
 # splitter's output for all four component products of each of its 20 arm
 # pairs at once, so its peak memory grows about as n_max**2: one
 # oracle_stats call at (mu, eta, p_d, e_d) = (0.3, 0.37, 1e-6, 0.02) in a
-# fresh process peaks at 201 MB resident at 200 and 33 MB at 30 (2-vCPU
-# Xeon, numpy 2.4).
+# fresh process peaks at 177 MB resident at 200 and 32 MB at 30 (2-vCPU
+# Xeon, numpy 2.4).  That peak includes the call's two splitter-block
+# cache entries, 43 MB each at 200; the cache keeps at most 8, about
+# 350 MB at this cutoff.
 MAX_N_MAX = 200
 # Certified bound on the photon-number tail mass lost to truncation.
 TAIL_MASS_BOUND = 1e-12
@@ -135,7 +137,12 @@ def coherent_fock(alpha: complex, n_max: int) -> np.ndarray:
     return amps[:, np.newaxis]
 
 
-@lru_cache(maxsize=64)
+# Sized to the transmittances that repeat: an oracle point uses two (its
+# eta and 1/2), the default verify grid four, and each off-grid point one
+# new eta, so a stream that keeps returning to the grid keeps its blocks
+# while off-grid etas pass through.  An entry is 0.16 MB at n_max 30 and
+# 43 MB at MAX_N_MAX, so the cache holds at most about 350 MB.
+@lru_cache(maxsize=8)
 def _beamsplitter_blocks(
     n_max: int, transmittance: float
 ) -> tuple[tuple[slice, np.ndarray], ...]:
@@ -220,7 +227,7 @@ def beamsplitter_apply(state: np.ndarray, transmittance: float) -> np.ndarray:
     for rows, block in _beamsplitter_blocks(dim - 1, transmittance):
         np.matmul(block, work[rows], out=out[rows])
 
-    before, after = _element_norms(work), _element_norms(out)
+    before, after = np.sqrt(_squared_sums(work)), np.sqrt(_squared_sums(out))
     # Written so that a NaN norm fails the check too.
     drift = ~(np.abs(after - before) <= NORM_DRIFT_TOL * np.maximum(1.0, before))
     if np.any(drift):
@@ -232,10 +239,16 @@ def beamsplitter_apply(state: np.ndarray, transmittance: float) -> np.ndarray:
     return out.view(complex).reshape(state.shape)
 
 
-def _element_norms(work: np.ndarray) -> np.ndarray:
-    """Norm of each batch element of a flat state's float64 view."""
-    squares = np.einsum("ij,ij->j", work, work)
-    return np.sqrt(squares[0::2] + squares[1::2])
+def _squared_sums(region: np.ndarray) -> np.ndarray:
+    """Summed ``re**2 + im**2`` of each batch element in a region of a float64 view.
+
+    The last axis of ``region`` holds the real and imaginary part of every
+    batch element in turn; one einsum sums the squares over all axes, so no
+    squared-amplitude array is formed.
+    """
+    axes = list(range(region.ndim))
+    squares = np.einsum(region, axes, region, axes, axes[-1:])
+    return squares[0::2] + squares[1::2]
 
 
 def misalignment_rotate(state: np.ndarray, delta0: float | np.ndarray) -> np.ndarray:
@@ -275,11 +288,11 @@ def threshold_detect(state: np.ndarray, p_d: float) -> np.ndarray:
     """
     _check_two_mode(state)
     check_point(p_d=p_d)
-    joint = np.abs(state) ** 2
-    v12 = joint[0, 0]
-    only1 = joint[1:, 0].sum(axis=0)
-    only2 = joint[0, 1:].sum(axis=0)
-    lit = joint[1:, 1:].sum(axis=(0, 1))
+    parts = np.ascontiguousarray(state, dtype=complex).view(np.float64)
+    v12 = _squared_sums(parts[0, 0])
+    only1 = _squared_sums(parts[1:, 0])
+    only2 = _squared_sums(parts[0, 1:])
+    lit = _squared_sums(parts[1:, 1:])
     d1 = (1.0 - p_d) * (only1 + p_d * v12)
     d2 = (1.0 - p_d) * (only2 + p_d * v12)
     no_click = (1.0 - p_d) ** 2 * v12

@@ -26,6 +26,7 @@ from .fock import (
     MAX_N_MAX,
     TAIL_MASS_BOUND,
     CutoffError,
+    _squared_sums,
     beamsplitter_apply,
     check_n_max,
     coherent_fock,
@@ -100,6 +101,10 @@ ARMS: tuple[tuple[str, int], ...] = tuple(
 # of the prior's rows.
 _PAIR_ARMS = np.array([(ARMS.index((role_a, a)), ARMS.index((role_b, b)))
                        for role_a, role_b in ROLE_PAIRS for a, b in OUTCOME_PAIRS]).T
+# Spin parity a * b of each outcome pair, and the sign a D2 herald gives
+# Bob's outcome in each role pair: flipped (-1) only when his basis is Z.
+_PARITY = np.array([a * b for a, b in OUTCOME_PAIRS])
+_FLIP = np.array([[-1.0 if SETTING_ANGLES[role_b] == 0.0 else 1.0] for _, role_b in ROLE_PAIRS])
 
 # The p_d-free part of one point: the spin-outcome prior of each (role pair,
 # outcome pair); the central beamsplitter's output of each pair's four
@@ -144,10 +149,9 @@ def _optical_state(mu: float, eta: float, e_d: float, n_max: int) -> _OpticalSta
     # (signal, environment); rho = psi psi+ = basis (arm_coords arm_coords+) basis+.
     branches = np.array([cat_branch(mu, SETTING_ANGLES[role], outcome) for role, outcome in ARMS])
     amplitudes = branches[:, :2, np.newaxis]
-    # Summed from each arm's residual itself, not as a difference of norms
-    # near 1; written so that a NaN mass fails the check too.
-    residual = residuals @ amplitudes
-    outside = (residual.real**2 + residual.imag**2).sum(axis=(1, 2))
+    # Summed from each arm's residual itself (one column per arm), not as a
+    # difference of norms near 1; written so that a NaN mass fails the check too.
+    outside = _squared_sums((residuals @ branches[:, :2].T).view(np.float64))
     bad = np.flatnonzero(~(outside <= _SPAN_RESIDUAL_BOUND))
     if bad.size:
         raise CutoffError(f"arm {ARMS[bad[0]]} leaves mass {outside[bad[0]]:.3e} "
@@ -207,18 +211,15 @@ def _detector_stats(state: _OpticalState, p_d: float) -> DetectorStats:
     """The statistics of :func:`oracle_stats` from one optical state and dark counts p_d."""
     d1, d2 = _pair_heralds(state, p_d)[:2]
     prior = state.prior
-    parity = np.array([a * b for a, b in OUTCOME_PAIRS])
-    flip = np.array([[-1.0 if SETTING_ANGLES[role_b] == 0.0 else 1.0]
-                     for _, role_b in ROLE_PAIRS])
     # Summed as Python floats in outcome order: ndarray.sum adds in another
     # order, and a zero gain must raise ZeroDivisionError, not warn.
     success = (prior * (d1 + d2)).tolist()
-    correlated = (prior * parity * (d1 + flip * d2)).tolist()
+    correlated = (prior * _PARITY * (d1 + _FLIP * d2)).tolist()
 
     # Raw key pair (A0, B1), row 0: gain and Z-basis error rate after the
     # flip rule.  D1 heralds keep b; D2 heralds flip it.  An error is a != b_final.
     q_zz = sum(success[0])
-    e_zz = sum((prior[0] * np.where(parity < 0, d1[0], d2[0])).tolist()) / q_zz
+    e_zz = sum((prior[0] * np.where(_PARITY < 0, d1[0], d2[0])).tolist()) / q_zz
 
     # CHSH pairs, rows 1 on: correlators conditioned on success.
     s = sum(sign * sum(correlated[row]) / sum(success[row])
@@ -377,8 +378,10 @@ def verify_grid(
     points = acceptance_grid() if points is None else points
     check_verify_settings(tol, n_max, eta_d_literal, points)
     # Dark counts enter only the readout, so points that differ only in p_d
-    # share one optical state.  It lives for one group of this call: nothing
-    # is cached across calls, and no batch spans two optical states.
+    # share one optical state.  It lives for one group of this call: optical
+    # states are not cached across calls (splitter blocks are, for up to 8
+    # transmittances; see fock._beamsplitter_blocks), and no batch spans two
+    # optical states.
     groups: dict[tuple[float, float, float], list[int]] = {}
     for index, (mu, eta, _, e_d) in enumerate(points):
         groups.setdefault((mu, eta, e_d), []).append(index)

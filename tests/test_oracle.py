@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecs_diqkd import oracle
+from ecs_diqkd import fock, oracle
 from ecs_diqkd.fock import (
     CutoffError,
     beamsplitter_apply,
@@ -200,14 +200,35 @@ def test_acceptance_grid_shape():
 
 
 def test_verify_point_does_not_depend_on_its_call_mates():
-    # No cache across calls and no batch widened across points: a point
-    # checked alone reads the same as in the whole grid, where it shares its
-    # optical state with the two points that differ from it only in p_d.
+    # No optical state cached across calls and no batch widened across
+    # points: a point checked alone reads the same as in the whole grid,
+    # where it shares its optical state with the two points that differ from
+    # it only in p_d.
     points = acceptance_grid()
     together = verify_grid(points=points).points
     assert [check[:4] for check in together] == points
     for point, shared in zip(points, together):
         assert repr(verify_grid(points=[point]).points[0]) == repr(shared)
+
+
+def test_splitter_block_cache_keeps_the_grid_transmittances():
+    # The default grid needs blocks for 4 transmittances (0.5 is both a grid
+    # eta and the central splitter's).  Off-grid etas pass through the
+    # bounded cache; the always-used 0.5 stays, so a second grid run only
+    # rebuilds the 3 other grid etas the off-grid points pushed out.
+    blocks = fock._beamsplitter_blocks
+    blocks.cache_clear()
+    assert verify_grid().passed
+    assert blocks.cache_info().misses == 4
+    rng = np.random.default_rng(20261020)
+    for eta in rng.uniform(0.06, 0.99, size=20):
+        assert eta not in oracle.ACCEPTANCE_ETAS
+        verify_grid(points=[(0.1, float(eta), 1e-7, 0.01)])
+    info = blocks.cache_info()
+    assert info.misses == 4 + 20
+    assert info.currsize <= info.maxsize
+    assert verify_grid().passed
+    assert blocks.cache_info().misses == 4 + 20 + 3
 
 
 def test_verify_builds_one_optical_state_per_dark_count_group(monkeypatch):
