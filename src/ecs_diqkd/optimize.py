@@ -71,8 +71,9 @@ SEEDS: tuple[float, ...] = struct.unpack("<200d", bytes.fromhex(
 GOLDEN_XTOL = 1e-9
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Largest distance grid a SweepConfig accepts.  An optimized row costs about
-# 0.47 ms (one core of a 2-vCPU Xeon VM), so a grid this size takes about a
-# minute; a tiny step over a long range would otherwise run for hours or days.
+# 0.32 ms (one core of a 2-vCPU Xeon VM), so a grid this size takes about
+# half a minute; a tiny step over a long range would otherwise run for hours
+# or days.
 MAX_SWEEP_ROWS = 100_000
 
 
@@ -148,16 +149,20 @@ class SweepRow(namedtuple(
     __slots__ = ()
 
 
-def _signed_rate(q_zz: float, s: float, e_zz: float) -> float:
-    """Key rate before its clamp, continued below the CHSH threshold.
+def _signed_rates(triples: list[tuple[float, float, float]]) -> list[float]:
+    """Each triple's key rate before its clamp, continued below the CHSH threshold.
 
-    Where s > 2 this is :func:`key_rate_margin`, at least -1; where s <= 2 it
-    is -1 - (2 - s), below every margin and still falling as s falls, so a
-    bracket that straddles s = 2 stays unimodal.
+    Each triple first passes :func:`params.check_stats`, as a
+    :class:`DetectorStats` would.  Where s > 2 the value is
+    :func:`key_rate_margin`, at least -1; where s <= 2 it is -1 - (2 - s),
+    below every margin and still falling as s falls, so a bracket that
+    straddles s = 2 stays unimodal.
     """
-    if s > 2.0:
-        return key_rate_margin(q_zz, s, e_zz)
-    return -1.0 - (2.0 - s)
+    values = []
+    for q_zz, s, e_zz in triples:
+        check_stats(q_zz, s, e_zz)
+        values.append(key_rate_margin(q_zz, s, e_zz) if s > 2.0 else -1.0 - (2.0 - s))
+    return values
 
 
 def _golden_max(objective, best: int, best_value: float) -> tuple[float, float]:
@@ -201,10 +206,12 @@ def optimize_mu(
     bracket; the best point ever evaluated is returned, so the result can
     never fall below the seed grid.
 
-    Both steps score :func:`_signed_rate`, which equals :func:`key_rate`
-    wherever either is positive and keeps falling where the rate is clamped
-    to 0, so a positive window narrower than one seed cell, as where the
-    rate falls to zero with distance, is still found.
+    Both steps score through :func:`_signed_rates`, the seeds in one call
+    and each probe in its own, on the triples of one list-taking kernel.
+    The score equals :func:`key_rate` wherever either is positive and keeps
+    falling where the rate is clamped to 0, so a positive window narrower
+    than one seed cell, as where the rate falls to zero with distance, is
+    still found.
 
     Inputs are checked once per search, not per evaluation:
     :func:`channel_efficiency` checks the distance, loss and detector
@@ -216,16 +223,14 @@ def optimize_mu(
     eta = channel_efficiency(distance_km, beta_db_per_km, eta_d)
     check_point(eta=eta, p_d=p_d, e_d=e_d)
 
-    def stats_at(mu: float) -> tuple[float, float, float]:
-        triple = _ecs_misaligned(mu, eta, p_d, e_d)
-        check_stats(*triple)
-        return triple
-
-    seed_stats = [stats_at(m) for m in SEEDS]
+    seed_stats = _ecs_misaligned(SEEDS, eta, p_d, e_d)
+    signed = _signed_rates(seed_stats)
     if any(s > 2.0 for _, s, _ in seed_stats):
-        signed = [_signed_rate(*triple) for triple in seed_stats]
         best = signed.index(max(signed))  # the first maximum, as np.argmax picks
-        mu, rate = _golden_max(lambda m: _signed_rate(*stats_at(m)), best, signed[best])
+        mu, rate = _golden_max(
+            lambda m: _signed_rates(_ecs_misaligned((m,), eta, p_d, e_d))[0],
+            best, signed[best],
+        )
         if rate > 0.0:
             return MuOptimum(mu_star=mu, rate_star=rate, flagged=False)
     lo, hi = MU_SEARCH_BOUNDS

@@ -67,13 +67,14 @@ def check_stats(q_zz: float, s: float, e_zz: float) -> None:
 
     The one statement of the rules that :class:`DetectorStats` and the
     intensity search share: ``q_zz`` and ``e_zz`` in [0, 1], and ``|s|`` at
-    most ``CHSH_MAX`` plus ``CHSH_TOL``.
+    most ``CHSH_MAX`` plus ``CHSH_TOL``.  Each rule is written so that NaN
+    fails it.
     """
     if not 0.0 <= q_zz <= 1.0:
         raise ParameterError(f"q_zz must be in [0, 1], got {q_zz}")
     if not 0.0 <= e_zz <= 1.0:
         raise ParameterError(f"e_zz must be in [0, 1], got {e_zz}")
-    if abs(s) > CHSH_MAX + CHSH_TOL:
+    if not abs(s) <= CHSH_MAX + CHSH_TOL:
         raise ParameterError(f"|s| exceeds 2*sqrt(2): {s}")
 
 

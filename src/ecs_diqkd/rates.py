@@ -14,6 +14,7 @@ small ``mu * eta``.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 from .params import DetectorStats, KeyRatePoint, ParameterError, ProtocolParams, check_point
 
@@ -44,7 +45,9 @@ def key_rate(stats: DetectorStats) -> float:
     """
     if stats.s <= 2.0:
         return 0.0
-    return max(0.0, key_rate_margin(stats.q_zz, stats.s, stats.e_zz))
+    q_zz, s, e_zz = stats
+    margin = key_rate_margin(q_zz, s, e_zz)
+    return margin if margin > 0.0 else 0.0
 
 
 def key_rate_margin(q_zz: float, s: float, e_zz: float) -> float:
@@ -57,7 +60,8 @@ def key_rate_margin(q_zz: float, s: float, e_zz: float) -> float:
     # s > 2 puts x above 1/2; s may carry the permitted 1e-9 slack above
     # 2*sqrt(2), so clamp x back to at most 1.
     x = 0.5 * (1.0 + math.sqrt((s / 2.0) ** 2 - 1.0))
-    x = min(x, 1.0)
+    if x > 1.0:
+        x = 1.0
     return q_zz * (1.0 - _entropy(e_zz) - _entropy(x))
 
 
@@ -115,29 +119,54 @@ def ecs_misaligned_stats(mu: float, eta: float, p_d: float, e_d: float) -> Detec
     (see the verify command).
     """
     check_point(mu, eta, p_d, e_d)
-    return DetectorStats(*_ecs_misaligned(mu, eta, p_d, e_d))
+    (triple,) = _ecs_misaligned((mu,), eta, p_d, e_d)
+    return DetectorStats(*triple)
 
 
-def _ecs_misaligned(mu: float, eta: float, p_d: float, e_d: float) -> tuple[float, float, float]:
-    """The ``(q_zz, s, e_zz)`` of :func:`ecs_misaligned_stats`, unchecked.
+def _ecs_misaligned(
+    mus: Sequence[float], eta: float, p_d: float, e_d: float
+) -> list[tuple[float, float, float]]:
+    """The ``(q_zz, s, e_zz)`` of :func:`ecs_misaligned_stats` at each of ``mus``, unchecked.
 
-    The caller checks the inputs with ``check_point`` and the triple with
-    ``check_stats``.
+    One row ``(eta, p_d, e_d)``, many intensities: the one implementation
+    of the misaligned closed form.  Each triple is bit-identical to the
+    scalar expression, since the loop does its floating-point operations in
+    its order.  The caller checks the inputs with ``check_point`` and the
+    triples with ``check_stats``.
     """
-    x_dim = 2.0 * mu * eta * e_d            # intensity routed to the dim port
-    x_bright = 2.0 * mu * eta * (1.0 - e_d)  # intensity routed to the bright port
-    dim = math.expm1(x_dim)
-    bracket = dim + math.expm1(x_bright) + 2.0 * p_d
-    if bracket <= 0.0:
-        raise ParameterError("degenerate denominator in misaligned statistics")
-    q_zz = (1.0 - p_d) * math.exp(-2.0 * mu * eta) * bracket
-    w = (
-        4.0 * math.cosh(mu * (2.0 - eta)) * math.sinh(mu * eta * (1.0 - 2.0 * e_d))
-        - 2.0 * math.exp(-2.0 * mu * (1.0 - eta)) * (math.expm1(-x_dim) + p_d)
-    )
-    s = _SQRT2 * w / (math.exp(2.0 * mu * (1.0 - eta)) * bracket)
-    e_zz = (dim + p_d) / bracket
-    return q_zz, s, e_zz
+    # Row constants, hoisted unchanged: the same operation on the same
+    # operands rounds the same way wherever it is done.
+    bright = 1.0 - e_d
+    two_p_d = 2.0 * p_d
+    kept = 1.0 - p_d
+    two_minus_eta = 2.0 - eta
+    lost = 1.0 - eta
+    tilt = 1.0 - 2.0 * e_d
+    triples = []
+    for mu in mus:
+        # m2, me2 and a are the scalar form's 2.0*mu, 2.0*mu*eta and
+        # 2.0*mu*(1.0 - eta), rounded left to right as there.  Their negations
+        # are exact too, since IEEE rounding is sign-symmetric: -2.0*mu*eta,
+        # parsed (-2.0*mu)*eta, is -me2, and -2.0*mu*(1.0 - eta) is -a.
+        # mu*eta*tilt stays as written: me2 / 2 can differ from mu*eta where
+        # that product is subnormal.
+        m2 = 2.0 * mu
+        me2 = m2 * eta
+        a = m2 * lost
+        x_dim = me2 * e_d        # intensity routed to the dim port
+        x_bright = me2 * bright  # intensity routed to the bright port
+        dim = math.expm1(x_dim)
+        bracket = dim + math.expm1(x_bright) + two_p_d
+        if bracket <= 0.0:
+            raise ParameterError("degenerate denominator in misaligned statistics")
+        q_zz = kept * math.exp(-me2) * bracket
+        w = (
+            4.0 * math.cosh(mu * two_minus_eta) * math.sinh(mu * eta * tilt)
+            - 2.0 * math.exp(-a) * (math.expm1(-x_dim) + p_d)
+        )
+        s = _SQRT2 * w / (math.exp(a) * bracket)
+        triples.append((q_zz, s, (dim + p_d) / bracket))
+    return triples
 
 
 def bell_state_stats(eta: float, p_d: float) -> DetectorStats:

@@ -82,11 +82,12 @@ def test_optimizer_finds_window_narrower_than_a_seed_cell(channel):
 
 def _counted_search(monkeypatch, *args):
     # The search scores the bare kernel, not the public ecs_misaligned_stats.
+    # The kernel takes a sequence of intensities, so each one counts.
     calls = []
     closed_form = optimize._ecs_misaligned
 
     def counted(*a):
-        calls.append(a)
+        calls.extend(a[0])
         return closed_form(*a)
 
     monkeypatch.setattr(optimize, "_ecs_misaligned", counted)

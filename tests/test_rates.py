@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ecs_diqkd import oracle, rates
 from ecs_diqkd.fock import mode_product, threshold_detect, vacuum_state
-from ecs_diqkd.optimize import SweepConfig, optimize_mu
+from ecs_diqkd.optimize import SEEDS, SweepConfig, optimize_mu
 from ecs_diqkd.oracle import cat_branch, oracle_stats, verify_grid
-from ecs_diqkd.params import DetectorStats, ParameterError, ProtocolParams
+from ecs_diqkd.params import DetectorStats, ParameterError, ProtocolParams, check_stats
 from ecs_diqkd.rates import (
     bell_state_stats,
     binary_entropy,
@@ -295,6 +296,77 @@ def test_param_validation():
         DetectorStats(q_zz=1.2, s=0.0, e_zz=0.0)
     with pytest.raises(ParameterError):
         DetectorStats(q_zz=0.5, s=SQRT8 + 1e-6, e_zz=0.0)
+
+
+def test_nan_chsh_value_is_rejected(monkeypatch):
+    message = "^\\|s\\| exceeds 2\\*sqrt\\(2\\): nan$"
+    with pytest.raises(ParameterError, match=message):
+        check_stats(0.5, math.nan, 0.1)
+    with pytest.raises(ParameterError, match=message):
+        DetectorStats(q_zz=0.5, s=math.nan, e_zz=0.1)
+    # A NaN CHSH value from the oracle's readout is a per-point error of the
+    # comparison, not a pass.  Only the CHSH setting pairs (rows 1 on) are
+    # spoiled, so the gain and error rate stay finite.
+    pair_heralds = oracle._pair_heralds
+
+    def nan_chsh(state, p_d):
+        heralds = pair_heralds(state, p_d).copy()
+        heralds[:2, 1:] = math.nan
+        return heralds
+
+    monkeypatch.setattr(oracle, "_pair_heralds", nan_chsh)
+    report = verify_grid([(0.25, 0.5, 1e-5, 0.01)])
+    assert not report.passed
+    (point,) = report.errors
+    assert point.error == "|s| exceeds 2*sqrt(2): nan"
+
+
+def _scalar_misaligned(mu, eta, p_d, e_d):
+    """The misaligned closed form as one scalar expression, which the list kernel must match."""
+    x_dim = 2.0 * mu * eta * e_d
+    x_bright = 2.0 * mu * eta * (1.0 - e_d)
+    dim = math.expm1(x_dim)
+    bracket = dim + math.expm1(x_bright) + 2.0 * p_d
+    if bracket <= 0.0:
+        raise ParameterError("degenerate denominator in misaligned statistics")
+    q_zz = (1.0 - p_d) * math.exp(-2.0 * mu * eta) * bracket
+    w = (
+        4.0 * math.cosh(mu * (2.0 - eta)) * math.sinh(mu * eta * (1.0 - 2.0 * e_d))
+        - 2.0 * math.exp(-2.0 * mu * (1.0 - eta)) * (math.expm1(-x_dim) + p_d)
+    )
+    s = math.sqrt(2.0) * w / (math.exp(2.0 * mu * (1.0 - eta)) * bracket)
+    e_zz = (dim + p_d) / bracket
+    return q_zz, s, e_zz
+
+
+def test_list_kernel_is_the_scalar_expression_bit_for_bit():
+    # Arm transmittances from 1 down to the 700 km value at 0.2 dB/km, plus
+    # subnormal ones, where 2*mu*eta underflows at the small seeds.
+    etas = [channel_efficiency(d, 0.2, eta_d) for eta_d in (1.0, 0.8) for d in range(0, 701, 50)]
+    etas += [1e-310, 5e-324]
+    # The default channel, e_d at 0 and 1/2, p_d at 0 and 1e-5; both seed
+    # orders, so that a degenerate denominator can follow good points.
+    channels = [(p_d, e_d) for p_d in (1e-7, 0.0, 1e-5) for e_d in (0.0, 0.03, 0.5)]
+    raised_after = []
+    for eta in etas:
+        for p_d, e_d in channels:
+            for mus in (SEEDS, SEEDS[::-1]):
+                expected = []
+                for mu in mus:
+                    try:
+                        expected.append(_scalar_misaligned(mu, eta, p_d, e_d))
+                    except ParameterError:
+                        break
+                first = len(expected)
+                args = (eta, p_d, e_d)
+                assert repr(rates._ecs_misaligned(mus[:first], *args)) == repr(expected), args
+                if first < len(mus):
+                    raised_after.append(first)
+                    with pytest.raises(ParameterError, match="^degenerate denominator"):
+                        rates._ecs_misaligned(mus[: first + 1], *args)
+    # p_d = 0 at eta = 5e-324, for each e_d: at the first seed in order,
+    # and after some good points in reverse.
+    assert len(raised_after) == 6 and raised_after.count(0) == 3
 
 
 def test_ecs_point_pipeline():
