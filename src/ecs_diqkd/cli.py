@@ -7,6 +7,7 @@ Exit codes are a stable contract for CI: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -296,17 +297,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     def where(check: oracle.PointCheck) -> str:
         return f"at (mu={check.mu}, eta={check.eta}, p_d={check.p_d}, e_d={check.e_d})"
 
+    def dev(value: float) -> str:
+        """A maximum over the read-out points; NaN when no point was read out."""
+        return "absent" if math.isnan(value) else f"{value:.3e}"
+
     print(f"points checked: {len(report.points)} (n_max={report.n_max})")
     for check in report.errors:
         print(f"ERROR {where(check)}: {check.error}")
-    print(f"max |dQ_zz| = {report.max_dev_q_zz:.3e}")
-    print(f"max |dS|    = {report.max_dev_s:.3e}")
-    print(f"max |de_zz| = {report.max_dev_e_zz:.3e}")
+    print(f"max |dQ_zz| = {dev(report.max_dev_q_zz)}")
+    print(f"max |dS|    = {dev(report.max_dev_s)}")
+    print(f"max |de_zz| = {dev(report.max_dev_e_zz)}")
     print(
         "misaligned e_zz reading supported by oracle: "
         f"{report.supported_e_zz_reading} "
-        f"(eta dev {report.max_dev_e_zz:.3e}, "
-        f"literal eta_d dev {report.max_dev_e_zz_literal:.3e})"
+        f"(eta dev {dev(report.max_dev_e_zz)}, "
+        f"literal eta_d dev {dev(report.max_dev_e_zz_literal)})"
     )
     if report.errors:
         print(f"FAIL: the oracle could not read out {len(report.errors)} of "

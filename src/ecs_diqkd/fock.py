@@ -1,9 +1,9 @@
 """Truncated Fock-space optical states and linear-optics operations.
 
-The verifier in :mod:`ecs_diqkd.oracle` is built entirely out of the four
-operations here: coherent-state construction, a two-mode beamsplitter, a
-single-mode phase rotation, and a threshold-detector readout.  Nothing in
-this file knows about cat states or the closed forms.
+The verifier in :mod:`ecs_diqkd.oracle` is built entirely out of the five
+operations here: coherent-state construction, loss, a two-mode
+beamsplitter, a single-mode phase rotation, and a threshold-detector
+readout.  Nothing in this file knows about cat states or the closed forms.
 
 Conventions:
     * A state is a complex ndarray with one axis per mode, each of length
@@ -21,7 +21,9 @@ Conventions:
       T = 1/2 this is the symmetric splitter sending coherent amplitudes
       (x, y) to ((x + y)/sqrt(2), (x - y)/sqrt(2)).
     * Loss with transmittance eta is the same unitary coupling a signal
-      mode to a fresh vacuum environment mode.
+      mode to a fresh vacuum environment mode.  ``loss_apply`` takes the
+      signal alone and forms only the columns of inputs |N, 0>, so it needs
+      no splitter blocks.
 """
 
 from __future__ import annotations
@@ -38,10 +40,9 @@ from .params import ParameterError, check_point
 # splitter's output for all four component products of each of its 20 arm
 # pairs at once, so its peak memory grows about as n_max**2: one
 # oracle_stats call at (mu, eta, p_d, e_d) = (0.3, 0.37, 1e-6, 0.02) in a
-# fresh process peaks at 177 MB resident at 200 and 32 MB at 30 (2-vCPU
-# Xeon, numpy 2.4).  That peak includes the call's two splitter-block
-# cache entries, 43 MB each at 200; the cache keeps at most 8, about
-# 350 MB at this cutoff.
+# fresh process peaks at 137 MB resident at 200 and 32 MB at 30 (2-vCPU
+# Xeon, numpy 2.4).  That peak includes the call's one splitter-block
+# cache entry, the central splitter's, 43 MB at 200.
 MAX_N_MAX = 200
 # Certified bound on the photon-number tail mass lost to truncation.
 TAIL_MASS_BOUND = 1e-12
@@ -137,11 +138,10 @@ def coherent_fock(alpha: complex, n_max: int) -> np.ndarray:
     return amps[:, np.newaxis]
 
 
-# Sized to the transmittances that repeat: an oracle point uses two (its
-# eta and 1/2), the default verify grid four, and each off-grid point one
-# new eta, so a stream that keeps returning to the grid keeps its blocks
-# while off-grid etas pass through.  An entry is 0.16 MB at n_max 30 and
-# 43 MB at MAX_N_MAX, so the cache holds at most about 350 MB.
+# The oracle asks only for the central splitter's T = 1/2 (loss goes
+# through ``loss_apply``), so it keeps one entry per n_max; the other slots
+# serve direct callers at other transmittances.  An entry is 0.16 MB at
+# n_max 30 and 43 MB at MAX_N_MAX, so the cache holds at most about 350 MB.
 @lru_cache(maxsize=8)
 def _beamsplitter_blocks(
     n_max: int, transmittance: float
@@ -209,10 +209,10 @@ def beamsplitter_apply(state: np.ndarray, transmittance: float) -> np.ndarray:
     """Apply the beamsplitter unitary to the two modes in Fock space.
 
     Transmittance 1/2 gives the symmetric splitter with outputs
-    c = (a + b)/sqrt(2) and d = (a - b)/sqrt(2); other values model loss by
-    coupling a signal mode (the first) to a vacuum environment mode.  The
-    batch axis rides along through the block products, and the norm of
-    each batch element is certified on its own.
+    c = (a + b)/sqrt(2) and d = (a - b)/sqrt(2); with the second mode in
+    vacuum, other values model loss, which :func:`loss_apply` forms without
+    blocks.  The batch axis rides along through the block products, and the
+    norm of each batch element is certified on its own.
     """
     _check_two_mode(state)
     if not 0.0 <= transmittance <= 1.0:
@@ -226,17 +226,73 @@ def beamsplitter_apply(state: np.ndarray, transmittance: float) -> np.ndarray:
     out = np.empty_like(work)
     for rows, block in _beamsplitter_blocks(dim - 1, transmittance):
         np.matmul(block, work[rows], out=out[rows])
+    _certify_norm(work, out, "beamsplitter")
+    return out.view(complex).reshape(state.shape)
 
-    before, after = np.sqrt(_squared_sums(work)), np.sqrt(_squared_sums(out))
+
+@lru_cache(maxsize=8)
+def _sqrt_binomials(n_max: int) -> np.ndarray:
+    """sqrt(C(k + m, k)) at [k, m] for k + m <= n_max, 0 past the cutoff."""
+    n = range(n_max + 1)
+    binomials = [[math.comb(k + m, k) if k + m <= n_max else 0 for m in n] for k in n]
+    return np.sqrt(np.array(binomials, dtype=float))
+
+
+def loss_apply(state: np.ndarray, transmittance: float) -> np.ndarray:
+    """Send a one-mode batch through loss: the beamsplitter with a vacuum environment.
+
+    Takes shape ``(n_max + 1, B)`` and returns the two-mode batch (signal,
+    environment, B).  The mode map [[t, r], [r, -t]] sends |N, 0> to
+    sum_k sqrt(C(N, k)) t^k r^(N-k) |k, N-k>, so
+
+        out[k, m] = sqrt(C(k + m, k)) t^k r^m state[k + m]     (k + m <= n_max)
+
+    and 0 otherwise: column N of block N of ``beamsplitter_apply`` at this
+    transmittance, which never needs cropping.  t^k and r^m are formed as
+    T^(k/2) and (1 - T)^(m/2), one rounding each, so every amplitude keeps
+    its relative precision however small t or r is.  The norm of each batch
+    element is certified as in ``beamsplitter_apply``.
+    """
+    if state.ndim != 2:
+        raise ParameterError(f"expected a one-mode batch of shape (n_max + 1, B), got {state.shape}")
+    if not 0.0 <= transmittance <= 1.0:
+        raise ParameterError(f"transmittance must be in [0, 1], got {transmittance}")
+
+    dim = state.shape[0]
+    halves = np.arange(dim) / 2.0
+    weights = (
+        _sqrt_binomials(dim - 1)
+        * np.power(transmittance, halves)[:, np.newaxis]
+        * np.power(1.0 - transmittance, halves)
+    )
+    # The state followed by zero rows, read as the Hankel array
+    # hankel[k, m] = padded[k + m] through a strided view: no gather.
+    padded = np.zeros((2 * dim - 1, state.shape[1]), dtype=complex)
+    padded[:dim] = state
+    hankel = np.lib.stride_tricks.as_strided(
+        padded, shape=(dim, dim, state.shape[1]),
+        strides=(padded.strides[0], *padded.strides), writeable=False,
+    )
+    out = np.multiply(weights[:, :, np.newaxis], hankel, out=np.empty(hankel.shape, complex))
+    _certify_norm(padded.view(np.float64), out.view(np.float64), "loss")
+    return out
+
+
+def _certify_norm(before: np.ndarray, after: np.ndarray, operation: str) -> None:
+    """Raise CutoffError unless each batch element keeps its norm to ``NORM_DRIFT_TOL``.
+
+    ``before`` and ``after`` are float64 views of the input and output,
+    their last axis the real and imaginary parts of every batch element.
+    """
+    before, after = np.sqrt(_squared_sums(before)), np.sqrt(_squared_sums(after))
     # Written so that a NaN norm fails the check too.
     drift = ~(np.abs(after - before) <= NORM_DRIFT_TOL * np.maximum(1.0, before))
     if np.any(drift):
         where = int(np.flatnonzero(drift)[0])
         raise CutoffError(
-            f"beamsplitter pushed amplitude past the per-mode cutoff in batch element {where} "
+            f"{operation} pushed amplitude past the per-mode cutoff in batch element {where} "
             f"(norm {before[where]:.12f} -> {after[where]:.12f})"
         )
-    return out.view(complex).reshape(state.shape)
 
 
 def _squared_sums(region: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ from .fock import (
     beamsplitter_apply,
     check_n_max,
     coherent_fock,
+    loss_apply,
     misalignment_rotate,
     mode_product,
     poisson_tail,
@@ -136,9 +137,12 @@ def _optical_state(mu: float, eta: float, e_d: float, n_max: int) -> _OpticalSta
     dim = n_max + 1
     alpha = math.sqrt(mu)
     delta0 = math.acos(1.0 - 2.0 * e_d)
-    pulses = np.hstack([coherent_fock(alpha, n_max), coherent_fock(-alpha, n_max)])
+    # |-alpha> is |alpha> with its odd rows negated, exactly: IEEE rounding
+    # is sign-symmetric.
+    pulses = np.hstack([coherent_fock(alpha, n_max)] * 2)
+    pulses[1::2, 1] *= -1.0
     # lost[n, m, k]: signal n, environment m, pulse k (|alpha> first).
-    lost = beamsplitter_apply(mode_product(pulses, vacuum_state(n_max)), eta)
+    lost = loss_apply(pulses, eta)
     basis_a, _ = np.linalg.qr(lost[:, 0, :])
     flat = lost.reshape(dim, 2 * dim)  # environment and pulse on one axis
     coords = basis_a.conj().T @ flat
@@ -316,8 +320,8 @@ class VerificationReport(namedtuple("VerificationReport", "points tol n_max eta_
         return [p for p in self.points if p.error is not None]
 
     def _max_dev(self, field: str) -> float:
-        """Largest deviation of one field over the points without an error."""
-        return max((getattr(p, field) for p in self.points if p.error is None), default=0.0)
+        """Largest deviation of one field over the points without an error; NaN if none."""
+        return max((getattr(p, field) for p in self.points if p.error is None), default=math.nan)
 
     @property
     def max_dev_q_zz(self) -> float:
@@ -337,6 +341,10 @@ class VerificationReport(namedtuple("VerificationReport", "points tol n_max eta_
 
     @property
     def supported_e_zz_reading(self) -> str:
+        """``eta`` or ``eta_d``, whichever reading deviates less; ``undetermined``
+        when no point was read out."""
+        if len(self.errors) == len(self.points):
+            return "undetermined"
         return "eta" if self.max_dev_e_zz <= self.max_dev_e_zz_literal else "eta_d"
 
     @property
@@ -379,9 +387,9 @@ def verify_grid(
     check_verify_settings(tol, n_max, eta_d_literal, points)
     # Dark counts enter only the readout, so points that differ only in p_d
     # share one optical state.  It lives for one group of this call: optical
-    # states are not cached across calls (splitter blocks are, for up to 8
-    # transmittances; see fock._beamsplitter_blocks), and no batch spans two
-    # optical states.
+    # states are not cached across calls (only the central splitter's blocks
+    # and the loss binomials are, per n_max), and no batch spans two optical
+    # states.
     groups: dict[tuple[float, float, float], list[int]] = {}
     for index, (mu, eta, _, e_d) in enumerate(points):
         groups.setdefault((mu, eta, e_d), []).append(index)

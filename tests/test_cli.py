@@ -524,6 +524,23 @@ def test_verify_cutoff_failure_is_compute_error(capsys):
     assert lines[-1] == "FAIL: the oracle could not read out 1 of 1 points"
 
 
+def test_verify_with_no_point_read_out_reports_no_maxima(capsys):
+    # A maximum over no read-out point is absent, not 0, and no e_zz
+    # reading is supported.
+    code = cli.main(["verify", "--point", "0.5,0.5,1e-7,0.01", "--n-max", "5"])
+    assert code == cli.EXIT_COMPUTE
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("ERROR at (mu=0.5, eta=0.5, p_d=1e-07, e_d=0.01): n_max=5")
+    assert lines[2:6] == [
+        "max |dQ_zz| = absent",
+        "max |dS|    = absent",
+        "max |de_zz| = absent",
+        "misaligned e_zz reading supported by oracle: undetermined "
+        "(eta dev absent, literal eta_d dev absent)",
+    ]
+    assert lines[-1] == "FAIL: the oracle could not read out 1 of 1 points"
+
+
 def test_verify_reports_a_readout_out_of_range_and_checks_the_other_points(capsys):
     # At mu 20 the oracle's q_zz rounds past 1; that point carries the error,
     # and the other point is still compared.

@@ -14,6 +14,7 @@ from ecs_diqkd.fock import (
     _beamsplitter_blocks,
     beamsplitter_apply,
     coherent_fock,
+    loss_apply,
     misalignment_rotate,
     mode_product,
     poisson_tail,
@@ -431,6 +432,102 @@ def test_beamsplitter_rejects_cutoff_overflow():
 def test_beamsplitter_transmittance_validation():
     with pytest.raises(ParameterError, match="transmittance must be in"):
         beamsplitter_apply(_vacuum_pair(), 1.5)
+
+
+def _loss_inputs(n_max: int) -> np.ndarray:
+    """A one-mode batch: two random complex states with weight up to n_max,
+    and a coherent state."""
+    rng = np.random.default_rng(n_max)
+    states = rng.normal(size=(n_max + 1, 2)) + 1j * rng.normal(size=(n_max + 1, 2))
+    states /= np.linalg.norm(states, axis=0)
+    return np.hstack([states, coherent_fock(0.8 * np.exp(0.3j), n_max)])
+
+
+LOSS_ETAS = (1e-8, 1e-6, 0.05, 0.37, 0.5, 0.999, 1.0)
+
+
+@pytest.mark.parametrize("n_max", [30, 60])
+def test_loss_is_the_splitter_on_a_vacuum_environment(n_max):
+    # loss_apply forms the vacuum column of each splitter block in closed
+    # form; the blocks' ladder adds positive terms along it, so both keep
+    # relative precision on every entry.
+    states = _loss_inputs(n_max)
+    for eta in LOSS_ETAS:
+        lost = loss_apply(states, eta)
+        split = beamsplitter_apply(mode_product(states, vacuum_state(n_max)), eta)
+        assert lost.shape == split.shape
+        assert np.array_equal(lost == 0, split == 0), eta
+        nonzero = split != 0
+        gap = np.abs(lost[nonzero] - split[nonzero]) / np.abs(split[nonzero])
+        assert np.max(gap) <= 1e-14, eta
+
+
+def _decimal_loss_weights(state: np.ndarray, eta: float) -> dict[tuple[int, int], decimal.Decimal]:
+    """|out[k, m]|^2 = C(k + m, k) eta^k (1 - eta)^m |state[k + m]|^2 in
+    50-digit decimal arithmetic, from the exact values of the floats."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        n_max = state.size - 1
+        t2 = decimal.Decimal(eta)
+        r2 = 1 - t2
+        up, across = [decimal.Decimal(1)], [decimal.Decimal(1)]
+        for _ in range(n_max):
+            up.append(up[-1] * t2)
+            across.append(across[-1] * r2)
+        mass = [decimal.Decimal(float(x.real)) ** 2 + decimal.Decimal(float(x.imag)) ** 2
+                for x in state]
+        return {(k, m): math.comb(k + m, k) * up[k] * across[m] * mass[k + m]
+                for k in range(n_max + 1) for m in range(n_max + 1 - k)}
+
+
+@pytest.mark.parametrize("n_max", [30, 200])
+def test_loss_weights_match_a_decimal_reference(n_max):
+    # t^k and r^m are each formed by one power of eta or 1 - eta, so no
+    # weight loses digits to a large k or a small eta.  At n_max 200 one
+    # random state, whose weight reaches every N, keeps the reference cheap;
+    # a small eta leaves weight >= 1e-250 only at small k, which n_max 30 covers.
+    states = _loss_inputs(n_max)
+    if n_max == 200:
+        states, etas = states[:, :1], (0.37, 0.999)
+    else:
+        etas = LOSS_ETAS
+    for eta in etas:
+        weights = np.abs(loss_apply(states, eta)) ** 2
+        for b in range(states.shape[1]):
+            checked = 0
+            for (k, m), reference in _decimal_loss_weights(states[:, b], eta).items():
+                if reference >= decimal.Decimal("1e-250"):
+                    gap = abs(decimal.Decimal(float(weights[k, m, b])) - reference) / reference
+                    assert gap <= decimal.Decimal("1e-13"), (eta, b, k, m)
+                    checked += 1
+            assert checked >= n_max + 1, (eta, b)
+
+
+def test_loss_at_full_and_zero_transmittance_moves_the_state_exactly():
+    states = _loss_inputs(N_MAX)
+    kept = loss_apply(states, 1.0)
+    assert np.array_equal(kept[:, 0], states)
+    assert not np.any(kept[:, 1:])
+    gone = loss_apply(states, 0.0)
+    assert np.array_equal(gone[0], states)
+    assert not np.any(gone[1:])
+
+
+def test_loss_checks_its_input():
+    with pytest.raises(CutoffError, match="batch element 1"):
+        loss_apply(np.hstack([vacuum_state(10), np.full((11, 1), np.nan)]), 0.37)
+    with pytest.raises(ParameterError, match="transmittance must be in"):
+        loss_apply(vacuum_state(10), 1.5)
+    with pytest.raises(ParameterError, match="one-mode batch"):
+        loss_apply(_vacuum_pair(), 0.37)
+
+
+def test_coherent_state_of_minus_alpha_negates_the_odd_rows_exactly():
+    # The oracle forms |-alpha> this way.
+    for intensity in np.geomspace(1e-4, 6.0, 40):
+        plus = coherent_fock(math.sqrt(intensity), N_MAX)
+        signs = (-1.0) ** np.arange(N_MAX + 1)[:, np.newaxis]
+        assert np.array_equal(coherent_fock(-math.sqrt(intensity), N_MAX), plus * signs)
 
 
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])

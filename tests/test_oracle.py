@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 
@@ -10,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecs_diqkd import fock, oracle
+from ecs_diqkd import cli, fock, oracle
 from ecs_diqkd.fock import (
     CutoffError,
     beamsplitter_apply,
     coherent_fock,
+    loss_apply,
     misalignment_rotate,
     mode_product,
     threshold_detect,
@@ -29,8 +32,14 @@ from ecs_diqkd.oracle import (
     oracle_stats,
     verify_grid,
 )
+from ecs_diqkd.optimize import SweepConfig
 from ecs_diqkd.params import ParameterError
-from ecs_diqkd.rates import ecs_ideal_stats, ecs_lossy_stats, ecs_misaligned_stats
+from ecs_diqkd.rates import (
+    channel_efficiency,
+    ecs_ideal_stats,
+    ecs_lossy_stats,
+    ecs_misaligned_stats,
+)
 
 N_MAX = 30
 
@@ -211,24 +220,21 @@ def test_verify_point_does_not_depend_on_its_call_mates():
         assert repr(verify_grid(points=[point]).points[0]) == repr(shared)
 
 
-def test_splitter_block_cache_keeps_the_grid_transmittances():
-    # The default grid needs blocks for 4 transmittances (0.5 is both a grid
-    # eta and the central splitter's).  Off-grid etas pass through the
-    # bounded cache; the always-used 0.5 stays, so a second grid run only
-    # rebuilds the 3 other grid etas the off-grid points pushed out.
+def test_splitter_block_cache_builds_only_the_central_splitter():
+    # Loss goes through fock.loss_apply, which needs no blocks, so the
+    # oracle builds blocks for the central splitter's T = 1/2 alone: one
+    # miss for the grid, none for 20 off-grid etas or a second grid run.
     blocks = fock._beamsplitter_blocks
     blocks.cache_clear()
     assert verify_grid().passed
-    assert blocks.cache_info().misses == 4
+    assert blocks.cache_info().misses == 1
     rng = np.random.default_rng(20261020)
     for eta in rng.uniform(0.06, 0.99, size=20):
         assert eta not in oracle.ACCEPTANCE_ETAS
         verify_grid(points=[(0.1, float(eta), 1e-7, 0.01)])
-    info = blocks.cache_info()
-    assert info.misses == 4 + 20
-    assert info.currsize <= info.maxsize
     assert verify_grid().passed
-    assert blocks.cache_info().misses == 4 + 20 + 3
+    info = blocks.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 def test_verify_builds_one_optical_state_per_dark_count_group(monkeypatch):
@@ -287,6 +293,36 @@ def test_verify_reports_cutoff_failures():
         assert getattr(report, f"max_{field}") == getattr(certified, field)
 
 
+def test_verify_with_no_point_read_out_has_no_maxima():
+    report = verify_grid(points=[(1.0, 0.5, 0.0, 0.0), (1.0, 0.5, 1e-7, 0.0)], n_max=10)
+    assert len(report.errors) == 2
+    for field in ("dev_q_zz", "dev_s", "dev_e_zz", "dev_e_zz_literal"):
+        assert math.isnan(getattr(report, f"max_{field}"))
+    assert report.supported_e_zz_reading == "undetermined"
+    assert not report.passed
+
+
+def test_verify_reads_out_every_row_the_default_sweep_prints(capsys):
+    # The rows users read: mu* from the optimizer (placeholder rows at the
+    # flagged mu included) and arm transmittances down to the far end of
+    # the default grid.  Each printed triple is the closed form at its row,
+    # and the oracle agrees with it.
+    assert cli.main(["sweep"]) == cli.EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 121
+    config = SweepConfig()
+    points = []
+    for row in rows:
+        eta = channel_efficiency(float(row["distance_km"]), config.beta_db_per_km, config.eta_d)
+        point = (float(row["mu"]), eta, config.p_d, config.e_d)
+        assert ecs_misaligned_stats(*point) == tuple(float(row[f]) for f in ("q_zz", "s", "e_zz"))
+        points.append(point)
+    report = verify_grid(points=points)
+    assert not report.errors
+    assert report.passed
+    assert max(check.max_dev() for check in report.points) < 1e-8
+
+
 @pytest.mark.parametrize(
     "tol, n_max",
     [(math.nan, 30), (math.inf, 30), (0.0, 30), (-1e-8, 30), (1e-8, 0), (1e-8, 201)],
@@ -316,7 +352,8 @@ def _reference_oracle(mu: float, eta: float, p_d: float, e_d: float, n_max: int 
 
     Built only from the public single-state operations: every arm mixture
     gets its own loss beamsplitter, and every pure product its own central
-    beamsplitter and readout.
+    beamsplitter and readout.  Loss goes through the splitter blocks, not
+    ``loss_apply``, so this also checks the oracle's vacuum column.
     """
     alpha = math.sqrt(mu)
     delta0 = math.acos(1.0 - 2.0 * e_d)
@@ -388,9 +425,9 @@ def test_oracle_matches_per_product_reference(point):
 
 
 # The region the acceptance grid certifies: mu, eta, p_d and e_d each span
-# the grid's own range.  Every example is a fresh transmittance, so each one
-# also builds a new set of loss-beamsplitter blocks.  200 examples take
-# about 2 s, which keeps the whole suite well under its time before the
+# the grid's own range.  Every example is a fresh transmittance, which the
+# loss step takes without building splitter blocks.  200 examples take
+# about 1 s, which keeps the whole suite well under its time before the
 # oracle was batched.
 @settings(max_examples=200, deadline=None)
 @given(
@@ -491,12 +528,11 @@ def test_arm_span_certificate_fires(monkeypatch, extra):
     # An amplitude of the lost |alpha> outside the span of the basis (or a
     # NaN one) leaves each arm that carries that pulse outside it too.
     def corrupt(state, transmittance):
-        out = beamsplitter_apply(state, transmittance)
-        if transmittance != 0.5:  # the loss splitter
-            out[5, 2, 0] += extra  # signal |5>, environment |2>, pulse |alpha>
+        out = loss_apply(state, transmittance)
+        out[5, 2, 0] += extra  # signal |5>, environment |2>, pulse |alpha>
         return out
 
-    monkeypatch.setattr(oracle, "beamsplitter_apply", corrupt)
+    monkeypatch.setattr(oracle, "loss_apply", corrupt)
     with pytest.raises(CutoffError, match=r"arm \('A0', 1\) leaves mass .* outside the span"):
         oracle_stats(0.25, 0.37, 1e-5, 0.01)
 
@@ -522,10 +558,13 @@ def test_optical_state_splits_two_pulses_and_four_basis_products(monkeypatch):
     # four products of the side bases only, whatever the number of arms.
     batches = []
 
-    def recorded(state, transmittance):
-        batches.append((state.shape[-1], transmittance))
-        return beamsplitter_apply(state, transmittance)
+    def recorder(operation, name):
+        def recorded(state, transmittance):
+            batches.append((name, state.shape[-1], transmittance))
+            return operation(state, transmittance)
+        return recorded
 
-    monkeypatch.setattr(oracle, "beamsplitter_apply", recorded)
+    monkeypatch.setattr(oracle, "loss_apply", recorder(loss_apply, "loss"))
+    monkeypatch.setattr(oracle, "beamsplitter_apply", recorder(beamsplitter_apply, "splitter"))
     oracle_stats(0.25, 0.37, 1e-5, 0.01)
-    assert batches == [(2, 0.37), (4, 0.5)]
+    assert batches == [("loss", 2, 0.37), ("splitter", 4, 0.5)]
