@@ -6,6 +6,7 @@ import math
 import struct
 import sys
 from collections import namedtuple
+from collections.abc import Sequence
 
 from .params import ParameterError, check_point, check_stats
 from .rates import (
@@ -70,10 +71,11 @@ SEEDS: tuple[float, ...] = struct.unpack("<200d", bytes.fromhex(
 # guarantee so the certified maximum is met with slack.
 GOLDEN_XTOL = 1e-9
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# Largest distance grid a SweepConfig accepts.  An optimized row costs about
-# 0.32 ms (one core of a 2-vCPU Xeon VM), so a grid this size takes about
-# half a minute; a tiny step over a long range would otherwise run for hours
-# or days.
+# Largest distance grid a SweepConfig accepts.  A row that runs the
+# intensity search costs about 0.4 ms, and one past the CHSH horizon about
+# 10 us (one core of a 2-vCPU Xeon VM), so a grid this size takes under a
+# minute; a tiny step over a long range would otherwise run for hours or
+# days.
 MAX_SWEEP_ROWS = 100_000
 
 
@@ -81,11 +83,21 @@ class MuOptimum(namedtuple("MuOptimum", "mu_star rate_star flagged", defaults=(F
     """Result of the one-dimensional intensity search.
 
     ``flagged`` marks the degenerate case where the rate vanished over the
-    whole search interval; ``mu_star`` is then the interval midpoint.
-    ``mu_star`` and ``rate_star`` are plain floats.
+    whole search interval; ``mu_star`` is then the interval midpoint.  A
+    sweep row past the CHSH horizon gets this placeholder without a search
+    (see :func:`sweep`).  ``mu_star`` and ``rate_star`` are plain floats.
     """
 
     __slots__ = ()
+
+
+_PLACEHOLDER = MuOptimum(mu_star=0.5 * (MU_SEARCH_BOUNDS[0] + MU_SEARCH_BOUNDS[1]),
+                         rate_star=0.0, flagged=True)
+# The CHSH horizon of a sweep (see _walk): how far below s = 2 a row's best
+# seed must lie, above twice the kernel's rounding in s, and the least arm
+# transmittance at which that rounding bound holds.
+_HORIZON_MARGIN = 1e-12
+_HORIZON_ETA_MIN = 1e-290
 
 
 class SweepConfig(namedtuple(
@@ -220,21 +232,32 @@ def optimize_mu(
     :func:`ecs_misaligned_stats`.  Each scored ``(q_zz, s, e_zz)`` passes
     :func:`params.check_stats`, as a :class:`DetectorStats` would.
     """
+    return _search(distance_km, beta_db_per_km, eta_d, p_d, e_d)[0]
+
+
+def _search(
+    distance_km: float,
+    beta_db_per_km: float,
+    eta_d: float,
+    p_d: float,
+    e_d: float,
+) -> tuple[MuOptimum, bool]:
+    """:func:`optimize_mu`, and whether every seed has s <= 2 - _HORIZON_MARGIN."""
     eta = channel_efficiency(distance_km, beta_db_per_km, eta_d)
     check_point(eta=eta, p_d=p_d, e_d=e_d)
 
     seed_stats = _ecs_misaligned(SEEDS, eta, p_d, e_d)
     signed = _signed_rates(seed_stats)
-    if any(s > 2.0 for _, s, _ in seed_stats):
-        best = signed.index(max(signed))  # the first maximum, as np.argmax picks
-        mu, rate = _golden_max(
-            lambda m: _signed_rates(_ecs_misaligned((m,), eta, p_d, e_d))[0],
-            best, signed[best],
-        )
-        if rate > 0.0:
-            return MuOptimum(mu_star=mu, rate_star=rate, flagged=False)
-    lo, hi = MU_SEARCH_BOUNDS
-    return MuOptimum(mu_star=0.5 * (lo + hi), rate_star=0.0, flagged=True)
+    if not any(s > 2.0 for _, s, _ in seed_stats):
+        return _PLACEHOLDER, max(s for _, s, _ in seed_stats) <= 2.0 - _HORIZON_MARGIN
+    best = signed.index(max(signed))  # the first maximum, as np.argmax picks
+    mu, rate = _golden_max(
+        lambda m: _signed_rates(_ecs_misaligned((m,), eta, p_d, e_d))[0],
+        best, signed[best],
+    )
+    if rate > 0.0:
+        return MuOptimum(mu_star=mu, rate_star=rate, flagged=False), False
+    return _PLACEHOLDER, False
 
 
 def sweep_distances(config: SweepConfig) -> list[float]:
@@ -249,43 +272,114 @@ def sweep_row(config: SweepConfig, distance_km: float) -> SweepRow:
 
     The ECS fields come from one evaluation of the statistics at ``mu``,
     fixed or optimized; ``rate_ecs`` equals the optimizer's ``rate_star``.
+    It is the walk (:func:`_walk`) of one row, which never skips a search.
     """
-    eta = channel_efficiency(distance_km, config.beta_db_per_km, config.eta_d)
-    mu = q_zz = s = e_zz = rate_ecs = rate_bell = rate_plob = None
-    flagged = False
-    if "ecs" in config.protocols:
-        mu = config.mu
-        if mu is None:
-            optimum = optimize_mu(
-                distance_km, config.beta_db_per_km, config.eta_d, config.p_d, config.e_d
-            )
-            mu, flagged = optimum.mu_star, optimum.flagged
-        stats = ecs_misaligned_stats(mu, eta, config.p_d, config.e_d)
-        q_zz, s, e_zz, rate_ecs = stats.q_zz, stats.s, stats.e_zz, key_rate(stats)
-    if "bell" in config.protocols:
-        rate_bell = key_rate(bell_state_stats(eta, config.p_d))
-    if "plob" in config.protocols:
-        rate_plob = plob_bound(distance_km, config.beta_db_per_km, config.eta_d)
-    return SweepRow(
-        distance_km=distance_km,
-        mu=mu,
-        q_zz=q_zz,
-        s=s,
-        e_zz=e_zz,
-        rate_ecs=rate_ecs,
-        rate_bell=rate_bell,
-        rate_plob=rate_plob,
-        flagged=flagged,
-    )
+    (row,) = _walk(config, (distance_km,))
+    return row
+
+
+def _walk(config: SweepConfig, distances: Sequence[float]) -> list[SweepRow]:
+    """The :func:`sweep_row` of each distance, skipping searches past the CHSH horizon.
+
+    A row whose intensity search finds no seed with s > 2 - _HORIZON_MARGIN,
+    at an arm transmittance eta_h >= _HORIZON_ETA_MIN, is past the horizon.
+    A later row with _HORIZON_ETA_MIN <= eta <= eta_h takes the placeholder
+    optimum without a search, and still evaluates the statistics at it, the
+    Bell rate and the bound.  That is what :func:`optimize_mu` returns there,
+    and it raises nothing there, so every row equals its ``sweep_row``.  Any
+    order is exact; ascending distance skips the most.  The argument:
+
+    Write t = 2 mu eta <= 2 (mu and eta are at most 1), a = e_d <= 1/2,
+    b = 1 - a, X = exp(-t a), Y = exp(-t b), q = exp(-4 mu), and then
+        s / sqrt2 = [X - Y - q (1/X + 1/Y) + 2 (1 - p_d) q / (XY)]
+                    / [X + Y - 2 (1 - p_d) XY].
+
+    1. Level sets.  s is not monotone in eta (ds/deta < 0 occurs near
+       s = -1.4 at p_d > 0.6), but at any level c = sqrt2 g with
+       1 <= g <= sqrt2, once s <= c it stays <= c as eta falls at fixed mu.
+       With A = 1 - X and B = 1 - Y, s > c iff
+           F = M - 2 p_d (q + g X^2 Y^2) > 0,
+           M = XY [(1 - g) B - (1 + g) A + 2 g A B] + q (A + B),
+       and dF/dt >= dM/dt = XY K + q (aX + bY), where
+       K = (g - 1)(1 + a) X + (g + 1)(1 + b) Y - 4 g XY.  M > 0 means
+       q (A + B) > XY R, R = (g - 1) B + (1 + g) A - 2 g A B, so there
+           (A + B) dM/dt > XY G,   G = R (aX + bY) + K (A + B).
+       G is affine in g, and G >= 0 at g = 1 and g = sqrt2 for 0 <= a <= 1/2
+       and 0 < t <= 2: G = t^2 [g - 1 + a + 3a^2 - 2a^3 + 2ag (1 - a)]
+       + O(t^3), G = (g - 1) B^2 at a = 0, and a 40-digit grid of 101 a by
+       161 t in [1e-7, 10] finds no negative G.  So F > 0 forces dF/dt > 0:
+       F cannot fall to 0 as t grows.
+    2. Rounding.  Counting the kernel's roundings to first order, with
+       libm's exp, expm1, cosh and sinh within 2 ulp, the computed s is
+       within 4e-14 of the exact s of its float inputs: every term of w and
+       of the bracket is at most 9 times the bracket, which is at least
+       2 mu eta.  The worst seen in 20,000 random 50-digit samples was
+       1.7e-15.  At eta >= _HORIZON_ETA_MIN the bracket exceeds 1e-294, so
+       underflow, at most 2**-1075 an operation, adds nothing of note.
+       A seed at eta_h computed at s <= 2 - margin is exactly below
+       2 - margin + 4e-14, so by step 1 exactly below that at eta <= eta_h,
+       and computed below 2 - margin + 8e-14 < 2: no seed passes the search's
+       s > 2 test, and the search returns the placeholder.
+    3. No raise.  The bracket is at least expm1(x_bright) > 0.  q_zz is
+       k (X + Y) - 2 k^2 XY with k = 1 - p_d, X + Y <= 1 + XY and
+       XY = e^-t >= e^-2, so at most 1 - e^-2.  e_zz is in [0, 1], as
+       rounding is monotone.  s >= -sqrt2, since the numerator is at least
+       -2 p_d q / (XY), the denominator at least 2 p_d XY, and
+       q e^(2t) <= 1.  So ``check_stats`` passes every seed.
+
+    Rows below _HORIZON_ETA_MIN keep their search: there the kernel's
+    products are subnormal and s rounds far off (s = 2.67 at p_d 0 and
+    e_d 0.3 near 32,000 km), and the search raises as it always did, e.g.
+    ``degenerate denominator`` where the bracket rounds to 0.
+    """
+    rows = []
+    horizon_eta = 0.0  # eta_h; no row is past the horizon while it is 0
+    for distance_km in distances:
+        eta = channel_efficiency(distance_km, config.beta_db_per_km, config.eta_d)
+        mu = q_zz = s = e_zz = rate_ecs = rate_bell = rate_plob = None
+        flagged = False
+        if "ecs" in config.protocols:
+            mu = config.mu
+            if mu is None:
+                if _HORIZON_ETA_MIN <= eta <= horizon_eta:
+                    optimum = _PLACEHOLDER
+                else:
+                    optimum, past_horizon = _search(
+                        distance_km, config.beta_db_per_km, config.eta_d, config.p_d, config.e_d
+                    )
+                    if past_horizon and eta >= _HORIZON_ETA_MIN:
+                        horizon_eta = eta
+                mu, flagged = optimum.mu_star, optimum.flagged
+            stats = ecs_misaligned_stats(mu, eta, config.p_d, config.e_d)
+            q_zz, s, e_zz, rate_ecs = stats.q_zz, stats.s, stats.e_zz, key_rate(stats)
+        if "bell" in config.protocols:
+            rate_bell = key_rate(bell_state_stats(eta, config.p_d))
+        if "plob" in config.protocols:
+            rate_plob = plob_bound(distance_km, config.beta_db_per_km, config.eta_d)
+        rows.append(SweepRow(
+            distance_km=distance_km,
+            mu=mu,
+            q_zz=q_zz,
+            s=s,
+            e_zz=e_zz,
+            rate_ecs=rate_ecs,
+            rate_bell=rate_bell,
+            rate_plob=rate_plob,
+            flagged=flagged,
+        ))
+    return rows
 
 
 def sweep(config: SweepConfig, jobs: int = 1) -> list[SweepRow]:
     """Evaluate every grid distance; rows are returned ordered by distance.
 
-    ``jobs`` is accepted for older callers and ignored: rows are evaluated
-    in this process.
+    Each row equals :func:`sweep_row` at its distance.  With an optimized
+    intensity, rows past the CHSH horizon, where no seed reached s > 2 at a
+    shorter distance, print the flagged placeholder (mu 0.50005, rate 0)
+    without a search.  ``jobs`` is accepted for older callers and ignored:
+    rows are evaluated in this process.
     """
-    return [sweep_row(config, distance) for distance in sweep_distances(config)]
+    return _walk(config, sweep_distances(config))
 
 
 def find_crossover(
@@ -299,6 +393,9 @@ def find_crossover(
     (both rates can be identically zero at an endpoint, e.g. past every
     cutoff distance), then bisection narrows it.  Returns None when the
     difference never changes sign, including a protocol against itself.
+    The scan walks its 65 points as :func:`sweep` walks its rows, so scan
+    points past the CHSH horizon skip the intensity search; each bisection
+    probe is a :func:`sweep_row`.
     """
     first, second = protocol_pair
     lo, hi = bracket
@@ -307,8 +404,7 @@ def find_crossover(
     # Through the class, not _replace alone, so the pair is checked.
     pair_config = SweepConfig(*config._replace(protocols=(first, second)))
 
-    def diff(distance_km: float) -> float:
-        row = sweep_row(pair_config, distance_km)
+    def diff(row: SweepRow) -> float:
         return getattr(row, f"rate_{first}") - getattr(row, f"rate_{second}")
 
     # np.linspace(lo, hi, 65) by numpy's recipe, with its branch for a step
@@ -317,7 +413,7 @@ def find_crossover(
     delta = hi - lo
     step = delta / 64
     grid = [(i * step if step else i / 64 * delta) + lo for i in range(64)] + [hi]
-    values = [diff(distance) for distance in grid]
+    values = [diff(row) for row in _walk(pair_config, grid)]
     for i in range(len(grid) - 1):
         if values[i] == 0.0 or (values[i] > 0.0) != (values[i + 1] > 0.0):
             break
@@ -333,7 +429,7 @@ def find_crossover(
     hi = grid[i + 1]
     while hi - lo > 1.0:
         mid = 0.5 * (lo + hi)
-        f_mid = diff(mid)
+        f_mid = diff(sweep_row(pair_config, mid))
         if f_mid == 0.0:
             return mid
         if (f_mid > 0.0) == (f_lo > 0.0):

@@ -235,6 +235,18 @@ def test_plob_divergence_is_compute_error(capsys):
     assert code == cli.EXIT_COMPUTE
 
 
+def test_sweep_past_the_horizon_still_fails_where_eta_underflows(capsys):
+    # At p_d 0 and e_d 0.4 no seed reaches s > 2 from 0 km on, so most rows
+    # skip the search; near 32,300 km the arm transmittance is subnormal, the
+    # search runs again, and its bracket rounds to 0 at the smallest seed.
+    argv = ["sweep", "--l-min", "0", "--l-max", "32300", "--l-step", "100",
+            "--p-d", "0", "--e-d", "0.4", "--protocols", "ecs"]
+    assert cli.main(argv) == cli.EXIT_COMPUTE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: degenerate denominator in misaligned statistics\n"
+
+
 def test_arithmetic_overflow_is_compute_error():
     for argv in (
         ["rates", "--mu", "400", "--e-d", "0.01", "--eta-d", "1"],

@@ -186,11 +186,12 @@ def test_seed_table_is_the_log_grid():
 def test_crossover_scan_is_linspace(monkeypatch):
     scanned = []
 
-    def no_crossing(config, distance_km):
-        scanned.append(distance_km)
-        return optimize.SweepRow(distance_km, rate_ecs=1.0, rate_plob=0.0)
+    # The scan walks its points as a sweep walks its rows.
+    def no_crossing(config, distances):
+        scanned.extend(distances)
+        return [optimize.SweepRow(distance, rate_ecs=1.0, rate_plob=0.0) for distance in distances]
 
-    monkeypatch.setattr(optimize, "sweep_row", no_crossing)
+    monkeypatch.setattr(optimize, "_walk", no_crossing)
     config = SweepConfig(**FIG2)
     rng = np.random.default_rng(20261018)
     # The first three are subnormal brackets whose step underflows to 0.
@@ -272,6 +273,76 @@ def test_sweep_is_sweep_row_per_distance():
             stats.q_zz, stats.s, stats.e_zz, key_rate(stats)
         )
         assert row.rate_ecs == optimize_mu(row.distance_km, 0.2, 0.8, 1e-7, 0.01).rate_star
+
+
+# Channels whose sweep reaches the CHSH horizon, where no seed has s > 2:
+# p_d = 0 at e_d = 1 - 1/sqrt(2) + k * 2.5e-8, where s is flat in eta near
+# 2 - 5.7e-4 at the smallest seed; the same at e_d shifted by
+# (1 - exp(-4 mu)) / 2 for mu = SEEDS[0], where that seed's s sits at 2 at
+# short range and the best seed's s falls below 2 only mid-sweep; heavy
+# dark counts; maximal misalignment; and the golden corpus's narrow-window
+# channel.
+_FLAT_E_D = 1.0 - 2.0**-0.5
+_SEED_FLAT_E_D = _FLAT_E_D + 0.5 * math.expm1(-4.0 * optimize.SEEDS[0])
+HORIZON_CHANNELS = [
+    *(dict(p_d=0.0, e_d=_FLAT_E_D + k * 2.5e-8) for k in (-1, 0, 1)),
+    *(dict(p_d=0.0, e_d=_SEED_FLAT_E_D + k * 2.5e-8) for k in (1, 2)),
+    dict(p_d=0.1), dict(p_d=0.5), dict(e_d=0.5),
+    dict(eta_d=0.8967793831163791, p_d=9.510356531350182e-06, e_d=0.027001023328068474),
+]
+
+
+def _unskipped_crossover(protocol_pair, config, bracket):
+    """``find_crossover``'s scan and bisection, one ``sweep_row`` per point."""
+    first, second = protocol_pair
+    pair_config = SweepConfig(*config._replace(protocols=protocol_pair))
+
+    def diff(distance_km):
+        row = sweep_row(pair_config, distance_km)
+        return getattr(row, f"rate_{first}") - getattr(row, f"rate_{second}")
+
+    grid = np.linspace(*bracket, 65).tolist()
+    values = [diff(distance) for distance in grid]
+    for i in range(64):
+        if values[i] == 0.0 or (values[i] > 0.0) != (values[i + 1] > 0.0):
+            break
+    else:
+        return None
+    if values[i] == 0.0:
+        return None if values[i + 1] == 0.0 else grid[i]
+    lo, f_lo, hi = grid[i], values[i], grid[i + 1]
+    while hi - lo > 1.0:
+        mid = 0.5 * (lo + hi)
+        f_mid = diff(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("channel", HORIZON_CHANNELS, ids=repr)
+def test_rows_past_the_chsh_horizon_equal_their_sweep_row(channel, monkeypatch):
+    config = SweepConfig(l_max_km=700.0, l_step_km=5.0, **channel)
+    for pair in (("ecs", "plob"), ("ecs", "bell")):
+        assert repr(find_crossover(pair, config, (0.0, 700.0))) == repr(
+            _unskipped_crossover(pair, config, (0.0, 700.0))
+        )
+    expected = [sweep_row(config, distance) for distance in sweep_distances(config)]
+    searched = []
+    search = optimize._search
+
+    def counted(distance_km, *args):
+        searched.append(distance_km)
+        return search(distance_km, *args)
+
+    monkeypatch.setattr(optimize, "_search", counted)
+    assert sweep(config) == expected
+    # The horizon was reached: some rows took the placeholder unsearched.
+    skipped = [row for row in expected if row.distance_km not in searched]
+    assert skipped and all(row.flagged and row.rate_ecs == 0.0 for row in skipped)
 
 
 def test_sweep_flags_dead_rows_without_aborting():

@@ -305,22 +305,35 @@ def test_verify_with_no_point_read_out_has_no_maxima():
 def test_verify_reads_out_every_row_the_default_sweep_prints(capsys):
     # The rows users read: mu* from the optimizer (placeholder rows at the
     # flagged mu included) and arm transmittances down to the far end of
-    # the default grid.  Each printed triple is the closed form at its row,
-    # and the oracle agrees with it.
-    assert cli.main(["sweep"]) == cli.EXIT_OK
-    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-    assert len(rows) == 121
-    config = SweepConfig()
-    points = []
-    for row in rows:
-        eta = channel_efficiency(float(row["distance_km"]), config.beta_db_per_km, config.eta_d)
-        point = (float(row["mu"]), eta, config.p_d, config.e_d)
-        assert ecs_misaligned_stats(*point) == tuple(float(row[f]) for f in ("q_zz", "s", "e_zz"))
-        points.append(point)
-    report = verify_grid(points=points)
-    assert not report.errors
-    assert report.passed
-    assert max(check.max_dev() for check in report.points) < 1e-8
+    # the default grid, then the ECS rows of a 0-700 km channel, where eta
+    # falls to 8e-8 and 51 of 141 rows are placeholders, most past the CHSH
+    # horizon, printed without a search.  Each printed triple is the closed
+    # form at its row, and the oracle agrees with it.
+    for argv, config, count, placeholders in (
+        (["sweep"], SweepConfig(), 121, 28),
+        (["sweep", "--l-max", "700", "--e-d", "0.01", "--protocols", "ecs"],
+         SweepConfig(l_max_km=700.0, e_d=0.01), 141, 51),
+    ):
+        assert cli.main(argv) == cli.EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == count
+        assert sum(row["mu"] == "0.50005" and row["rate_ecs"] == "0.0" for row in rows) == (
+            placeholders
+        )
+        points = []
+        for row in rows:
+            eta = channel_efficiency(
+                float(row["distance_km"]), config.beta_db_per_km, config.eta_d
+            )
+            point = (float(row["mu"]), eta, config.p_d, config.e_d)
+            assert ecs_misaligned_stats(*point) == tuple(
+                float(row[f]) for f in ("q_zz", "s", "e_zz")
+            )
+            points.append(point)
+        report = verify_grid(points=points)
+        assert not report.errors
+        assert report.passed
+        assert max(check.max_dev() for check in report.points) < 1e-8
 
 
 @pytest.mark.parametrize(
