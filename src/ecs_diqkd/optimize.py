@@ -6,7 +6,7 @@ import math
 import struct
 import sys
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from .params import ParameterError, check_point, check_stats
 from .rates import (
@@ -278,8 +278,13 @@ def sweep_row(config: SweepConfig, distance_km: float) -> SweepRow:
     return row
 
 
-def _walk(config: SweepConfig, distances: Sequence[float]) -> list[SweepRow]:
+def _walk(config: SweepConfig, distances: Sequence[float]) -> Iterator[SweepRow]:
     """The :func:`sweep_row` of each distance, skipping searches past the CHSH horizon.
+
+    Rows are yielded lazily, in the order of ``distances``: a row is
+    evaluated only when it is asked for, so a caller that stops early, as
+    the crossover scan does, never evaluates the later rows or meets their
+    errors.
 
     A row whose intensity search finds no seed with s > 2 - _HORIZON_MARGIN,
     at an arm transmittance eta_h >= _HORIZON_ETA_MIN, is past the horizon.
@@ -332,7 +337,6 @@ def _walk(config: SweepConfig, distances: Sequence[float]) -> list[SweepRow]:
     e_d 0.3 near 32,000 km), and the search raises as it always did, e.g.
     ``degenerate denominator`` where the bracket rounds to 0.
     """
-    rows = []
     horizon_eta = 0.0  # eta_h; no row is past the horizon while it is 0
     for distance_km in distances:
         eta = channel_efficiency(distance_km, config.beta_db_per_km, config.eta_d)
@@ -356,7 +360,7 @@ def _walk(config: SweepConfig, distances: Sequence[float]) -> list[SweepRow]:
             rate_bell = key_rate(bell_state_stats(eta, config.p_d))
         if "plob" in config.protocols:
             rate_plob = plob_bound(distance_km, config.beta_db_per_km, config.eta_d)
-        rows.append(SweepRow(
+        yield SweepRow(
             distance_km=distance_km,
             mu=mu,
             q_zz=q_zz,
@@ -366,8 +370,7 @@ def _walk(config: SweepConfig, distances: Sequence[float]) -> list[SweepRow]:
             rate_bell=rate_bell,
             rate_plob=rate_plob,
             flagged=flagged,
-        ))
-    return rows
+        )
 
 
 def sweep(config: SweepConfig, jobs: int = 1) -> list[SweepRow]:
@@ -379,7 +382,7 @@ def sweep(config: SweepConfig, jobs: int = 1) -> list[SweepRow]:
     without a search.  ``jobs`` is accepted for older callers and ignored:
     rows are evaluated in this process.
     """
-    return _walk(config, sweep_distances(config))
+    return list(_walk(config, sweep_distances(config)))
 
 
 def find_crossover(
@@ -393,9 +396,11 @@ def find_crossover(
     (both rates can be identically zero at an endpoint, e.g. past every
     cutoff distance), then bisection narrows it.  Returns None when the
     difference never changes sign, including a protocol against itself.
-    The scan walks its 65 points as :func:`sweep` walks its rows, so scan
-    points past the CHSH horizon skip the intensity search; each bisection
-    probe is a :func:`sweep_row`.
+    The scan walks its 65 points in ascending order as :func:`sweep` walks
+    its rows, so scan points past the CHSH horizon skip the intensity search,
+    and it stops at the first bracketed sign change: later scan points, and
+    any error they would raise, are never evaluated.  Each bisection probe
+    is a :func:`sweep_row`.
     """
     first, second = protocol_pair
     lo, hi = bracket
@@ -413,19 +418,21 @@ def find_crossover(
     delta = hi - lo
     step = delta / 64
     grid = [(i * step if step else i / 64 * delta) + lo for i in range(64)] + [hi]
-    values = [diff(row) for row in _walk(pair_config, grid)]
+    rows = iter(_walk(pair_config, grid))
+    f_next = diff(next(rows))
     for i in range(len(grid) - 1):
-        if values[i] == 0.0 or (values[i] > 0.0) != (values[i + 1] > 0.0):
+        f_i, f_next = f_next, diff(next(rows))
+        if f_i == 0.0 or (f_i > 0.0) != (f_next > 0.0):
             break
     else:
         return None
-    if values[i] == 0.0:
+    if f_i == 0.0:
         # A zero grid value with a nonzero neighbour still brackets the
         # change; without one there is nothing to locate.
-        if values[i + 1] == 0.0:
+        if f_next == 0.0:
             return None
         return grid[i]
-    lo, f_lo = grid[i], values[i]
+    lo, f_lo = grid[i], f_i
     hi = grid[i + 1]
     while hi - lo > 1.0:
         mid = 0.5 * (lo + hi)

@@ -11,17 +11,26 @@ root and name the diff in CHANGES.md:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
+With ``--check`` it writes nothing: it names each case whose output differs
+from its file, with the largest numeric move of an ``oracle`` case, and
+exits with 1 if a ``bytes`` case differs or an ``oracle`` case moves by more
+than ``ORACLE_ABS_TOL`` or changes its text.
+
 ``versions.json`` records the Python and numpy that wrote the corpus: the
 closed forms call libm, so the bytes are those of one platform.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
+import math
 import platform
 import random
+import re
+import sys
 from pathlib import Path
 
 import numpy
@@ -32,6 +41,10 @@ from ecs_diqkd.oracle import acceptance_grid, oracle_stats, verify_grid
 
 GOLDEN = Path(__file__).resolve().parent
 ORACLE_ABS_TOL = 1e-14
+# A number standing on its own: not a digit inside a name such as d1_only.
+_NUMBER = re.compile(
+    r"(?<![\w.])([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf)(?![\w.])"
+)
 
 # A channel on which the ECS rate beats PLOB only between about 199 and
 # 207 km: narrower than the crossover scan's spacing, so the crossover
@@ -125,11 +138,60 @@ def versions() -> dict[str, str]:
     return {"python": platform.python_version(), "numpy": numpy.__version__}
 
 
-def main() -> None:
+def split_numbers(text: str) -> tuple[list[str], list[float]]:
+    """The text between the numbers, and the numbers."""
+    parts = _NUMBER.split(text)
+    return parts[0::2], [float(number) for number in parts[1::2]]
+
+
+def oracle_move(actual: str, expected: str) -> float | None:
+    """Largest move of any number between two oracle outputs; None if their text differs."""
+    skeleton, numbers = split_numbers(actual)
+    expected_skeleton, expected_numbers = split_numbers(expected)
+    if skeleton != expected_skeleton:
+        return None
+    move = 0.0
+    for got, want in zip(numbers, expected_numbers):
+        if not (got == want or (math.isnan(got) and math.isnan(want))):
+            gap = abs(got - want)
+            move = max(move, math.inf if math.isnan(gap) else gap)  # a NaN against a number
+    return move
+
+
+def check() -> int:
+    """Compare every case with its file and write nothing: 1 on a failing difference."""
+    failed = False
+    for name, kind, produce in CASES:
+        actual, expected = produce(), (GOLDEN / name).read_text()
+        if actual == expected:
+            print(f"{name}: unchanged")
+        elif kind == "bytes":
+            failed = True
+            print(f"{name}: differs")
+        else:
+            move = oracle_move(actual, expected)
+            if move is None:
+                failed = True
+                print(f"{name}: text differs")
+            else:
+                failed = failed or move > ORACLE_ABS_TOL
+                print(f"{name}: numbers differ, largest move {move:.3g} "
+                      f"(tolerance {ORACLE_ABS_TOL:g})")
+    print("FAIL" if failed else "OK")
+    return 1 if failed else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Write the golden corpus, or check it.")
+    parser.add_argument("--check", action="store_true",
+                        help="compare the outputs with the corpus and write nothing")
+    if parser.parse_args(argv).check:
+        return check()
     for name, _, produce in CASES:
         (GOLDEN / name).write_text(produce())
     (GOLDEN / "versions.json").write_text(json.dumps(versions(), indent=2) + "\n")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -247,6 +247,19 @@ def test_sweep_past_the_horizon_still_fails_where_eta_underflows(capsys):
     assert captured.err == "error: degenerate denominator in misaligned statistics\n"
 
 
+def test_crossover_stops_before_the_rows_where_eta_underflows(capsys):
+    # At p_d 0 and e_d 0.3 the ECS rate is 0 and the PLOB bound underflows
+    # to 0 by 16,500 km, so the scan stops at its first pair of zero values
+    # and never reaches the 32,000 km row, whose search raises `degenerate
+    # denominator` (a sweep that far still does, as tested above).
+    argv = ["crossover", "--pair", "ecs-vs-plob", "--bracket", "0", "32000",
+            "--p-d", "0", "--e-d", "0.3"]
+    assert cli.main(argv) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == "no crossover in bracket [0, 32000] km\n"
+    assert captured.err == ""
+
+
 def test_arithmetic_overflow_is_compute_error():
     for argv in (
         ["rates", "--mu", "400", "--e-d", "0.01", "--eta-d", "1"],

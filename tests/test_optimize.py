@@ -345,6 +345,33 @@ def test_rows_past_the_chsh_horizon_equal_their_sweep_row(channel, monkeypatch):
     assert skipped and all(row.flagged and row.rate_ecs == 0.0 for row in skipped)
 
 
+@pytest.mark.parametrize("pair", [("ecs", "plob"), ("ecs", "bell")])
+def test_crossover_scan_stops_at_its_first_bracket(pair, monkeypatch):
+    config = SweepConfig(**FIG2)
+    bracket = (0.0, 700.0)
+    expected = _unskipped_crossover(pair, config, bracket)
+    grid = np.linspace(*bracket, 65).tolist()
+    pair_config = SweepConfig(*config._replace(protocols=pair))
+    values = [getattr(row, f"rate_{pair[0]}") - getattr(row, f"rate_{pair[1]}")
+              for row in (sweep_row(pair_config, distance) for distance in grid)]
+    i = next(i for i in range(64)
+             if values[i] == 0.0 or (values[i] > 0.0) != (values[i + 1] > 0.0))
+    searched = []
+    search = optimize._search
+
+    def counted(distance_km, *args):
+        searched.append(distance_km)
+        return search(distance_km, *args)
+
+    monkeypatch.setattr(optimize, "_search", counted)
+    assert repr(find_crossover(pair, config, bracket)) == repr(expected)
+    # Every scan point up to the bracketing pair is searched, then only
+    # bisection probes inside that pair: no later scan point is evaluated.
+    assert searched[:i + 2] == grid[:i + 2]
+    assert all(grid[i] < distance < grid[i + 1] for distance in searched[i + 2:])
+    assert i + 2 < 65
+
+
 def test_sweep_flags_dead_rows_without_aborting():
     rows = sweep(SweepConfig(l_min_km=580.0, l_max_km=600.0, l_step_km=10.0))
     assert len(rows) == 3
