@@ -1,9 +1,9 @@
 """Truncated Fock-space optical states and linear-optics operations.
 
-The verifier in :mod:`ecs_diqkd.oracle` is built entirely out of the five
-operations here: coherent-state construction, loss, a two-mode
-beamsplitter, a single-mode phase rotation, and a threshold-detector
-readout.  Nothing in this file knows about cat states or the closed forms.
+The verifier in :mod:`ecs_diqkd.oracle` is built entirely out of the five operations
+here: coherent-state construction, loss, a two-mode beamsplitter, a single-mode phase
+rotation, and a threshold-detector readout in two halves, the p_d-free region sums and
+their dark-count map.  Nothing in this file knows about cat states or the closed forms.
 
 Conventions:
     * A state is a complex ndarray with one axis per mode, each of length
@@ -36,13 +36,13 @@ import numpy as np
 
 from .params import ParameterError, check_point
 
-# Largest Fock cutoff a state may have.  The oracle holds the central
-# splitter's output for all four component products of each of its 20 arm
-# pairs at once, so its peak memory grows about as n_max**2: one
-# oracle_stats call at (mu, eta, p_d, e_d) = (0.3, 0.37, 1e-6, 0.02) in a
-# fresh process peaks at 137 MB resident at 200 and 32 MB at 30 (2-vCPU
-# Xeon, numpy 2.4).  That peak includes the call's one splitter-block
-# cache entry, the central splitter's, 43 MB at 200.
+# Largest Fock cutoff a state may have.  The oracle forms the central splitter's
+# output for all four component products of each of its 20 arm pairs at once; it
+# keeps only their region sums, but the output sets the peak, which grows about as
+# n_max**2: one oracle_stats call at (mu, eta, p_d, e_d) = (0.3, 0.37, 1e-6, 0.02) in
+# a fresh process peaks at 137 MB resident at 200 and 32 MB at 30 (2-vCPU Xeon,
+# numpy 2.4).  That peak includes the call's one splitter-block cache entry, the
+# central splitter's, 43 MB at 200.
 MAX_N_MAX = 200
 # Certified bound on the photon-number tail mass lost to truncation.
 TAIL_MASS_BOUND = 1e-12
@@ -307,31 +307,29 @@ def _squared_sums(region: np.ndarray) -> np.ndarray:
     return squares[0::2] + squares[1::2]
 
 
-def misalignment_rotate(state: np.ndarray, delta0: float | np.ndarray) -> np.ndarray:
-    """Phase rotation e^(i n delta0) of the first mode; exactly norm-preserving.
-
-    ``delta0`` is one angle for every batch element or one angle per element.
-    """
+def misalignment_rotate(state: np.ndarray, delta0: float) -> np.ndarray:
+    """Phase e^(i n delta0) on the first mode of every batch element; exactly norm-preserving."""
     _check_two_mode(state)
-    angles = np.asarray(delta0, dtype=float)
-    if angles.ndim and angles.shape != state.shape[-1:]:
-        raise ParameterError("per-element angles need a batch of the same length")
-    if not np.all(np.isfinite(angles)):
-        raise ParameterError(f"misalignment angles must be finite, got {delta0}")
-    phases = np.exp(1j * np.multiply.outer(np.arange(state.shape[0]), angles))
-    return state * phases.reshape(state.shape[0], 1, angles.size)
+    if not math.isfinite(delta0):
+        raise ParameterError(f"misalignment angle must be finite, got {delta0}")
+    phases = np.exp(1j * (np.arange(state.shape[0]) * delta0))
+    return state * phases[:, np.newaxis, np.newaxis]
 
 
-def threshold_detect(state: np.ndarray, p_d: float) -> np.ndarray:
-    """Threshold-detector readout with independent dark counts.
+def region_sums(state: np.ndarray) -> np.ndarray:
+    """V12 = P(n_1 = n_2 = 0), only1 = P(n_1 > 0 = n_2), only2 = P(n_1 = 0 < n_2) and
+    lit = P(n_1, n_2 > 0) of a two-mode batch, shape ``(4, B)``, each summed straight
+    from the squared amplitudes of its region; dark counts do not enter them."""
+    _check_two_mode(state)
+    parts = np.ascontiguousarray(state, dtype=complex).view(np.float64)
+    regions = (parts[0, 0], parts[1:, 0], parts[0, 1:], parts[1:, 1:])
+    return np.stack([_squared_sums(region) for region in regions])
 
-    Returns shape ``(4, B)``: per batch element, the rows P(D1 only),
-    P(D2 only), P(none) and P(both), in that order.
 
-    D1 watches the first mode and D2 the second.  With V12 = P(n_1 = n_2 = 0),
-    only1 = P(n_1 > 0, n_2 = 0), only2 = P(n_1 = 0, n_2 > 0) and
-    lit = P(n_1 > 0, n_2 > 0) summed straight from the joint photon-number
-    distribution:
+def dark_counts(sums: np.ndarray, p_d: float) -> np.ndarray:
+    """Threshold-detector readout of :func:`region_sums` with independent dark counts p_d.
+
+    D1 watches the first mode and D2 the second.  Per column, the rows are:
 
         P(D1 only) = (1-p_d) (only1 + p_d V12)
         P(D2 only) = (1-p_d) (only2 + p_d V12)
@@ -342,15 +340,15 @@ def threshold_detect(state: np.ndarray, p_d: float) -> np.ndarray:
     of no-click probabilities near 1, so it keeps its relative precision
     however faint the light.
     """
-    _check_two_mode(state)
     check_point(p_d=p_d)
-    parts = np.ascontiguousarray(state, dtype=complex).view(np.float64)
-    v12 = _squared_sums(parts[0, 0])
-    only1 = _squared_sums(parts[1:, 0])
-    only2 = _squared_sums(parts[0, 1:])
-    lit = _squared_sums(parts[1:, 1:])
+    v12, only1, only2, lit = sums
     d1 = (1.0 - p_d) * (only1 + p_d * v12)
     d2 = (1.0 - p_d) * (only2 + p_d * v12)
     no_click = (1.0 - p_d) ** 2 * v12
     both = lit + p_d * (only1 + only2) + p_d**2 * v12
     return np.stack([d1, d2, no_click, both])
+
+
+def threshold_detect(state: np.ndarray, p_d: float) -> np.ndarray:
+    """:func:`dark_counts` of the :func:`region_sums` of a two-mode batch, shape ``(4, B)``."""
+    return dark_counts(region_sums(state), p_d)

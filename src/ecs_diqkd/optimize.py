@@ -404,10 +404,9 @@ def find_crossover(
     """
     first, second = protocol_pair
     lo, hi = bracket
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi or lo < 0.0:
-        raise ParameterError(f"invalid bracket {bracket}")
-    # Through the class, not _replace alone, so the pair is checked.
-    pair_config = SweepConfig(*config._replace(protocols=(first, second)))
+    # Through the class, not _replace alone, so the pair and bracket are checked.
+    pair_config = SweepConfig(*config._replace(
+        l_min_km=lo, l_max_km=hi, l_step_km=hi - lo, protocols=(first, second)))
 
     def diff(row: SweepRow) -> float:
         return getattr(row, f"rate_{first}") - getattr(row, f"rate_{second}")

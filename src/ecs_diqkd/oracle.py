@@ -30,11 +30,13 @@ from .fock import (
     beamsplitter_apply,
     check_n_max,
     coherent_fock,
+    dark_counts,
     loss_apply,
     misalignment_rotate,
     mode_product,
     poisson_tail,
-    threshold_detect,
+    region_sums,
+    threshold_detect,  # noqa: F401  unused; bound because benchmarks/tracer.py wraps it
     vacuum_state,
 )
 from .params import (
@@ -107,12 +109,9 @@ _PAIR_ARMS = np.array([(ARMS.index((role_a, a)), ARMS.index((role_b, b)))
 _PARITY = np.array([a * b for a, b in OUTCOME_PAIRS])
 _FLIP = np.array([[-1.0 if SETTING_ANGLES[role_b] == 0.0 else 1.0] for _, role_b in ROLE_PAIRS])
 
-# The p_d-free part of one point: the spin-outcome prior of each (role pair,
-# outcome pair); the central beamsplitter's output of each pair's four
-# component products, pair-major (a two-mode batch); each side's basis,
-# shape (2, n_max + 1, 2), Alice's first; and each arm's 2x2 factor F in its
-# side's coordinates, F F+ = the arm's mixture there.
-_OpticalState = namedtuple("_OpticalState", "prior joint basis factor")
+# The p_d-free part of one point: the spin-outcome prior of each (role pair, outcome
+# pair), and the fock.region_sums, shape (4, 80), of the output of _central_output.
+_OpticalState = namedtuple("_OpticalState", "prior sums")
 
 
 def _optical_state(mu: float, eta: float, e_d: float, n_max: int) -> _OpticalState:
@@ -129,9 +128,9 @@ def _optical_state(mu: float, eta: float, e_d: float, n_max: int) -> _OpticalSta
     C C+.  With C+ = Q R, F = R+ is a 2x2 factor with F F+ = C C+, so the
     pair (i, j) is the sum of the four pure products F_i[:, p] (x) F_j[:, q],
     whatever the arms' ranks.  The detector formulas are linear in the joint
-    photon-number distribution, so a pair's readout is the sum of its
-    products' readouts; u (x) v leaves the central beamsplitter as the sum of
-    u_x v_y times the output of basis product (x, y).
+    photon-number distribution, so a pair's readout sums its products'
+    readouts, each a map of four region sums; u (x) v leaves the central
+    beamsplitter as the sum of u_x v_y times the output of basis product (x, y).
     """
     certify_cutoff(mu, n_max)
     dim = n_max + 1
@@ -162,7 +161,13 @@ def _optical_state(mu: float, eta: float, e_d: float, n_max: int) -> _OpticalSta
                           "outside the span of its side's basis")
     arm_coords = (coords.reshape(2 * dim, 2) @ amplitudes).reshape(-1, 2, dim)
     factor = np.linalg.qr(arm_coords.conj().swapaxes(1, 2), mode="r").conj().swapaxes(1, 2)
+    alice, bob = _PAIR_ARMS
+    prior = (branches[alice, 2] * branches[bob, 2]).reshape(len(ROLE_PAIRS), len(OUTCOME_PAIRS))
+    return _OpticalState(prior, region_sums(_central_output(basis_a, basis_b, factor)))
 
+
+def _central_output(basis_a: np.ndarray, basis_b: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """The central splitter's output of every pair's four component products, pair-major."""
     # Basis products (x, y) in the order 00, 01, 10, 11, and the coefficients
     # F_i[x, p] F_j[y, q] of product (p, q) of every pair (i, j).
     alice, bob = _PAIR_ARMS
@@ -170,21 +175,19 @@ def _optical_state(mu: float, eta: float, e_d: float, n_max: int) -> _OpticalSta
         mode_product(basis_a[:, [0, 0, 1, 1]], basis_b[:, [0, 1, 0, 1]]), 0.5
     )
     coefficients = np.einsum("cxp,cyq->xycpq", factor[alice], factor[bob]).reshape(4, -1)
-    joint = (outputs.reshape(dim * dim, 4) @ coefficients).reshape(dim, dim, -1)
-    prior = (branches[alice, 2] * branches[bob, 2]).reshape(len(ROLE_PAIRS), len(OUTCOME_PAIRS))
-    return _OpticalState(prior, joint, np.stack([basis_a, basis_b]), factor)
+    return (outputs.reshape(-1, 4) @ coefficients).reshape(*outputs.shape[:2], -1)
 
 
 def _pair_heralds(state: _OpticalState, p_d: float) -> np.ndarray:
     """Herald probabilities of every (role pair, outcome pair): the dark-count readout.
 
-    Reads out every component product, then sums each pair's four; the
-    readout is linear in the photon-number distribution, so the sum is the
-    pair's readout.  Returns
+    Maps every component product's region sums through the dark counts,
+    then sums each pair's four; the readout is linear in the photon-number
+    distribution, so the sum is the pair's readout.  Returns
     shape ``(4, len(ROLE_PAIRS), len(OUTCOME_PAIRS))``; axis 0 follows the
-    rows of :func:`fock.threshold_detect` (d1_only, d2_only, none, both).
+    rows of :func:`fock.dark_counts` (d1_only, d2_only, none, both).
     """
-    heralds = threshold_detect(state.joint, p_d)
+    heralds = dark_counts(state.sums, p_d)
     sums = heralds.reshape(len(heralds), len(ROLE_PAIRS), len(OUTCOME_PAIRS), 4).sum(axis=-1)
     total = sum(sums)  # d1_only + d2_only + none + both, in that order
     # Written so that a NaN sum fails the check too.

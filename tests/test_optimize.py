@@ -200,13 +200,22 @@ def test_crossover_scan_is_linspace(monkeypatch):
     for _ in range(1200):
         lo = float(rng.choice([0.0, rng.uniform(0.0, 1000.0), 10.0 ** rng.uniform(-12, 6)]))
         brackets.append((lo, lo + float(10.0 ** rng.uniform(-14, 6))))
+    gated = 0
     for lo, hi in brackets:
         if not lo < hi:
             continue
         scanned.clear()
+        if channel_efficiency(hi, FIG2["beta_db_per_km"], FIG2["eta_d"]) == 0.0:
+            # Past the arm-transmittance gate of SweepConfig: refused unscanned.
+            gated += 1
+            with pytest.raises(ParameterError, match="^the arm transmittance underflows"):
+                find_crossover(("ecs", "plob"), config, (lo, hi))
+            assert scanned == []
+            continue
         assert find_crossover(("ecs", "plob"), config, (lo, hi)) is None
         assert scanned == np.linspace(lo, hi, 65).tolist(), (lo, hi)
         assert all(type(distance) is float for distance in scanned)
+    assert gated == 124
 
 
 def test_optimal_intensity_below_violation_boundary():
@@ -452,3 +461,9 @@ def test_crossover_rejects_bad_bracket():
     for bracket in ((math.nan, 100.0), (100.0, math.nan), (100.0, math.inf), (-math.inf, 100.0)):
         with pytest.raises(ParameterError):
             find_crossover(("ecs", "bell"), config, bracket)
+
+
+def test_crossover_bracket_meets_the_underflow_rules_of_sweep_config():
+    # As on the CLI: no scan row past the squared-transmittance gate.
+    with pytest.raises(ParameterError, match="^the squared arm transmittance underflows at 31000.0"):
+        find_crossover(("ecs", "bell"), SweepConfig(p_d=0.0), (16000.0, 31000.0))

@@ -173,10 +173,10 @@ def test_oracle_cutoff_certificate():
 
 
 def test_oracle_herald_sum_check_fails_nan_heralds(monkeypatch):
-    def nan_readout(state, p_d):
-        return np.full((4, state.shape[-1]), np.nan)
+    def nan_readout(sums, p_d):
+        return np.full(sums.shape, np.nan)
 
-    monkeypatch.setattr(oracle, "threshold_detect", nan_readout)
+    monkeypatch.setattr(oracle, "dark_counts", nan_readout)
     with pytest.raises(CutoffError, match="sum to nan"):
         oracle_stats(0.25, 0.5, 1e-5, 0.01)
 
@@ -249,6 +249,28 @@ def test_verify_builds_one_optical_state_per_dark_count_group(monkeypatch):
     monkeypatch.setattr(oracle, "_optical_state", counted)
     assert verify_grid().passed
     assert len(calls) == 60
+
+
+def test_verify_sums_regions_once_per_optical_state(monkeypatch):
+    # The region sums are p_d-free: the 180 grid points take 60 passes over
+    # Fock amplitudes, each over all 80 component products, and one
+    # dark-count map per point.
+    passes, maps = [], []
+    region_sums, dark_counts = oracle.region_sums, oracle.dark_counts
+
+    def counted_sums(state):
+        passes.append(state.shape)
+        return region_sums(state)
+
+    def counted_maps(sums, p_d):
+        maps.append(p_d)
+        return dark_counts(sums, p_d)
+
+    monkeypatch.setattr(oracle, "region_sums", counted_sums)
+    monkeypatch.setattr(oracle, "dark_counts", counted_maps)
+    assert verify_grid().passed
+    assert passes == [(N_MAX + 1, N_MAX + 1, 80)] * 60
+    assert sorted(maps) == sorted(p_d for _, _, p_d, _ in acceptance_grid())
 
 
 def test_verify_reads_out_a_failed_optical_state_as_an_error_per_point():
@@ -503,8 +525,8 @@ def _arm_states(mu: float, eta: float, e_d: float, n_max: int) -> np.ndarray:
     ).T
     pulses = c_plus * coherent_fock(alpha, n_max) + c_minus * coherent_fock(-alpha, n_max)
     arms = beamsplitter_apply(mode_product(pulses, vacuum_state(n_max)), eta)
-    drift = math.acos(1.0 - 2.0 * e_d)
-    arms = misalignment_rotate(arms, [drift * role.startswith("B") for role, _ in oracle.ARMS])
+    bob = [role.startswith("B") for role, _ in oracle.ARMS]
+    arms[..., bob] = misalignment_rotate(arms[..., bob], math.acos(1.0 - 2.0 * e_d))
     return np.moveaxis(arms, -1, 0)
 
 
@@ -515,24 +537,45 @@ def _pure_arms(eta: float, e_d: float) -> list[int]:
     return [arm for arm, (role, _) in enumerate(oracle.ARMS) if role in ("A0", "B1")]
 
 
-def test_arm_factor_reproduces_the_mixture():
+def _central_steps(monkeypatch) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Record each call of the oracle's central-splitter step as (bases, factors, output).
+
+    The bases, shape (2, n_max + 1, 2), are Alice's then Bob's; each arm's
+    2x2 factor F is in its side's coordinates; the output is the splitter's
+    two-mode batch of every pair's four component products.
+    """
+    steps = []
+    central_output = oracle._central_output
+
+    def recorded(basis_a, basis_b, factor):
+        output = central_output(basis_a, basis_b, factor)
+        steps.append((np.stack([basis_a, basis_b]), factor, output))
+        return output
+
+    monkeypatch.setattr(oracle, "_central_output", recorded)
+    return steps
+
+
+def test_arm_factor_reproduces_the_mixture(monkeypatch):
     # In its side's coordinates, every arm's factor F rebuilds its density
     # matrix as F F+, and mapped back by the side's basis it rebuilds it in
     # Fock space, so the basis spans the arm.  A pure arm's F leaves its
     # second column empty up to rounding.
+    steps = _central_steps(monkeypatch)
     for mu, eta, e_d, n_max in _arm_cases():
-        state = oracle._optical_state(mu, eta, e_d, n_max)
+        oracle._optical_state(mu, eta, e_d, n_max)
+        bases, factors, _ = steps.pop()
         psi = _arm_states(mu, eta, e_d, n_max)
         rho = psi @ psi.conj().swapaxes(1, 2)
-        for arm, factor in enumerate(state.factor):
-            basis = state.basis[int(oracle.ARMS[arm][0].startswith("B"))]
+        for arm, factor in enumerate(factors):
+            basis = bases[int(oracle.ARMS[arm][0].startswith("B"))]
             mixture = factor @ factor.conj().T
             in_side = basis.conj().T @ rho[arm] @ basis
             assert np.max(np.abs(mixture - in_side)) <= 1e-14, (mu, eta, e_d, n_max, arm)
             in_fock = basis @ mixture @ basis.conj().T
             assert np.max(np.abs(in_fock - rho[arm])) <= 1e-14, (mu, eta, e_d, n_max, arm)
         for arm in _pure_arms(eta, e_d):
-            second = np.sum(np.abs(state.factor[arm, :, 1]) ** 2)
+            second = np.sum(np.abs(factors[arm, :, 1]) ** 2)
             assert second <= 1e-28, (mu, eta, e_d, n_max, arm)
 
 
@@ -550,20 +593,22 @@ def test_arm_span_certificate_fires(monkeypatch, extra):
         oracle_stats(0.25, 0.37, 1e-5, 0.01)
 
 
-def test_central_splitter_output_is_linear_in_the_basis_products():
+def test_central_splitter_output_is_linear_in_the_basis_products(monkeypatch):
     # Each pair's four products F_i[:, p] (x) F_j[:, q], rebuilt from the
     # side bases, go through one central beamsplitter call and match the
     # combined output.
+    steps = _central_steps(monkeypatch)
     for mu, eta, e_d, n_max in _arm_cases() + [(20.0, 0.5, 0.03, 120)]:
-        state = oracle._optical_state(mu, eta, e_d, n_max)
+        oracle._optical_state(mu, eta, e_d, n_max)
+        bases, factors, joint = steps.pop()
         left, right = [], []
         for (role_a, role_b), (a, b) in itertools.product(oracle.ROLE_PAIRS, oracle.OUTCOME_PAIRS):
             i, j = oracle.ARMS.index((role_a, a)), oracle.ARMS.index((role_b, b))
             for p, q in itertools.product(range(2), repeat=2):
-                left.append(state.basis[0] @ state.factor[i, :, p])
-                right.append(state.basis[1] @ state.factor[j, :, q])
+                left.append(bases[0] @ factors[i, :, p])
+                right.append(bases[1] @ factors[j, :, q])
         direct = beamsplitter_apply(mode_product(np.array(left).T, np.array(right).T), 0.5)
-        assert np.max(np.abs(direct - state.joint)) <= 1e-14, (mu, eta, e_d, n_max)
+        assert np.max(np.abs(direct - joint)) <= 1e-14, (mu, eta, e_d, n_max)
 
 
 def test_optical_state_splits_two_pulses_and_four_basis_products(monkeypatch):
