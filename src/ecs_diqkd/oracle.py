@@ -110,7 +110,9 @@ _PARITY = np.array([a * b for a, b in OUTCOME_PAIRS])
 _FLIP = np.array([[-1.0 if SETTING_ANGLES[role_b] == 0.0 else 1.0] for _, role_b in ROLE_PAIRS])
 
 # The p_d-free part of one point: the spin-outcome prior of each (role pair, outcome
-# pair), and the fock.region_sums, shape (4, 80), of the output of _central_output.
+# pair), and the fock.region_sums, shape (4, 80), of every pair's four component
+# products, read from the basis-product outputs and coefficients of _central_output
+# without forming the products' (d, d, 80) output.
 _OpticalState = namedtuple("_OpticalState", "prior sums")
 
 
@@ -163,11 +165,15 @@ def _optical_state(mu: float, eta: float, e_d: float, n_max: int) -> _OpticalSta
     factor = np.linalg.qr(arm_coords.conj().swapaxes(1, 2), mode="r").conj().swapaxes(1, 2)
     alice, bob = _PAIR_ARMS
     prior = (branches[alice, 2] * branches[bob, 2]).reshape(len(ROLE_PAIRS), len(OUTCOME_PAIRS))
-    return _OpticalState(prior, region_sums(_central_output(basis_a, basis_b, factor)))
+    return _OpticalState(prior, region_sums(*_central_output(basis_a, basis_b, factor)))
 
 
-def _central_output(basis_a: np.ndarray, basis_b: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """The central splitter's output of every pair's four component products, pair-major."""
+def _central_output(
+    basis_a: np.ndarray, basis_b: np.ndarray, factor: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The central splitter's output of the four basis products, shape (d, d, 4), and
+    the (4, 80) coefficients that combine them into every pair's four component
+    products, pair-major."""
     # Basis products (x, y) in the order 00, 01, 10, 11, and the coefficients
     # F_i[x, p] F_j[y, q] of product (p, q) of every pair (i, j).
     alice, bob = _PAIR_ARMS
@@ -175,7 +181,7 @@ def _central_output(basis_a: np.ndarray, basis_b: np.ndarray, factor: np.ndarray
         mode_product(basis_a[:, [0, 0, 1, 1]], basis_b[:, [0, 1, 0, 1]]), 0.5
     )
     coefficients = np.einsum("cxp,cyq->xycpq", factor[alice], factor[bob]).reshape(4, -1)
-    return (outputs.reshape(-1, 4) @ coefficients).reshape(*outputs.shape[:2], -1)
+    return outputs, coefficients
 
 
 def _pair_heralds(state: _OpticalState, p_d: float) -> np.ndarray:

@@ -6,6 +6,7 @@ import csv
 import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,14 +254,15 @@ def test_verify_builds_one_optical_state_per_dark_count_group(monkeypatch):
 
 def test_verify_sums_regions_once_per_optical_state(monkeypatch):
     # The region sums are p_d-free: the 180 grid points take 60 passes over
-    # Fock amplitudes, each over all 80 component products, and one
-    # dark-count map per point.
+    # Fock amplitudes, each over the four basis products' outputs with the
+    # coefficients of all 80 component products, and one dark-count map per
+    # point.
     passes, maps = [], []
     region_sums, dark_counts = oracle.region_sums, oracle.dark_counts
 
-    def counted_sums(state):
-        passes.append(state.shape)
-        return region_sums(state)
+    def counted_sums(state, coefficients):
+        passes.append((state.shape, coefficients.shape))
+        return region_sums(state, coefficients)
 
     def counted_maps(sums, p_d):
         maps.append(p_d)
@@ -269,7 +271,7 @@ def test_verify_sums_regions_once_per_optical_state(monkeypatch):
     monkeypatch.setattr(oracle, "region_sums", counted_sums)
     monkeypatch.setattr(oracle, "dark_counts", counted_maps)
     assert verify_grid().passed
-    assert passes == [(N_MAX + 1, N_MAX + 1, 80)] * 60
+    assert passes == [((N_MAX + 1, N_MAX + 1, 4), (4, 80))] * 60
     assert sorted(maps) == sorted(p_d for _, _, p_d, _ in acceptance_grid())
 
 
@@ -537,20 +539,22 @@ def _pure_arms(eta: float, e_d: float) -> list[int]:
     return [arm for arm, (role, _) in enumerate(oracle.ARMS) if role in ("A0", "B1")]
 
 
-def _central_steps(monkeypatch) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Record each call of the oracle's central-splitter step as (bases, factors, output).
+def _central_steps(monkeypatch) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Record each call of the oracle's central-splitter step as (bases, factors, outputs,
+    coefficients).
 
     The bases, shape (2, n_max + 1, 2), are Alice's then Bob's; each arm's
-    2x2 factor F is in its side's coordinates; the output is the splitter's
-    two-mode batch of every pair's four component products.
+    2x2 factor F is in its side's coordinates; the outputs are the
+    splitter's two-mode batch of the four basis products, and
+    ``outputs @ coefficients`` is that of every pair's four component products.
     """
     steps = []
     central_output = oracle._central_output
 
     def recorded(basis_a, basis_b, factor):
-        output = central_output(basis_a, basis_b, factor)
-        steps.append((np.stack([basis_a, basis_b]), factor, output))
-        return output
+        outputs, coefficients = central_output(basis_a, basis_b, factor)
+        steps.append((np.stack([basis_a, basis_b]), factor, outputs, coefficients))
+        return outputs, coefficients
 
     monkeypatch.setattr(oracle, "_central_output", recorded)
     return steps
@@ -564,7 +568,7 @@ def test_arm_factor_reproduces_the_mixture(monkeypatch):
     steps = _central_steps(monkeypatch)
     for mu, eta, e_d, n_max in _arm_cases():
         oracle._optical_state(mu, eta, e_d, n_max)
-        bases, factors, _ = steps.pop()
+        bases, factors, _, _ = steps.pop()
         psi = _arm_states(mu, eta, e_d, n_max)
         rho = psi @ psi.conj().swapaxes(1, 2)
         for arm, factor in enumerate(factors):
@@ -600,7 +604,7 @@ def test_central_splitter_output_is_linear_in_the_basis_products(monkeypatch):
     steps = _central_steps(monkeypatch)
     for mu, eta, e_d, n_max in _arm_cases() + [(20.0, 0.5, 0.03, 120)]:
         oracle._optical_state(mu, eta, e_d, n_max)
-        bases, factors, joint = steps.pop()
+        bases, factors, outputs, coefficients = steps.pop()
         left, right = [], []
         for (role_a, role_b), (a, b) in itertools.product(oracle.ROLE_PAIRS, oracle.OUTCOME_PAIRS):
             i, j = oracle.ARMS.index((role_a, a)), oracle.ARMS.index((role_b, b))
@@ -608,7 +612,47 @@ def test_central_splitter_output_is_linear_in_the_basis_products(monkeypatch):
                 left.append(bases[0] @ factors[i, :, p])
                 right.append(bases[1] @ factors[j, :, q])
         direct = beamsplitter_apply(mode_product(np.array(left).T, np.array(right).T), 0.5)
-        assert np.max(np.abs(direct - joint)) <= 1e-14, (mu, eta, e_d, n_max)
+        assert np.max(np.abs(direct - outputs @ coefficients)) <= 1e-14, (mu, eta, e_d, n_max)
+
+
+def _eta_floor_cases() -> list[tuple[float, float, float, int]]:
+    """(mu, eta, e_d, n_max) of eight seeded points at eta 1e-8."""
+    rng = np.random.default_rng(20261020)
+    return [(float(10.0 ** rng.uniform(-3.0, 0.0)), 1e-8, float(rng.uniform(0.0, 0.5)), n_max)
+            for n_max in (30, 60) for _ in range(4)]
+
+
+def test_factored_region_sums_match_the_formed_batch(monkeypatch):
+    # The oracle reads the region sums of outputs @ coefficients without
+    # forming it: V12, only1 and only2 from the formed edge rows, summed as
+    # in the batch, and lit from the 4 x 4 Gram of the lit region, which
+    # sums in another order.
+    steps = _central_steps(monkeypatch)
+    grid = sorted({(mu, eta, e_d, N_MAX) for mu, eta, _, e_d in acceptance_grid()})
+    cases = grid + _eta_floor_cases() + [(20.0, 0.5, 0.03, 120)]
+    assert len(grid) == 60
+    for mu, eta, e_d, n_max in cases:
+        oracle._optical_state(mu, eta, e_d, n_max)
+        _, _, outputs, coefficients = steps.pop()
+        factored = fock.region_sums(outputs, coefficients)
+        formed = fock.region_sums(outputs @ coefficients)
+        assert factored.shape == formed.shape == (4, 80)
+        assert np.array_equal(factored[:3], formed[:3]), (mu, eta, e_d, n_max)
+        assert np.max(np.abs(factored[3] - formed[3])) <= 1e-14, (mu, eta, e_d, n_max)
+
+
+def test_oracle_working_set_stays_below_the_formed_batch():
+    # A warm point at MAX_N_MAX (a second eta: the central splitter's blocks
+    # and the loss binomials are cached) forms no (d^2, 80) batch; that batch
+    # alone is 51.7 MB.
+    oracle_stats(0.3, 0.37, 1e-6, 0.02, n_max=oracle.MAX_N_MAX)
+    tracemalloc.start()
+    try:
+        oracle_stats(0.3, 0.41, 1e-6, 0.02, n_max=oracle.MAX_N_MAX)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, peak
 
 
 def test_optical_state_splits_two_pulses_and_four_basis_products(monkeypatch):
