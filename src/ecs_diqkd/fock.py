@@ -1,9 +1,10 @@
 """Truncated Fock-space optical states and linear-optics operations.
 
-The verifier in :mod:`ecs_diqkd.oracle` is built entirely out of the five operations
-here: coherent-state construction, loss, a two-mode beamsplitter, a single-mode phase
-rotation, and a threshold-detector readout in two halves, the p_d-free region sums and
-their dark-count map.  Nothing in this file knows about cat states or the closed forms.
+The verifier in :mod:`ecs_diqkd.oracle` uses coherent-state construction, loss, a
+single-mode phase rotation and the dark-count map of the threshold-detector readout.
+It reads the two-mode beamsplitter at its output's edges, and its tests check that
+against ``beamsplitter_apply`` and ``region_sums``.  Nothing in this file knows about
+cat states or the closed forms.
 
 Conventions:
     * A state is a complex ndarray with one axis per mode, each of length
@@ -36,13 +37,11 @@ import numpy as np
 
 from .params import ParameterError, check_point
 
-# Largest Fock cutoff a state may have.  The oracle forms the central splitter's
-# output of four basis products per optical state and reads the region sums of all
-# 80 component products from it, so its working set grows about as n_max**2: one
-# oracle_stats call at (mu, eta, p_d, e_d) = (0.3, 0.37, 1e-6, 0.02) in a fresh
-# process peaks at 86 MB resident at 200 and 31 MB at 30 (2-vCPU Xeon, numpy 2.4).
-# That peak includes the call's one splitter-block cache entry, the central
-# splitter's, 43 MB at 200.
+# Largest Fock cutoff a state may have.  The oracle reads the central splitter's
+# edges through a (d, 2, d) Toeplitz array per optical state, d = n_max + 1, so its
+# working set grows about as n_max**2: one oracle_stats call at (mu, eta, p_d, e_d)
+# = (0.3, 0.37, 1e-6, 0.02) in a fresh process peaks at 44 MB resident at 200 and
+# 30 MB at 30 (2-vCPU Xeon, numpy 2.4).
 MAX_N_MAX = 200
 # Certified bound on the photon-number tail mass lost to truncation.
 TAIL_MASS_BOUND = 1e-12
@@ -138,10 +137,9 @@ def coherent_fock(alpha: complex, n_max: int) -> np.ndarray:
     return amps[:, np.newaxis]
 
 
-# The oracle asks only for the central splitter's T = 1/2 (loss goes
-# through ``loss_apply``), so it keeps one entry per n_max; the other slots
-# serve direct callers at other transmittances.  An entry is 0.16 MB at
-# n_max 30 and 43 MB at MAX_N_MAX, so the cache holds at most about 350 MB.
+# Only direct callers of ``beamsplitter_apply`` build blocks (the oracle and
+# loss need none).  An entry is 0.16 MB at n_max 30 and 43 MB at MAX_N_MAX,
+# so the cache holds at most about 350 MB.
 @lru_cache(maxsize=8)
 def _beamsplitter_blocks(
     n_max: int, transmittance: float
@@ -316,38 +314,17 @@ def misalignment_rotate(state: np.ndarray, delta0: float) -> np.ndarray:
     return state * phases[:, np.newaxis, np.newaxis]
 
 
-def region_sums(state: np.ndarray, coefficients: np.ndarray | None = None) -> np.ndarray:
+def region_sums(state: np.ndarray) -> np.ndarray:
     """V12 = P(n_1 = n_2 = 0), only1 = P(n_1 > 0 = n_2), only2 = P(n_1 = 0 < n_2) and
     lit = P(n_1, n_2 > 0) of a two-mode batch, shape ``(4, B)``; dark counts do not
-    enter them.
-
-    Each is summed from the amplitudes of its own region.  With ``coefficients``,
-    shape ``(B, M)``, the sums are those of the batch ``state @ coefficients``,
-    shape ``(4, M)``, which is never formed: its row 0 and column 0, the edge
-    amplitudes that V12, only1 and only2 read, are formed and summed, and lit is
-    the quadratic form c+ G c of each column c with the B x B Gram G of the lit
-    region's amplitudes.  Without them, lit is summed straight from its squared
-    amplitudes: the diagonal of G.
+    enter them.  Each is summed from the squared amplitudes of its own region.
     """
     _check_two_mode(state)
     state = np.ascontiguousarray(state, dtype=complex)
-    row, column, lit = state[0], state[1:, 0], state[1:, 1:]
-    if coefficients is None:
-        lit_sums = _squared_sums(lit.view(np.float64))
-    else:
-        row, column = row @ coefficients, column @ coefficients
-        # The real Gram R of the lit amplitudes' parts, columns re_0, im_0,
-        # re_1, ..., holds G = A+ A as Re G[k, l] = R[2k, 2l] + R[2k+1, 2l+1]
-        # and Im G[k, l] = R[2k, 2l+1] - R[2k+1, 2l].  One real product makes
-        # no conjugated copy, and at n_max 120 takes a fifth of the time of
-        # the complex one.
-        parts = lit.view(np.float64).reshape(-1, 2 * lit.shape[-1])
-        real = parts.T @ parts
-        gram = real[0::2, 0::2] + real[1::2, 1::2] + 1j * (real[0::2, 1::2] - real[1::2, 0::2])
-        lit_sums = np.einsum("km,kl,lm->m", coefficients.conj(), gram, coefficients).real
-    row, column = row.view(np.float64), column.view(np.float64)
+    row, column = state[0].view(np.float64), state[1:, 0].view(np.float64)
     return np.stack([
-        _squared_sums(row[0]), _squared_sums(column), _squared_sums(row[1:]), lit_sums
+        _squared_sums(row[0]), _squared_sums(column), _squared_sums(row[1:]),
+        _squared_sums(state[1:, 1:].view(np.float64)),
     ])
 
 

@@ -26,8 +26,9 @@ from .fock import (
     MAX_N_MAX,
     TAIL_MASS_BOUND,
     CutoffError,
+    _sqrt_binomials,
     _squared_sums,
-    beamsplitter_apply,
+    beamsplitter_apply,  # noqa: F401  unused; bound because benchmarks/tracer.py wraps it
     check_n_max,
     coherent_fock,
     dark_counts,
@@ -35,7 +36,6 @@ from .fock import (
     misalignment_rotate,
     mode_product,
     poisson_tail,
-    region_sums,
     threshold_detect,  # noqa: F401  unused; bound because benchmarks/tracer.py wraps it
     vacuum_state,
 )
@@ -111,8 +111,8 @@ _FLIP = np.array([[-1.0 if SETTING_ANGLES[role_b] == 0.0 else 1.0] for _, role_b
 
 # The p_d-free part of one point: the spin-outcome prior of each (role pair, outcome
 # pair), and the fock.region_sums, shape (4, 80), of every pair's four component
-# products, read from the basis-product outputs and coefficients of _central_output
-# without forming the products' (d, d, 80) output.
+# products after the central splitter, as _readout_sums reads them from the four
+# basis products without forming the splitter's output.
 _OpticalState = namedtuple("_OpticalState", "prior sums")
 
 
@@ -131,8 +131,7 @@ def _optical_state(mu: float, eta: float, e_d: float, n_max: int) -> _OpticalSta
     pair (i, j) is the sum of the four pure products F_i[:, p] (x) F_j[:, q],
     whatever the arms' ranks.  The detector formulas are linear in the joint
     photon-number distribution, so a pair's readout sums its products'
-    readouts, each a map of four region sums; u (x) v leaves the central
-    beamsplitter as the sum of u_x v_y times the output of basis product (x, y).
+    readouts, each a map of four region sums (:func:`_readout_sums`).
     """
     certify_cutoff(mu, n_max)
     dim = n_max + 1
@@ -165,23 +164,43 @@ def _optical_state(mu: float, eta: float, e_d: float, n_max: int) -> _OpticalSta
     factor = np.linalg.qr(arm_coords.conj().swapaxes(1, 2), mode="r").conj().swapaxes(1, 2)
     alice, bob = _PAIR_ARMS
     prior = (branches[alice, 2] * branches[bob, 2]).reshape(len(ROLE_PAIRS), len(OUTCOME_PAIRS))
-    return _OpticalState(prior, region_sums(*_central_output(basis_a, basis_b, factor)))
+    return _OpticalState(prior, _readout_sums(basis_a, basis_b, factor))
 
 
-def _central_output(
-    basis_a: np.ndarray, basis_b: np.ndarray, factor: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The central splitter's output of the four basis products, shape (d, d, 4), and
-    the (4, 80) coefficients that combine them into every pair's four component
-    products, pair-major."""
+def _readout_sums(basis_a: np.ndarray, basis_b: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """The fock.region_sums, shape (4, 80), of every pair's four component products
+    after the central splitter, pair-major, without forming the splitter's output.
+
+    The splitter's mode map [[t, r], [r, -t]] is real and its own inverse, so its
+    output |N, 0> reads the input along the column loss_apply forms: at T = 1/2,
+
+        out[N, 0] = sum_{k+m=N} 2^(-N/2) sqrt(C(N, k)) u[k] v[m]
+
+    for basis product u (x) v, and out[0, N] is that sum with the odd rows of v
+    negated.  Blocks with N <= n_max are not cropped, so lit is the mass at
+    k + m <= n_max less the edges; the herald-sum check certifies the rest.
+    """
+    alice, bob = _PAIR_ARMS
+    n_max = len(basis_a) - 1
+    k = np.arange(n_max + 1)
     # Basis products (x, y) in the order 00, 01, 10, 11, and the coefficients
     # F_i[x, p] F_j[y, q] of product (p, q) of every pair (i, j).
-    alice, bob = _PAIR_ARMS
-    outputs = beamsplitter_apply(
-        mode_product(basis_a[:, [0, 0, 1, 1]], basis_b[:, [0, 1, 0, 1]]), 0.5
-    )
     coefficients = np.einsum("cxp,cyq->xycpq", factor[alice], factor[bob]).reshape(4, -1)
-    return outputs, coefficients
+    # toeplitz[N, x, m] = 2^(-N/2) sqrt(C(N, m)) u_x[N - m].  A negative N - m
+    # indexes from the end, past the cutoff, where the weights and padding are 0.
+    antidiagonal = k[:, np.newaxis] - k
+    weights = _sqrt_binomials(n_max)[antidiagonal, k] * 0.5 ** (k[:, np.newaxis] / 2.0)
+    padded = np.vstack([basis_a, np.zeros((n_max, 2))])
+    toeplitz = (weights[:, :, np.newaxis] * padded[antidiagonal]).swapaxes(1, 2)
+    d1, d2 = (((toeplitz @ v).reshape(-1, 4) @ coefficients).view(np.float64)
+              for v in (basis_b, basis_b * (-1.0) ** k[:, np.newaxis]))
+    v12, only1, only2 = _squared_sums(d1[:1]), _squared_sums(d1[1:]), _squared_sums(d2[1:])
+    # Product (p, q) of pair (i, j) is u (x) v, u = basis_a F_i[:, p] and v = basis_b
+    # F_j[:, q]: its mass at k + m <= n_max is sum_k |u[k]|^2 sum_{m <= n_max-k} |v[m]|^2.
+    u_mass = np.abs(np.einsum("kx,cxp->kcp", basis_a, factor[alice])) ** 2
+    v_mass = np.cumsum(np.abs(np.einsum("ky,cyq->kcq", basis_b, factor[bob])) ** 2, axis=0)
+    mass = np.einsum("kcp,kcq->cpq", u_mass, v_mass[::-1]).reshape(-1)
+    return np.stack([v12, only1, only2, mass - v12 - only1 - only2])
 
 
 def _pair_heralds(state: _OpticalState, p_d: float) -> np.ndarray:
@@ -396,9 +415,8 @@ def verify_grid(
     check_verify_settings(tol, n_max, eta_d_literal, points)
     # Dark counts enter only the readout, so points that differ only in p_d
     # share one optical state.  It lives for one group of this call: optical
-    # states are not cached across calls (only the central splitter's blocks
-    # and the loss binomials are, per n_max), and no batch spans two optical
-    # states.
+    # states are not cached across calls (only the loss binomials are, per
+    # n_max), and no batch spans two optical states.
     groups: dict[tuple[float, float, float], list[int]] = {}
     for index, (mu, eta, _, e_d) in enumerate(points):
         groups.setdefault((mu, eta, e_d), []).append(index)
@@ -408,17 +426,21 @@ def verify_grid(
             state, failure = _optical_state(mu, eta, e_d, n_max), None
         except CutoffError as exc:
             state, failure = None, str(exc)
+        except ArithmeticError as exc:
+            state, failure = None, f"arithmetic failure ({exc!r})"
         for index in members:
             mu, eta, p_d, e_d = points[index]
             outcome = dict(error=failure)
             if state is not None:
                 try:
                     actual = _detector_stats(state, p_d)
-                except ParameterError as exc:  # a CutoffError, or a triple out of range
-                    outcome = dict(error=str(exc))
-                else:
                     closed = ecs_misaligned_stats(mu, eta, p_d, e_d)
                     literal = misaligned_e_zz_literal(mu, eta, eta_d_literal, p_d, e_d)
+                except ParameterError as exc:  # a CutoffError, or a triple out of range
+                    outcome = dict(error=str(exc))
+                except ArithmeticError as exc:
+                    outcome = dict(error=f"arithmetic failure ({exc!r})")
+                else:
                     outcome = dict(
                         dev_q_zz=abs(actual.q_zz - closed.q_zz),
                         dev_s=abs(actual.s - closed.s),

@@ -567,15 +567,31 @@ def test_verify_with_no_point_read_out_reports_no_maxima(capsys):
 
 
 def test_verify_reports_a_readout_out_of_range_and_checks_the_other_points(capsys):
-    # At mu 20 the oracle's q_zz rounds past 1; that point carries the error,
+    # At mu 22.5 the oracle's q_zz rounds past 1; that point carries the error,
     # and the other point is still compared.
-    code = cli.main(["verify", "--point", "20,1,0,0", "--point", "0.1,0.5,0,0", "--n-max", "120"])
+    code = cli.main(["verify", "--point", "22.5,1,0,0", "--point", "0.1,0.5,0,0", "--n-max", "120"])
     assert code == cli.EXIT_COMPUTE
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "points checked: 2 (n_max=120)"
     errors = [line for line in lines if line.startswith("ERROR")]
     assert len(errors) == 1
-    assert errors[0].startswith("ERROR at (mu=20.0, eta=1.0, p_d=0.0, e_d=0.0): q_zz must be")
+    assert errors[0].startswith("ERROR at (mu=22.5, eta=1.0, p_d=0.0, e_d=0.0): q_zz must be")
+    deviations = [float(line.partition("=")[2]) for line in lines if line.startswith("max |d")]
+    assert len(deviations) == 3 and max(deviations) < 1e-12  # the other point's
+    assert lines[-1] == "FAIL: the oracle could not read out 1 of 2 points"
+
+
+def test_verify_reports_an_arithmetic_failure_and_checks_the_other_points(capsys):
+    # At mu 1e-300 the cat branch divides by a normalisation that rounds to
+    # 0; that point carries the failure, and the other point is still compared.
+    code = cli.main(["verify", "--point", "1e-300,1,0,0", "--point", "0.25,1,0,0"])
+    assert code == cli.EXIT_COMPUTE
+    lines = capsys.readouterr().out.splitlines()
+    errors = [line for line in lines if line.startswith("ERROR")]
+    assert len(errors) == 1
+    assert errors[0].startswith(
+        "ERROR at (mu=1e-300, eta=1.0, p_d=0.0, e_d=0.0): arithmetic failure (ZeroDivisionError"
+    )
     deviations = [float(line.partition("=")[2]) for line in lines if line.startswith("max |d")]
     assert len(deviations) == 3 and max(deviations) < 1e-12  # the other point's
     assert lines[-1] == "FAIL: the oracle could not read out 1 of 2 points"

@@ -18,7 +18,6 @@ from ecs_diqkd.fock import (
     misalignment_rotate,
     mode_product,
     poisson_tail,
-    region_sums,
     threshold_detect,
     vacuum_state,
 )
@@ -252,21 +251,6 @@ def test_threshold_detect_reads_every_layout_alike_and_matches_abs_squared(n_max
             assert np.array_equal(reversed_batch[:, ::-1], herald), (size, p_d)
             reference = _abs_squared_readout(state, p_d)
             assert np.all(np.abs(herald - reference) <= 1e-14 * reference), (size, p_d)
-
-
-def test_region_sums_of_a_coefficient_batch_match_the_formed_batch():
-    # region_sums(state, coefficients) reads the batch state @ coefficients
-    # without forming it.  Its sums add in another order, so each may move by
-    # the rounding of a quadratic form: 1e-14 of |state|^2 |c|^2, in any layout.
-    rng = np.random.default_rng(2026)
-    for n_max in (1, 7, 30):
-        for size, layouts in _random_states(n_max, (1, 4, 10)):
-            coefficients = rng.normal(size=(size, 80)) + 1j * rng.normal(size=(size, 80))
-            scale = np.sum(np.abs(layouts["C"]) ** 2) * np.sum(np.abs(coefficients) ** 2, axis=0)
-            for layout, state in layouts.items():
-                factored, formed = region_sums(state, coefficients), region_sums(state @ coefficients)
-                assert factored.shape == (4, 80)
-                assert np.all(np.abs(factored - formed) <= 1e-14 * scale), (n_max, size, layout)
 
 
 def test_beamsplitter_certificate_fails_a_nan_state():

@@ -222,20 +222,20 @@ def test_verify_point_does_not_depend_on_its_call_mates():
 
 
 def test_splitter_block_cache_builds_only_the_central_splitter():
-    # Loss goes through fock.loss_apply, which needs no blocks, so the
-    # oracle builds blocks for the central splitter's T = 1/2 alone: one
-    # miss for the grid, none for 20 off-grid etas or a second grid run.
+    # The oracle reads the central splitter at its edges and sends loss
+    # through fock.loss_apply, so it builds no splitter blocks: no miss for
+    # the grid, 20 off-grid etas or a second grid run.
     blocks = fock._beamsplitter_blocks
     blocks.cache_clear()
     assert verify_grid().passed
-    assert blocks.cache_info().misses == 1
+    assert blocks.cache_info().misses == 0
     rng = np.random.default_rng(20261020)
     for eta in rng.uniform(0.06, 0.99, size=20):
         assert eta not in oracle.ACCEPTANCE_ETAS
         verify_grid(points=[(0.1, float(eta), 1e-7, 0.01)])
     assert verify_grid().passed
     info = blocks.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
+    assert (info.misses, info.currsize) == (0, 0)
 
 
 def test_verify_builds_one_optical_state_per_dark_count_group(monkeypatch):
@@ -253,25 +253,24 @@ def test_verify_builds_one_optical_state_per_dark_count_group(monkeypatch):
 
 
 def test_verify_sums_regions_once_per_optical_state(monkeypatch):
-    # The region sums are p_d-free: the 180 grid points take 60 passes over
-    # Fock amplitudes, each over the four basis products' outputs with the
-    # coefficients of all 80 component products, and one dark-count map per
-    # point.
+    # The region sums are p_d-free: the 180 grid points take 60 readouts of
+    # the central splitter, each from the two side bases and the 2 x 2
+    # factors of all arms, and one dark-count map per point.
     passes, maps = [], []
-    region_sums, dark_counts = oracle.region_sums, oracle.dark_counts
+    readout_sums, dark_counts = oracle._readout_sums, oracle.dark_counts
 
-    def counted_sums(state, coefficients):
-        passes.append((state.shape, coefficients.shape))
-        return region_sums(state, coefficients)
+    def counted_sums(basis_a, basis_b, factor):
+        passes.append((basis_a.shape, basis_b.shape, factor.shape))
+        return readout_sums(basis_a, basis_b, factor)
 
     def counted_maps(sums, p_d):
         maps.append(p_d)
         return dark_counts(sums, p_d)
 
-    monkeypatch.setattr(oracle, "region_sums", counted_sums)
+    monkeypatch.setattr(oracle, "_readout_sums", counted_sums)
     monkeypatch.setattr(oracle, "dark_counts", counted_maps)
     assert verify_grid().passed
-    assert passes == [((N_MAX + 1, N_MAX + 1, 4), (4, 80))] * 60
+    assert passes == [((N_MAX + 1, 2), (N_MAX + 1, 2), (len(oracle.ARMS), 2, 2))] * 60
     assert sorted(maps) == sorted(p_d for _, _, p_d, _ in acceptance_grid())
 
 
@@ -281,6 +280,15 @@ def test_verify_reads_out_a_failed_optical_state_as_an_error_per_point():
     report = verify_grid(points=points + [(0.1, 0.5, 1e-7, 0.01)], n_max=10)
     assert [check.error is None for check in report.points] == [False, False, False, True]
     assert len({check.error for check in report.errors}) == 1
+
+
+def test_verify_reads_out_bright_points_at_the_largest_cutoff():
+    # The edge readout builds no splitter blocks, whose rounding at large
+    # photon numbers once failed these points' norm certificate.
+    points = [(mu, 1.0, 1e-7, 0.01) for mu in (30.0, 35.0, 40.0, 45.0)]
+    report = verify_grid(points=points, n_max=oracle.MAX_N_MAX)
+    assert report.errors == []
+    assert max(check.max_dev() for check in report.points) < 1e-8
 
 
 def test_verify_adjudicates_e_zz_reading():
@@ -539,24 +547,22 @@ def _pure_arms(eta: float, e_d: float) -> list[int]:
     return [arm for arm, (role, _) in enumerate(oracle.ARMS) if role in ("A0", "B1")]
 
 
-def _central_steps(monkeypatch) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Record each call of the oracle's central-splitter step as (bases, factors, outputs,
-    coefficients).
+def _central_steps(monkeypatch) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Record each call of the oracle's central-splitter readout as (bases, factors, sums).
 
     The bases, shape (2, n_max + 1, 2), are Alice's then Bob's; each arm's
-    2x2 factor F is in its side's coordinates; the outputs are the
-    splitter's two-mode batch of the four basis products, and
-    ``outputs @ coefficients`` is that of every pair's four component products.
+    2x2 factor F is in its side's coordinates; the sums are the readout's
+    region sums, shape (4, 80), of every pair's four component products.
     """
     steps = []
-    central_output = oracle._central_output
+    readout_sums = oracle._readout_sums
 
     def recorded(basis_a, basis_b, factor):
-        outputs, coefficients = central_output(basis_a, basis_b, factor)
-        steps.append((np.stack([basis_a, basis_b]), factor, outputs, coefficients))
-        return outputs, coefficients
+        sums = readout_sums(basis_a, basis_b, factor)
+        steps.append((np.stack([basis_a, basis_b]), factor, sums))
+        return sums
 
-    monkeypatch.setattr(oracle, "_central_output", recorded)
+    monkeypatch.setattr(oracle, "_readout_sums", recorded)
     return steps
 
 
@@ -568,7 +574,7 @@ def test_arm_factor_reproduces_the_mixture(monkeypatch):
     steps = _central_steps(monkeypatch)
     for mu, eta, e_d, n_max in _arm_cases():
         oracle._optical_state(mu, eta, e_d, n_max)
-        bases, factors, _, _ = steps.pop()
+        bases, factors, _ = steps.pop()
         psi = _arm_states(mu, eta, e_d, n_max)
         rho = psi @ psi.conj().swapaxes(1, 2)
         for arm, factor in enumerate(factors):
@@ -597,24 +603,6 @@ def test_arm_span_certificate_fires(monkeypatch, extra):
         oracle_stats(0.25, 0.37, 1e-5, 0.01)
 
 
-def test_central_splitter_output_is_linear_in_the_basis_products(monkeypatch):
-    # Each pair's four products F_i[:, p] (x) F_j[:, q], rebuilt from the
-    # side bases, go through one central beamsplitter call and match the
-    # combined output.
-    steps = _central_steps(monkeypatch)
-    for mu, eta, e_d, n_max in _arm_cases() + [(20.0, 0.5, 0.03, 120)]:
-        oracle._optical_state(mu, eta, e_d, n_max)
-        bases, factors, outputs, coefficients = steps.pop()
-        left, right = [], []
-        for (role_a, role_b), (a, b) in itertools.product(oracle.ROLE_PAIRS, oracle.OUTCOME_PAIRS):
-            i, j = oracle.ARMS.index((role_a, a)), oracle.ARMS.index((role_b, b))
-            for p, q in itertools.product(range(2), repeat=2):
-                left.append(bases[0] @ factors[i, :, p])
-                right.append(bases[1] @ factors[j, :, q])
-        direct = beamsplitter_apply(mode_product(np.array(left).T, np.array(right).T), 0.5)
-        assert np.max(np.abs(direct - outputs @ coefficients)) <= 1e-14, (mu, eta, e_d, n_max)
-
-
 def _eta_floor_cases() -> list[tuple[float, float, float, int]]:
     """(mu, eta, e_d, n_max) of eight seeded points at eta 1e-8."""
     rng = np.random.default_rng(20261020)
@@ -622,30 +610,39 @@ def _eta_floor_cases() -> list[tuple[float, float, float, int]]:
             for n_max in (30, 60) for _ in range(4)]
 
 
-def test_factored_region_sums_match_the_formed_batch(monkeypatch):
-    # The oracle reads the region sums of outputs @ coefficients without
-    # forming it: V12, only1 and only2 from the formed edge rows, summed as
-    # in the batch, and lit from the 4 x 4 Gram of the lit region, which
-    # sums in another order.
+def test_edge_readout_matches_the_formed_splitter_output(monkeypatch):
+    # The readout takes V12, only1 and only2 from the central splitter's edge
+    # rows and lit as the in-cutoff mass less them, so the herald sum no
+    # longer checks the edges.  Against region_sums of beamsplitter_apply's
+    # output, combined from the four basis products: V12, only1 and only2
+    # within 1e-14 of each product's mass (of the sum itself at eta 1e-8,
+    # where the edges are faint), and lit within 1e-14.
     steps = _central_steps(monkeypatch)
     grid = sorted({(mu, eta, e_d, N_MAX) for mu, eta, _, e_d in acceptance_grid()})
     cases = grid + _eta_floor_cases() + [(20.0, 0.5, 0.03, 120)]
     assert len(grid) == 60
     for mu, eta, e_d, n_max in cases:
         oracle._optical_state(mu, eta, e_d, n_max)
-        _, _, outputs, coefficients = steps.pop()
-        factored = fock.region_sums(outputs, coefficients)
-        formed = fock.region_sums(outputs @ coefficients)
-        assert factored.shape == formed.shape == (4, 80)
-        assert np.array_equal(factored[:3], formed[:3]), (mu, eta, e_d, n_max)
-        assert np.max(np.abs(factored[3] - formed[3])) <= 1e-14, (mu, eta, e_d, n_max)
+        bases, factors, readout = steps.pop()
+        outputs = beamsplitter_apply(
+            mode_product(bases[0][:, [0, 0, 1, 1]], bases[1][:, [0, 1, 0, 1]]), 0.5
+        )
+        coefficients = []
+        for (role_a, role_b), (a, b) in itertools.product(oracle.ROLE_PAIRS, oracle.OUTCOME_PAIRS):
+            i, j = oracle.ARMS.index((role_a, a)), oracle.ARMS.index((role_b, b))
+            for p, q in itertools.product(range(2), repeat=2):
+                coefficients.append([factors[i, x, p] * factors[j, y, q]
+                                     for x, y in itertools.product(range(2), repeat=2)])
+        formed = fock.region_sums(outputs @ np.array(coefficients).T)
+        assert readout.shape == formed.shape == (4, 80)
+        scale = formed[:3] if eta == 1e-8 else formed.sum(axis=0)
+        assert np.all(np.abs(readout[:3] - formed[:3]) <= 1e-14 * scale), (mu, eta, e_d, n_max)
+        assert np.max(np.abs(readout[3] - formed[3])) <= 1e-14, (mu, eta, e_d, n_max)
 
 
 def test_oracle_working_set_stays_below_the_formed_batch():
-    # A warm point at MAX_N_MAX (a second eta: the central splitter's blocks
-    # and the loss binomials are cached) forms no (d^2, 80) batch; that batch
-    # alone is 51.7 MB.
-    oracle_stats(0.3, 0.37, 1e-6, 0.02, n_max=oracle.MAX_N_MAX)
+    # A point at MAX_N_MAX forms no (d^2, 80) batch, which alone is 51.7 MB,
+    # and no splitter blocks, which are 43 MB.
     tracemalloc.start()
     try:
         oracle_stats(0.3, 0.41, 1e-6, 0.02, n_max=oracle.MAX_N_MAX)
@@ -656,8 +653,8 @@ def test_oracle_working_set_stays_below_the_formed_batch():
 
 
 def test_optical_state_splits_two_pulses_and_four_basis_products(monkeypatch):
-    # Loss acts on |alpha> and |-alpha> only, the central splitter on the
-    # four products of the side bases only, whatever the number of arms.
+    # Loss acts on |alpha> and |-alpha> only, whatever the number of arms,
+    # and the central splitter is read from the side bases without a call.
     batches = []
 
     def recorder(operation, name):
@@ -669,4 +666,4 @@ def test_optical_state_splits_two_pulses_and_four_basis_products(monkeypatch):
     monkeypatch.setattr(oracle, "loss_apply", recorder(loss_apply, "loss"))
     monkeypatch.setattr(oracle, "beamsplitter_apply", recorder(beamsplitter_apply, "splitter"))
     oracle_stats(0.25, 0.37, 1e-5, 0.01)
-    assert batches == [("loss", 2, 0.37), ("splitter", 4, 0.5)]
+    assert batches == [("loss", 2, 0.37)]
