@@ -72,8 +72,8 @@ SEEDS: tuple[float, ...] = struct.unpack("<200d", bytes.fromhex(
 GOLDEN_XTOL = 1e-9
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Largest distance grid a SweepConfig accepts.  A row that runs the
-# intensity search costs about 0.4 ms, and one past the CHSH horizon about
-# 10 us (one core of a 2-vCPU Xeon VM), so a grid this size takes under a
+# intensity search costs about 0.35 ms, and one past the CHSH horizon about
+# 12 us (one core of a 2-vCPU Xeon VM), so a grid this size takes under a
 # minute; a tiny step over a long range would otherwise run for hours or
 # days.
 MAX_SWEEP_ROWS = 100_000
@@ -98,6 +98,11 @@ _PLACEHOLDER = MuOptimum(mu_star=0.5 * (MU_SEARCH_BOUNDS[0] + MU_SEARCH_BOUNDS[1
 # transmittance at which that rounding bound holds.
 _HORIZON_MARGIN = 1e-12
 _HORIZON_ETA_MIN = 1e-290
+# The seed screen (see _screen): seeds per block of its walk down from
+# mu = 1, a divisor of the 200 seeds, and the relative slack of its gain
+# bound, far above the rounding that bound must cover.
+_SCREEN_BLOCK = 10
+_GAIN_SLACK = 1e-12
 
 
 class SweepConfig(namedtuple(
@@ -168,7 +173,10 @@ def _signed_rates(triples: list[tuple[float, float, float]]) -> list[float]:
     :class:`DetectorStats` would.  Where s > 2 the value is
     :func:`key_rate_margin`, at least -1; where s <= 2 it is -1 - (2 - s),
     below every margin and still falling as s falls, so a bracket that
-    straddles s = 2 stays unimodal.
+    straddles s = 2 stays unimodal.  Each golden-section probe scores
+    through it, one triple a call; the seed screen (:func:`_screen`) gives
+    the same scores and checks inline, and leaves out the seeds it proves
+    cannot win.
     """
     values = []
     for q_zz, s, e_zz in triples:
@@ -218,19 +226,22 @@ def optimize_mu(
     bracket; the best point ever evaluated is returned, so the result can
     never fall below the seed grid.
 
-    Both steps score through :func:`_signed_rates`, the seeds in one call
-    and each probe in its own, on the triples of one list-taking kernel.
-    The score equals :func:`key_rate` wherever either is positive and keeps
-    falling where the rate is clamped to 0, so a positive window narrower
-    than one seed cell, as where the rate falls to zero with distance, is
-    still found.
+    Both steps score the triples of one list-taking kernel with the
+    scores of :func:`_signed_rates`: the seed screen (:func:`_screen`)
+    walks down from mu = 1 in blocks and stops once its best score exceeds
+    a bound on every lower seed's gain, and each probe scores in its own
+    call.  The score equals :func:`key_rate` wherever either is positive
+    and keeps falling where the rate is clamped to 0, so a positive window
+    narrower than one seed cell, as where the rate falls to zero with
+    distance, is still found.
 
     Inputs are checked once per search, not per evaluation:
     :func:`channel_efficiency` checks the distance, loss and detector
     efficiency, then ``check_point`` the arm transmittance, ``p_d`` and
     ``e_d``, in the order and with the messages of
-    :func:`ecs_misaligned_stats`.  Each scored ``(q_zz, s, e_zz)`` passes
-    :func:`params.check_stats`, as a :class:`DetectorStats` would.
+    :func:`ecs_misaligned_stats`.  Each evaluated ``(q_zz, s, e_zz)`` passes
+    :func:`params.check_stats`, as a :class:`DetectorStats` would; the seeds
+    the screen's stop leaves out would pass it too.
     """
     return _search(distance_km, beta_db_per_km, eta_d, p_d, e_d)[0]
 
@@ -246,18 +257,82 @@ def _search(
     eta = channel_efficiency(distance_km, beta_db_per_km, eta_d)
     check_point(eta=eta, p_d=p_d, e_d=e_d)
 
-    seed_stats = _ecs_misaligned(SEEDS, eta, p_d, e_d)
-    signed = _signed_rates(seed_stats)
-    if not any(s > 2.0 for _, s, _ in seed_stats):
-        return _PLACEHOLDER, max(s for _, s, _ in seed_stats) <= 2.0 - _HORIZON_MARGIN
-    best = signed.index(max(signed))  # the first maximum, as np.argmax picks
+    best, value, top_s = _screen(eta, p_d, e_d)
+    if top_s <= 2.0:
+        return _PLACEHOLDER, top_s <= 2.0 - _HORIZON_MARGIN
     mu, rate = _golden_max(
-        lambda m: _signed_rates(_ecs_misaligned((m,), eta, p_d, e_d))[0],
-        best, signed[best],
+        lambda m: _signed_rates(_ecs_misaligned((m,), eta, p_d, e_d))[0], best, value
     )
     if rate > 0.0:
         return MuOptimum(mu_star=mu, rate_star=rate, flagged=False), False
     return _PLACEHOLDER, False
+
+
+def _gain_bound(mu: float, eta: float, p_d: float) -> float:
+    """A bound on the computed ``q_zz`` of every seed up to ``mu`` (see :func:`_screen`)."""
+    return (2.0 * mu * eta + 2.0 * p_d) * (1.0 + _GAIN_SLACK)
+
+
+def _screen(eta: float, p_d: float, e_d: float) -> tuple[int, float, float]:
+    """The seed screen: the first maximum of the seeds' scores, its score, and the top s.
+
+    The index and score are those of ``signed.index(max(signed))`` over
+    ``signed = _signed_rates(_ecs_misaligned(SEEDS, eta, p_d, e_d))``, the
+    first maximum, as np.argmax picks; the top s is the largest s of the
+    seeds walked.  The walk goes from mu = 1 down, in blocks of
+    _SCREEN_BLOCK seeds.  Each block goes through the kernel and
+    ``check_stats`` in ascending order, then its seeds are scored in
+    descending order, and a score >= the best so far becomes the best, so
+    a tie goes to the lower seed.
+
+    Skip.  A seed with s > 2 and q_zz below the best is not scored: each
+    entropy is >= 0 in floats, so its margin, q_zz times a factor of at
+    most 1, is at most q_zz.
+
+    Stop.  With t = 2 mu eta, a = e_d and b = 1 - a, exactly
+        q_zz = (1 - p_d) [e^(-ta) - e^(-t) + e^(-tb) - e^(-t) + 2 p_d e^(-t)]
+             <= (1 - p_d) (2 mu eta + 2 p_d),
+    since e^(-tc) - e^(-t) <= t (1 - c) (it is the integral of e^-x <= 1
+    over [tc, t]) and a + b = 1.  The kernel's q_zz is within 20 ulp of the
+    exact value at its float inputs: about 1 ulp from 1 - p_d, 4 from
+    exp(-2 mu eta), 13 from the bracket (a sum of nonnegative terms, each
+    expm1 within 2 ulp and 3 times its argument's error) and 2 from the
+    products.  :func:`_gain_bound` rounds at most 4 ulp low, so with
+    _GAIN_SLACK it bounds the computed q_zz at mu and, as the exact bound
+    rises with mu, at every lower seed.  So once the best score exceeds
+    the bound at a block's top seed, no seed of that block or below can
+    reach it, and the walk stops.  The best score then exceeds 0, which
+    only a seed with s > 2 gives.  The ulp counts hold at
+    eta >= _HORIZON_ETA_MIN: there t >= 2e-294 is a normal float, and a
+    subnormal term, off by at most 2**-1075, is negligible beside it.  By
+    step 3 of :func:`_walk` no seed raises there either, so the seeds the
+    walk leaves out would have raised nothing.  Below
+    _HORIZON_ETA_MIN the walk is one block of all 200 seeds without a
+    stop, so kernel errors and ``check_stats`` messages arise in the order
+    of the ascending seeds.
+    """
+    stops = eta >= _HORIZON_ETA_MIN
+    block = _SCREEN_BLOCK if stops else len(SEEDS)
+    best, best_value, top_s = -1, -math.inf, -math.inf
+    for start in range(len(SEEDS) - block, -1, -block):
+        if stops and best_value > _gain_bound(SEEDS[start + block - 1], eta, p_d):
+            break
+        triples = _ecs_misaligned(SEEDS[start:start + block], eta, p_d, e_d)
+        for q_zz, s, e_zz in triples:
+            check_stats(q_zz, s, e_zz)
+        for i in range(start + block - 1, start - 1, -1):
+            q_zz, s, e_zz = triples[i - start]
+            if s > top_s:
+                top_s = s
+            if s <= 2.0:
+                value = -1.0 - (2.0 - s)  # the continuation of _signed_rates
+            elif q_zz < best_value:
+                continue
+            else:
+                value = key_rate_margin(q_zz, s, e_zz)
+            if value >= best_value:
+                best, best_value = i, value
+    return best, best_value, top_s
 
 
 def sweep_distances(config: SweepConfig) -> list[float]:
@@ -330,7 +405,16 @@ def _walk(config: SweepConfig, distances: Sequence[float]) -> Iterator[SweepRow]
        XY = e^-t >= e^-2, so at most 1 - e^-2.  e_zz is in [0, 1], as
        rounding is monotone.  s >= -sqrt2, since the numerator is at least
        -2 p_d q / (XY), the denominator at least 2 p_d XY, and
-       q e^(2t) <= 1.  So ``check_stats`` passes every seed.
+       q e^(2t) <= 1.  s <= 2 sqrt2, since with N and D the numerator and
+       denominator, 2D - N = X + 3Y - 4kXY + q (X + Y - 2k) / (XY) falls as
+       k rises, and at k = 1, where X + Y <= 2 and q <= e^(-2t) = (XY)^2
+       (as eta <= 1), it is at least
+           X + 3Y - 6XY + XY (X + Y) = X (1 - Y)^2 + Y (1 - X)(3 - X) >= 0.
+       By step 2 the computed s lies within 4e-14 of [-sqrt2, 2 sqrt2],
+       inside CHSH_TOL = 1e-9; the largest seen is 2 sqrt2 - 2.8e-4, at
+       mu 1e-4, eta 1, p_d 0 and e_d 0, where s = sqrt2 (1 + e^(-2 mu)).
+       So ``check_stats`` passes every seed, and the seed screen
+       (:func:`_screen`) may leave out the seeds below its stop.
 
     Rows below _HORIZON_ETA_MIN keep their search: there the kernel's
     products are subnormal and s rounds far off (s = 2.67 at p_d 0 and

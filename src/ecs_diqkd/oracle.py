@@ -79,14 +79,19 @@ def cat_branch(mu: float, theta: float, outcome: int) -> tuple[float, float, flo
     pulse onto c_plus |alpha> + c_minus |-alpha>, normalized by
     M+- = sqrt(1 +- sin(theta) e^(-2 mu)); the outcome has prior (M+-)^2 / 2.
     Returns ``(c_plus, c_minus, prior)``.
+
+    With s = sin(theta), (M+-)^2 is formed as (1 +- s) +- s expm1(-2 mu):
+    at sin(theta) = 1 the raw 1 - s e^(-2 mu) cancels to about 2 mu, and
+    rounds to 0 below mu 2.8e-17.
     """
     check_point(mu)
-    overlap = math.exp(-2.0 * mu)  # <alpha|-alpha> for real alpha
+    sin_theta = math.sin(theta)
+    drop = sin_theta * math.expm1(-2.0 * mu)  # s (<alpha|-alpha> - 1) for real alpha
     half = theta / 2.0
     if outcome > 0:
-        m = math.sqrt(1.0 + math.sin(theta) * overlap)
+        m = math.sqrt((1.0 + sin_theta) + drop)
         return math.cos(half) / m, math.sin(half) / m, m * m / 2.0
-    m = math.sqrt(1.0 - math.sin(theta) * overlap)
+    m = math.sqrt((1.0 - sin_theta) - drop)
     return math.sin(half) / m, -math.cos(half) / m, m * m / 2.0
 
 

@@ -18,8 +18,14 @@ from ecs_diqkd.optimize import (
     sweep_distances,
     sweep_row,
 )
-from ecs_diqkd.params import ParameterError
-from ecs_diqkd.rates import binary_entropy, channel_efficiency, ecs_misaligned_stats, key_rate
+from ecs_diqkd.params import ParameterError, check_stats
+from ecs_diqkd.rates import (
+    _ecs_misaligned,
+    binary_entropy,
+    channel_efficiency,
+    ecs_misaligned_stats,
+    key_rate,
+)
 
 FIG2 = dict(beta_db_per_km=0.2, eta_d=0.8, p_d=1e-7, e_d=0.0)
 
@@ -95,9 +101,10 @@ def _counted_search(monkeypatch, *args):
 
 
 def test_optimizer_evaluation_counts_per_branch(monkeypatch):
-    # A positive seed: the seed grid plus the golden-section refinement only.
+    # A positive seed: the screen walks down from mu = 1 and stops at its gain
+    # bound after 80 seeds, then 36 golden-section probes.
     optimum, calls = _counted_search(monkeypatch, 300.0, 0.2, 0.8, 1e-7, 0.0)
-    assert not optimum.flagged and calls == 236
+    assert not optimum.flagged and calls == 116
     assert type(optimum.mu_star) is float
     # No seed violates CHSH: the seed grid alone, and the exact placeholder.
     optimum, calls = _counted_search(monkeypatch, 600.0, 0.2, 0.8, 1e-7, 0.0)
@@ -143,6 +150,11 @@ def _outcome(search, *args):
         return f"ParameterError: {exc}"
 
 
+# The arm transmittance 0.8 * 10**(-0.01 L) at 0.2 dB/km falls through the
+# CHSH horizon's least transmittance near L = 28,990 km.
+_HORIZON_ETA_KM = 100.0 * (290.0 + math.log10(0.8))
+
+
 def test_search_on_bare_triples_equals_the_checked_search():
     rng = np.random.default_rng(20261018)
     channels = [(0.2, 0.8, 1e-7, 0.0)] + [
@@ -152,12 +164,38 @@ def test_search_on_bare_triples_equals_the_checked_search():
     ]
     searches = [(distance, *channel) for channel in channels for distance in range(0, 701, 20)]
     searches += [(distance, 0.2, eta_d, p_d, e_d) for distance, eta_d, p_d, e_d in NARROW_WINDOWS]
+    # Extremes: maximal misalignment, heavy dark counts, and eta = 1 at
+    # every distance, where the screen's stop bound is tightest.
+    extremes = [(0.2, 0.8, 1e-7, 0.5), (0.2, 0.8, 0.5, 0.0), (0.2, 0.8, 0.99, 0.02),
+                (0.0, 1.0, 0.0, 0.0), (0.0, 1.0, 1e-7, 0.5), (0.0, 1.0, 0.5, 0.1)]
+    searches += [(distance, *channel) for channel in extremes for distance in (0.0, 100.0, 400.0)]
     flagged = 0
     for args in searches:
         expected = _reference_search(*args)
         assert repr(optimize_mu(*args)) == repr(expected), args
         flagged += expected.flagged
     assert 0 < flagged < len(searches)
+    # Rows on both sides of _HORIZON_ETA_MIN, where the screen's walk changes
+    # from stopping blocks to one block, and a seeded sample of extreme
+    # searches, errors included.
+    around = [(_HORIZON_ETA_KM + offset, 0.2, 0.8, p_d, e_d)
+              for offset in (-20.0, -1e-6, 1e-6, 20.0, 3000.0)
+              for p_d, e_d in ((0.0, 0.0), (0.0, 0.3), (1e-7, 0.02), (0.5, 0.5))]
+    assert any(channel_efficiency(*args[:3]) < optimize._HORIZON_ETA_MIN for args in around)
+    assert any(channel_efficiency(*args[:3]) >= optimize._HORIZON_ETA_MIN for args in around)
+    sampled = [
+        (float(rng.choice([rng.uniform(0.0, 700.0), 10.0 ** rng.uniform(0.0, 4.55)])),
+         float(rng.choice([0.0, 0.2, rng.uniform(0.0, 1.0)])),
+         float(rng.choice([1.0, rng.uniform(0.01, 1.0)])),
+         float(rng.choice([0.0, 0.5, 0.99, 10.0 ** rng.uniform(-12, -0.005)])),
+         float(rng.choice([0.0, 0.5, rng.uniform(0.0, 0.5), rng.uniform(0.0, 0.05)])))
+        for _ in range(300)
+    ]
+    outcomes = [_outcome(_reference_search, *args) for args in around + sampled]
+    for args, expected in zip(around + sampled, outcomes):
+        assert _outcome(optimize_mu, *args) == expected, args
+    assert any(outcome.startswith("ParameterError") for outcome in outcomes)
+    assert any("flagged=False" in outcome for outcome in outcomes)
     # One check per search keeps every message and its order of precedence.
     for args, message in (
         ((40_000.0, 0.2, 0.8, 1e-7, 0.0), "eta must be in (0, 1], got 0.0"),
@@ -169,6 +207,51 @@ def test_search_on_bare_triples_equals_the_checked_search():
     ):
         assert _outcome(optimize_mu, *args) == f"ParameterError: {message}"
         assert _outcome(_reference_search, *args) == f"ParameterError: {message}"
+
+
+# Rows at the extremes of the seed screen's stop bound and of CHSH: every
+# transmittance from 1 down to the horizon's least, no to heavy dark counts,
+# no to maximal misalignment, and a seeded sample between.
+_EXTREME_ROWS = [
+    (eta, p_d, e_d)
+    for eta in (1.0, 0.5, 1e-3, 1e-100, optimize._HORIZON_ETA_MIN)
+    for p_d in (0.0, 1e-7, 0.5, 0.99)
+    for e_d in (0.0, 1e-9, 0.02, 0.3, 0.5)
+]
+
+
+def _sampled_rows(count):
+    rng = np.random.default_rng(20261020)
+    return [(float(10.0 ** rng.uniform(-290, 0)),
+             float(rng.choice([0.0, 10.0 ** rng.uniform(-12, -0.005)])),
+             float(rng.uniform(0.0, 0.5)))
+            for _ in range(count)]
+
+
+def test_seed_gains_lie_below_the_screens_stop_bound():
+    # Exactly, q_zz <= (1 - p_d)(2 mu eta + 2 p_d); the stop bound adds
+    # _GAIN_SLACK for rounding, which here never needs more than a few ulp.
+    worst = 0.0
+    for eta, p_d, e_d in _EXTREME_ROWS + _sampled_rows(200):
+        triples = _ecs_misaligned(optimize.SEEDS, eta, p_d, e_d)
+        for mu, (q_zz, _, _) in zip(optimize.SEEDS, triples):
+            assert q_zz <= optimize._gain_bound(mu, eta, p_d), (mu, eta, p_d, e_d)
+            worst = max(worst, q_zz / (2.0 * mu * eta + 2.0 * p_d))
+    assert 0.99 < worst <= 1.0 + 1e-14
+
+
+def test_every_seed_passes_check_stats_above_the_horizon_transmittance():
+    # The screen's stop skips the checks of the seeds below it, which is
+    # exact because none of them can raise (step 3 of _walk): s stays below
+    # 2 sqrt(2) plus the kernel's rounding, and q_zz and e_zz in range.
+    top = -math.inf
+    for eta, p_d, e_d in _EXTREME_ROWS + _sampled_rows(200):
+        for q_zz, s, e_zz in _ecs_misaligned(optimize.SEEDS, eta, p_d, e_d):
+            check_stats(q_zz, s, e_zz)
+            assert -math.sqrt(2.0) - 4e-14 <= s and q_zz <= 1.0 - math.exp(-2.0) + 1e-15
+            top = max(top, s)
+    # The largest s sits at mu 1e-4, eta 1, p_d 0 and e_d 0: sqrt2 (1 + e^(-2 mu)).
+    assert top == pytest.approx(2.0 * math.sqrt(2.0) - 2.828e-4, abs=1e-6)
 
 
 def test_seed_table_is_the_log_grid():

@@ -291,6 +291,16 @@ def test_verify_reads_out_bright_points_at_the_largest_cutoff():
     assert max(check.max_dev() for check in report.points) < 1e-8
 
 
+def test_verify_reads_out_faint_points():
+    # The B2 branch's normalisation 1 - e^(-2 mu) is formed as -expm1(-2 mu),
+    # so faint pulses keep their herald sum at 1 instead of failing it.
+    points = [(10.0**-k, eta, 0.0, e_d)
+              for k in range(8, 15) for eta in (1.0, 0.3, 0.2) for e_d in (0.0, 0.02)]
+    report = verify_grid(points=points)
+    assert report.errors == []
+    assert max(check.max_dev() for check in report.points) < 1e-8
+
+
 def test_verify_adjudicates_e_zz_reading():
     report = verify_grid(
         points=[(0.1, 0.08, 1e-7, 0.01), (0.25, 0.5, 1e-5, 0.07)], tol=1e-8
