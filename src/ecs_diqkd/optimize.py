@@ -12,11 +12,11 @@ from .params import ParameterError, check_point, check_stats
 from .rates import (
     _ecs_misaligned,
     _fiber_transmittance,
+    _signed_rate,
     bell_state_stats,
     channel_efficiency,
     ecs_misaligned_stats,
     key_rate,
-    key_rate_margin,
     plob_bound,
 )
 
@@ -166,25 +166,6 @@ class SweepRow(namedtuple(
     __slots__ = ()
 
 
-def _signed_rates(triples: list[tuple[float, float, float]]) -> list[float]:
-    """Each triple's key rate before its clamp, continued below the CHSH threshold.
-
-    Each triple first passes :func:`params.check_stats`, as a
-    :class:`DetectorStats` would.  Where s > 2 the value is
-    :func:`key_rate_margin`, at least -1; where s <= 2 it is -1 - (2 - s),
-    below every margin and still falling as s falls, so a bracket that
-    straddles s = 2 stays unimodal.  Each golden-section probe scores
-    through it, one triple a call; the seed screen (:func:`_screen`) gives
-    the same scores and checks inline, and leaves out the seeds it proves
-    cannot win.
-    """
-    values = []
-    for q_zz, s, e_zz in triples:
-        check_stats(q_zz, s, e_zz)
-        values.append(key_rate_margin(q_zz, s, e_zz) if s > 2.0 else -1.0 - (2.0 - s))
-    return values
-
-
 def _golden_max(objective, best: int, best_value: float) -> tuple[float, float]:
     """Golden-section refinement of the seed bracket around ``SEEDS[best]``.
 
@@ -226,14 +207,14 @@ def optimize_mu(
     bracket; the best point ever evaluated is returned, so the result can
     never fall below the seed grid.
 
-    Both steps score the triples of one list-taking kernel with the
-    scores of :func:`_signed_rates`: the seed screen (:func:`_screen`)
-    walks down from mu = 1 in blocks and stops once its best score exceeds
-    a bound on every lower seed's gain, and each probe scores in its own
-    call.  The score equals :func:`key_rate` wherever either is positive
-    and keeps falling where the rate is clamped to 0, so a positive window
-    narrower than one seed cell, as where the rate falls to zero with
-    distance, is still found.
+    Both steps score the triples of one list-taking kernel through
+    :func:`rates._signed_rate`, :func:`key_rate` before its clamp: the seed
+    screen (:func:`_screen`) walks down from mu = 1 in blocks and stops
+    once its best score exceeds a bound on every lower seed's gain, and
+    each probe scores one intensity.  The score equals :func:`key_rate`
+    wherever either is positive and keeps falling where the rate is clamped
+    to 0, so a positive window narrower than one seed cell, as where the
+    rate falls to zero with distance, is still found.
 
     Inputs are checked once per search, not per evaluation:
     :func:`channel_efficiency` checks the distance, loss and detector
@@ -243,26 +224,25 @@ def optimize_mu(
     :func:`params.check_stats`, as a :class:`DetectorStats` would; the seeds
     the screen's stop leaves out would pass it too.
     """
-    return _search(distance_km, beta_db_per_km, eta_d, p_d, e_d)[0]
-
-
-def _search(
-    distance_km: float,
-    beta_db_per_km: float,
-    eta_d: float,
-    p_d: float,
-    e_d: float,
-) -> tuple[MuOptimum, bool]:
-    """:func:`optimize_mu`, and whether every seed has s <= 2 - _HORIZON_MARGIN."""
     eta = channel_efficiency(distance_km, beta_db_per_km, eta_d)
+    return _search(eta, p_d, e_d)[0]
+
+
+def _search(eta: float, p_d: float, e_d: float) -> tuple[MuOptimum, bool]:
+    """:func:`optimize_mu` at arm transmittance ``eta``, and whether every seed has
+    s <= 2 - _HORIZON_MARGIN; the caller computed ``eta`` by :func:`channel_efficiency`.
+    """
     check_point(eta=eta, p_d=p_d, e_d=e_d)
+
+    def probe(mu: float) -> float:
+        (triple,) = _ecs_misaligned((mu,), eta, p_d, e_d)
+        check_stats(*triple)
+        return _signed_rate(*triple)
 
     best, value, top_s = _screen(eta, p_d, e_d)
     if top_s <= 2.0:
         return _PLACEHOLDER, top_s <= 2.0 - _HORIZON_MARGIN
-    mu, rate = _golden_max(
-        lambda m: _signed_rates(_ecs_misaligned((m,), eta, p_d, e_d))[0], best, value
-    )
+    mu, rate = _golden_max(probe, best, value)
     if rate > 0.0:
         return MuOptimum(mu_star=mu, rate_star=rate, flagged=False), False
     return _PLACEHOLDER, False
@@ -277,16 +257,16 @@ def _screen(eta: float, p_d: float, e_d: float) -> tuple[int, float, float]:
     """The seed screen: the first maximum of the seeds' scores, its score, and the top s.
 
     The index and score are those of ``signed.index(max(signed))`` over
-    ``signed = _signed_rates(_ecs_misaligned(SEEDS, eta, p_d, e_d))``, the
-    first maximum, as np.argmax picks; the top s is the largest s of the
-    seeds walked.  The walk goes from mu = 1 down, in blocks of
-    _SCREEN_BLOCK seeds.  Each block goes through the kernel and
-    ``check_stats`` in ascending order, then its seeds are scored in
-    descending order, and a score >= the best so far becomes the best, so
-    a tie goes to the lower seed.
+    the :func:`rates._signed_rate` of every triple of
+    ``_ecs_misaligned(SEEDS, eta, p_d, e_d)``, the first maximum, as
+    np.argmax picks; the top s is the largest s of the seeds walked.  The
+    walk goes from mu = 1 down, in blocks of _SCREEN_BLOCK seeds.  Each
+    block goes through the kernel and ``check_stats`` in ascending order,
+    then its seeds are scored in descending order, and a score >= the best
+    so far becomes the best, so a tie goes to the lower seed.
 
     Skip.  A seed with s > 2 and q_zz below the best is not scored: each
-    entropy is >= 0 in floats, so its margin, q_zz times a factor of at
+    entropy is >= 0 in floats, so its score, q_zz times a factor of at
     most 1, is at most q_zz.
 
     Stop.  With t = 2 mu eta, a = e_d and b = 1 - a, exactly
@@ -324,12 +304,9 @@ def _screen(eta: float, p_d: float, e_d: float) -> tuple[int, float, float]:
             q_zz, s, e_zz = triples[i - start]
             if s > top_s:
                 top_s = s
-            if s <= 2.0:
-                value = -1.0 - (2.0 - s)  # the continuation of _signed_rates
-            elif q_zz < best_value:
+            if s > 2.0 and q_zz < best_value:
                 continue
-            else:
-                value = key_rate_margin(q_zz, s, e_zz)
+            value = _signed_rate(q_zz, s, e_zz)
             if value >= best_value:
                 best, best_value = i, value
     return best, best_value, top_s
@@ -432,9 +409,7 @@ def _walk(config: SweepConfig, distances: Sequence[float]) -> Iterator[SweepRow]
                 if _HORIZON_ETA_MIN <= eta <= horizon_eta:
                     optimum = _PLACEHOLDER
                 else:
-                    optimum, past_horizon = _search(
-                        distance_km, config.beta_db_per_km, config.eta_d, config.p_d, config.e_d
-                    )
+                    optimum, past_horizon = _search(eta, config.p_d, config.e_d)
                     if past_horizon and eta >= _HORIZON_ETA_MIN:
                         horizon_eta = eta
                 mu, flagged = optimum.mu_star, optimum.flagged

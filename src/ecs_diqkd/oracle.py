@@ -54,6 +54,8 @@ from .params import (
 # to 1e-8 (n_max 30 and 60), and 3.5e-31 at mu = 20 with n_max = 120.
 _SPAN_RESIDUAL_BOUND = 1e-14
 
+_SQRT2 = math.sqrt(2.0)
+
 # Spin measurement directions chi_theta = cos(theta) sigma_z + sin(theta) sigma_x.
 SETTING_ANGLES: dict[str, float] = {
     "A0": 0.0,
@@ -80,19 +82,26 @@ def cat_branch(mu: float, theta: float, outcome: int) -> tuple[float, float, flo
     M+- = sqrt(1 +- sin(theta) e^(-2 mu)); the outcome has prior (M+-)^2 / 2.
     Returns ``(c_plus, c_minus, prior)``.
 
-    With s = sin(theta), (M+-)^2 is formed as (1 +- s) +- s expm1(-2 mu):
-    at sin(theta) = 1 the raw 1 - s e^(-2 mu) cancels to about 2 mu, and
-    rounds to 0 below mu 2.8e-17.
+    All is formed from rise = sin((pi/2 + theta)/2) and fall =
+    sin((pi/2 - theta)/2): cos(theta/2), sin(theta/2) = (rise +- fall)/sqrt2,
+    and with s = sin(theta), (M+-)^2 = 2 rise^2 + s expm1(-2 mu) or
+    2 fall^2 - s expm1(-2 mu), two terms of one sign.  Where s = +-1 a branch
+    is all even or all odd and its M is about sqrt(2 mu), so the raw
+    1 - s e^(-2 mu) would cancel, and an ulp between the amplitudes (as
+    between sin(pi/4) and cos(pi/4)) would leave a spurious part magnified
+    by 1/M.  There fall or rise is exactly 0, and the amplitudes exactly
+    equal or opposite.
     """
     check_point(mu)
-    sin_theta = math.sin(theta)
-    drop = sin_theta * math.expm1(-2.0 * mu)  # s (<alpha|-alpha> - 1) for real alpha
-    half = theta / 2.0
+    drop = math.sin(theta) * math.expm1(-2.0 * mu)  # s (<alpha|-alpha> - 1) for real alpha
+    rise = math.sin((math.pi / 2.0 + theta) / 2.0)
+    fall = math.sin((math.pi / 2.0 - theta) / 2.0)
+    cos_half, sin_half = (rise + fall) / _SQRT2, (rise - fall) / _SQRT2
     if outcome > 0:
-        m = math.sqrt((1.0 + sin_theta) + drop)
-        return math.cos(half) / m, math.sin(half) / m, m * m / 2.0
-    m = math.sqrt((1.0 - sin_theta) - drop)
-    return math.sin(half) / m, -math.cos(half) / m, m * m / 2.0
+        m = math.sqrt(2.0 * rise * rise + drop)
+        return cos_half / m, sin_half / m, m * m / 2.0
+    m = math.sqrt(2.0 * fall * fall - drop)
+    return sin_half / m, -cos_half / m, m * m / 2.0
 
 
 # Setting pairs whose heralds the aggregation reads: the raw-key pair, then
@@ -226,7 +235,7 @@ def _pair_heralds(state: _OpticalState, p_d: float) -> np.ndarray:
         r, o = bad[0]
         raise CutoffError(
             f"herald probabilities of {(*ROLE_PAIRS[r], *OUTCOME_PAIRS[o])} sum to "
-            f"{total[r, o]:.12f}; cutoff too small"
+            f"{total[r, o]:.12g}; cutoff too small"
         )
     return sums
 

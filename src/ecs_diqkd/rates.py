@@ -39,24 +39,31 @@ def _entropy(x: float) -> float:
 def key_rate(stats: DetectorStats) -> float:
     """Secret key rate per trial from the heralded statistics.
 
-    No CHSH violation (s <= 2) means no extractable key, and the square
-    root is never evaluated there.  A negative bracket means "abort", not
-    negative bits, so the result is clamped to zero.
+    It is :func:`_signed_rate` clamped at zero: a negative bracket means
+    "abort", not negative bits.  No CHSH violation (s <= 2) means no
+    extractable key; there the signed rate is below -1, and the clamp is
+    taken before the call, which saves it on the many points of a distance
+    scan past the CHSH threshold.
     """
-    if stats.s <= 2.0:
-        return 0.0
     q_zz, s, e_zz = stats
-    margin = key_rate_margin(q_zz, s, e_zz)
-    return margin if margin > 0.0 else 0.0
+    if s <= 2.0:
+        return 0.0
+    rate = _signed_rate(q_zz, s, e_zz)
+    return rate if rate > 0.0 else 0.0
 
 
-def key_rate_margin(q_zz: float, s: float, e_zz: float) -> float:
-    """q_zz times the rate bracket 1 - h(e_zz) - h(x), before the clamp.
+def _signed_rate(q_zz: float, s: float, e_zz: float) -> float:
+    """:func:`key_rate` before its clamp, continued below the CHSH threshold.
 
-    Defined for s > 2 and a triple that passes :func:`params.check_stats`,
-    which the caller guarantees.  Negative where the protocol aborts, and
-    never below -1, since q_zz <= 1 and each entropy is at most 1.
+    Where s > 2 it is q_zz times the rate bracket 1 - h(e_zz) - h(x):
+    negative where the protocol aborts, and never below -1, since q_zz <= 1
+    and each entropy is at most 1.  Where s <= 2 it is -1 - (2 - s), below
+    every bracket and still falling as s falls, so an intensity search
+    whose bracket straddles s = 2 stays unimodal.  The caller guarantees a
+    triple that passes :func:`params.check_stats`.
     """
+    if s <= 2.0:
+        return -1.0 - (2.0 - s)
     # s > 2 puts x above 1/2; s may carry the permitted 1e-9 slack above
     # 2*sqrt(2), so clamp x back to at most 1.
     x = 0.5 * (1.0 + math.sqrt((s / 2.0) ** 2 - 1.0))
@@ -160,6 +167,12 @@ def _ecs_misaligned(
         if bracket <= 0.0:
             raise ParameterError("degenerate denominator in misaligned statistics")
         q_zz = kept * math.exp(-me2) * bracket
+        # Exactly, q_zz = k (X + Y - 2 k XY) with k = 1 - p_d, X = e^(-x_dim),
+        # Y = e^(-x_bright), and X + Y <= 1 + XY puts it at most 1.  For bright
+        # pulses exp(-me2) is tiny and the bracket huge, and their product can
+        # round an ulp past 1 (at mu 19.09, eta 1, p_d 0), so cap it there.
+        if q_zz > 1.0:
+            q_zz = 1.0
         w = (
             4.0 * math.cosh(mu * two_minus_eta) * math.sinh(mu * eta * tilt)
             - 2.0 * math.exp(-a) * (math.expm1(-x_dim) + p_d)

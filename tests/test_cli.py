@@ -57,6 +57,12 @@ def test_rates_ideal_point(capsys):
     assert report["rate_ecs"] == pytest.approx(0.08698712742165916, abs=1e-12)
 
 
+def test_rates_at_a_bright_pulse_whose_gain_once_rounded_past_one(capsys):
+    code = cli.main(["rates", "--mu", "19.09", "--eta-d", "1", "--p-d", "0", "--distance", "0"])
+    assert code == cli.EXIT_OK
+    assert _parse_report(capsys.readouterr().out)["q_zz"] == 1.0
+
+
 def test_rates_requires_mu_or_optimize(capsys, tmp_path):
     assert cli.main(["rates", "--distance", "100"]) == cli.EXIT_USAGE
     # Exactly one of the two: a fixed mu with --optimize is refused, whichever

@@ -426,14 +426,16 @@ def test_rows_past_the_chsh_horizon_equal_their_sweep_row(channel, monkeypatch):
     searched = []
     search = optimize._search
 
-    def counted(distance_km, *args):
-        searched.append(distance_km)
-        return search(distance_km, *args)
+    def counted(eta, *args):
+        searched.append(eta)
+        return search(eta, *args)
 
     monkeypatch.setattr(optimize, "_search", counted)
     assert sweep(config) == expected
     # The horizon was reached: some rows took the placeholder unsearched.
-    skipped = [row for row in expected if row.distance_km not in searched]
+    skipped = [row for row in expected
+               if channel_efficiency(row.distance_km, config.beta_db_per_km, config.eta_d)
+               not in searched]
     assert skipped and all(row.flagged and row.rate_ecs == 0.0 for row in skipped)
 
 
@@ -451,17 +453,38 @@ def test_crossover_scan_stops_at_its_first_bracket(pair, monkeypatch):
     searched = []
     search = optimize._search
 
-    def counted(distance_km, *args):
-        searched.append(distance_km)
-        return search(distance_km, *args)
+    def counted(eta, *args):
+        searched.append(eta)
+        return search(eta, *args)
 
     monkeypatch.setattr(optimize, "_search", counted)
     assert repr(find_crossover(pair, config, bracket)) == repr(expected)
     # Every scan point up to the bracketing pair is searched, then only
     # bisection probes inside that pair: no later scan point is evaluated.
-    assert searched[:i + 2] == grid[:i + 2]
-    assert all(grid[i] < distance < grid[i + 1] for distance in searched[i + 2:])
+    # The search takes the arm transmittance, which falls with distance.
+    etas = [channel_efficiency(distance, config.beta_db_per_km, config.eta_d)
+            for distance in grid]
+    assert searched[:i + 2] == etas[:i + 2]
+    assert all(etas[i] > eta > etas[i + 1] for eta in searched[i + 2:])
     assert i + 2 < 65
+
+
+def test_a_searched_row_computes_its_transmittance_once(monkeypatch):
+    distances = []
+    efficiency = optimize.channel_efficiency
+
+    def counted(distance_km, *args):
+        distances.append(distance_km)
+        return efficiency(distance_km, *args)
+
+    monkeypatch.setattr(optimize, "channel_efficiency", counted)
+    config = SweepConfig(l_max_km=700.0, l_step_km=50.0, protocols=("ecs",))
+    rows = sweep(config)
+    assert distances == sweep_distances(config)
+    assert any(not row.flagged for row in rows)
+    distances.clear()
+    optimize_mu(100.0, **FIG2)
+    assert distances == [100.0]
 
 
 def test_sweep_flags_dead_rows_without_aborting():

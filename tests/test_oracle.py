@@ -182,6 +182,15 @@ def test_oracle_herald_sum_check_fails_nan_heralds(monkeypatch):
         oracle_stats(0.25, 0.5, 1e-5, 0.01)
 
 
+def test_oracle_herald_sum_message_prints_a_huge_sum_in_short_form(monkeypatch):
+    def huge_readout(sums, p_d):
+        return np.full(sums.shape, 1e267)
+
+    monkeypatch.setattr(oracle, "dark_counts", huge_readout)
+    with pytest.raises(CutoffError, match=r"sum to 1\.6e\+268; cutoff too small$"):
+        oracle_stats(0.25, 0.5, 1e-5, 0.01)
+
+
 def test_oracle_rejects_bad_parameters():
     with pytest.raises(ParameterError):
         oracle_stats(0.0, 0.5, 0.0, 0.0)
@@ -292,13 +301,33 @@ def test_verify_reads_out_bright_points_at_the_largest_cutoff():
 
 
 def test_verify_reads_out_faint_points():
-    # The B2 branch's normalisation 1 - e^(-2 mu) is formed as -expm1(-2 mu),
-    # so faint pulses keep their herald sum at 1 instead of failing it.
-    points = [(10.0**-k, eta, 0.0, e_d)
-              for k in range(8, 15) for eta in (1.0, 0.3, 0.2) for e_d in (0.0, 0.02)]
+    # The B2 branch's normalisation 1 - e^(-2 mu) is formed without
+    # cancelling, and its odd branch has exactly no even part, so faint
+    # pulses keep their herald sum at 1 instead of failing it.
+    channels = [(eta, e_d) for eta in (1.0, 0.3, 0.2) for e_d in (0.0, 0.02)]
+    points = [(10.0**-k, eta, 0.0, e_d) for k in range(8, 15) for eta, e_d in channels]
     report = verify_grid(points=points)
     assert report.errors == []
     assert max(check.max_dev() for check in report.points) < 1e-8
+    # Down to mu 1e-300.  At p_d 0 and mu <= 1e-16 the
+    # literal e_zz reading divides by zero, so verify_grid is checked at
+    # p_d 1e-7 and the oracle alone at p_d 0.
+    faint = [10.0**-k for k in (15, 16, 17, 20, 30, 50, 100, 200, 300)]
+    report = verify_grid(points=[(mu, eta, 1e-7, e_d) for mu in faint for eta, e_d in channels])
+    assert report.errors == []
+    assert max(check.max_dev() for check in report.points) < 1e-8
+    for mu in faint:
+        for eta, e_d in channels:
+            expected = ecs_misaligned_stats(mu, eta, 0.0, e_d)
+            assert max(map(abs, np.subtract(oracle_stats(mu, eta, 0.0, e_d), expected))) < 1e-8
+
+
+def test_cat_branch_is_exactly_even_or_odd_where_sin_theta_is_one():
+    for mu in (1e-300, 1e-17, 0.3):
+        for theta in (math.pi / 2, -math.pi / 2):
+            for outcome in (+1, -1):
+                c_plus, c_minus, _ = cat_branch(mu, theta, outcome)
+                assert c_plus == c_minus or c_plus == -c_minus
 
 
 def test_verify_adjudicates_e_zz_reading():

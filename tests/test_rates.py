@@ -84,6 +84,15 @@ def test_key_rate_stays_within_gain():
                 assert 0.0 <= rate <= q
 
 
+def test_bright_gain_never_rounds_past_one():
+    # The exact gain is at most 1, but exp(-2 mu eta) * bracket rounded past
+    # it for about 3% of mu in [1, 40] at eta 1 and p_d 0, first near 19.
+    for mu in np.linspace(1.0, 40.0, 4001).tolist():
+        for eta in (1.0, 0.9, 0.5):
+            for e_d in (0.0, 0.02):
+                assert ecs_misaligned_stats(mu, eta, 0.0, e_d).q_zz <= 1.0
+
+
 def test_channel_efficiency():
     assert channel_efficiency(0.0, 0.2, 0.8) == pytest.approx(0.8)
     assert channel_efficiency(100.0, 0.2, 0.8) == pytest.approx(0.08, abs=1e-15)
