@@ -138,8 +138,9 @@ def coherent_fock(alpha: complex, n_max: int) -> np.ndarray:
 
 
 # Only direct callers of ``beamsplitter_apply`` build blocks (the oracle and
-# loss need none).  An entry is 0.16 MB at n_max 30 and 43 MB at MAX_N_MAX,
-# so the cache holds at most about 350 MB.
+# loss need none).  An entry holds about (2/3) n_max**3 floats: 0.16 MB at
+# n_max 30, 9.4 MB at 120 and 43 MB at MAX_N_MAX, so the cache holds at most
+# about 350 MB.
 @lru_cache(maxsize=8)
 def _beamsplitter_blocks(
     n_max: int, transmittance: float
@@ -149,58 +150,53 @@ def _beamsplitter_blocks(
     Block N maps inputs |n, N-n> to outputs |k, N-k>, and comes with the
     rows it acts on in the flat (n, m) state, where |n, m> is row
     n * (n_max + 1) + m: the rows of |k, N-k> for k in [lo, hi] are
-    N + k * n_max, one basic slice.  Block N is built from block N-1 by one
-    creation operator: a+ -> t c+ + r d+ raises n, and on the n = 0 column
-    b+ -> r c+ - t d+ raises N - n, so
+    N + k * n_max, one basic slice.  Block N is built from block N-1 by
+    one rule.  Adding a photon to input a (a+ -> t c+ + r d+) or to input b
+    (b+ -> r c+ - t d+) gives two exact relations; weighted by n/N and
+    (N - n)/N and added, they give, with U' = U_{N-1},
 
-        U_N[k, n] = (t sqrt(k) U_{N-1}[k-1, n-1] + r sqrt(N-k) U_{N-1}[k, n-1]) / sqrt(n)
-        U_N[k, 0] = (r sqrt(k) U_{N-1}[k-1, 0] - t sqrt(N-k) U_{N-1}[k, 0]) / sqrt(N)
+        U_N[k, n] = ( sqrt(n)     (t sqrt(k) U'[k-1, n-1] + r sqrt(N-k) U'[k, n-1])
+                    + sqrt(N - n) (r sqrt(k) U'[k-1, n]   - t sqrt(N-k) U'[k, n]) ) / N
 
-    which expands (t a1+ + r a2+)^n (r a1+ - t a2+)^m |0,0> one factor at a
-    time.  Blocks with N > n_max are cropped to the indices both modes can
-    hold; the entries they need from block N-1 lie inside its crop, and the
+    in which no coefficient exceeds 1: Risbo's step from spin j - 1/2 to
+    spin j for Wigner d-functions (T. Risbo, J. Geodesy 70, 383 (1996)).
+    Blocks with N > n_max are cropped to the indices both modes can hold;
+    the entries they need from block N-1 lie inside its crop, and the
     norm-drift check in :func:`beamsplitter_apply` certifies that no real
-    amplitude lived outside.  Rounding grows with N: against 60-digit
-    entries the error is about 2e-13 at N = 30 and 7e-10 at N = 55, where a
-    state within the tail bound carries no weight.
+    amplitude lived outside.
     """
     t = math.sqrt(transmittance)
     r = math.sqrt(1.0 - transmittance)
     block = np.ones((1, 1))
     blocks = [(slice(0, 1), block)]
     for total in range(1, 2 * n_max + 1):
-        prev_lo = max(0, total - 1 - n_max)
         lo, hi = max(0, total - n_max), min(n_max, total)
+        # Block N-1 with a zero row and column on each side, which stand for
+        # the numbers it cannot hold; ``minus`` and ``same`` pick its rows
+        # (or columns) k - 1 and k for k in [lo, hi].
+        padded = np.zeros((block.shape[0] + 2,) * 2)
+        padded[1:-1, 1:-1] = block
+        start = lo - max(0, total - 1 - n_max)
+        minus, same = slice(start, start + hi - lo + 1), slice(start + 1, start + hi - lo + 2)
         k = np.arange(lo, hi + 1)
-        # Row j of ``padded`` is row prev_lo - 1 + j of block N-1; the zero
-        # rows stand for the output numbers that block cannot hold.
-        padded = np.zeros((block.shape[0] + 2, block.shape[1]))
-        padded[1:-1] = block
-        lower = padded[k - prev_lo]  # rows k - 1
-        same = padded[k - prev_lo + 1]  # rows k
-        up = np.sqrt(k)[:, np.newaxis]
-        across = np.sqrt(total - k)[:, np.newaxis]
-        block = np.empty((k.size, k.size))
-        n = np.arange(max(lo, 1), hi + 1)
-        prev_cols = n - 1 - prev_lo
-        block[:, n - lo] = (
-            t * up * lower[:, prev_cols] + r * across * same[:, prev_cols]
-        ) / np.sqrt(n)
-        if lo == 0:
-            block[:, 0] = (
-                r * up[:, 0] * lower[:, 0] - t * across[:, 0] * same[:, 0]
-            ) / math.sqrt(total)
+        root, rest = np.sqrt(k), np.sqrt(total - k)
+        up, across = root[:, np.newaxis], rest[:, np.newaxis]
+        block = (
+            root * (t * up * padded[minus, minus] + r * across * padded[same, minus])
+            + rest * (r * up * padded[minus, same] - t * across * padded[same, same])
+        ) / total
         rows = slice(total + lo * n_max, total + hi * n_max + 1, n_max)
         blocks.append((rows, block))
     return tuple(blocks)
 
 
 def _check_two_mode(state: np.ndarray) -> None:
-    """Require a two-mode batch, shape ``(n_max + 1, n_max + 1, B)``."""
+    """Require a two-mode batch, shape ``(n_max + 1, n_max + 1, B)``, with a valid n_max."""
     if state.ndim != 3 or state.shape[0] != state.shape[1]:
         raise ParameterError(
             f"expected a two-mode batch of shape (n_max + 1, n_max + 1, B), got {state.shape}"
         )
+    check_n_max(state.shape[0] - 1)
 
 
 def beamsplitter_apply(state: np.ndarray, transmittance: float) -> np.ndarray:
@@ -253,6 +249,7 @@ def loss_apply(state: np.ndarray, transmittance: float) -> np.ndarray:
     """
     if state.ndim != 2:
         raise ParameterError(f"expected a one-mode batch of shape (n_max + 1, B), got {state.shape}")
+    check_n_max(state.shape[0] - 1)
     if not 0.0 <= transmittance <= 1.0:
         raise ParameterError(f"transmittance must be in [0, 1], got {transmittance}")
 

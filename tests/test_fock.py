@@ -18,6 +18,7 @@ from ecs_diqkd.fock import (
     misalignment_rotate,
     mode_product,
     poisson_tail,
+    region_sums,
     threshold_detect,
     vacuum_state,
 )
@@ -170,15 +171,34 @@ def test_beamsplitter_blocks_match_binomial_build(transmittance):
 
 
 def test_beamsplitter_blocks_are_orthogonal():
-    # Uncropped blocks (total photon number <= n_max) are real orthogonal.
-    n_max = 30
+    # Uncropped blocks (total photon number <= n_max) are real orthogonal, and
+    # square to the identity, since the mode map [[t, r], [r, -t]] is its own
+    # inverse; at n_max 120 and 200 this holds up to the largest photon numbers.
+    for n_max in (30, 120, 200):
+        for transmittance in (0.5, 0.37):
+            blocks = _beamsplitter_blocks(n_max, transmittance)
+            for total, (rows, block) in enumerate(blocks[: n_max + 1]):
+                n, _ = _block_modes(n_max, total, rows)
+                identity = np.eye(n.size)
+                assert np.max(np.abs(block @ block.T - identity)) < 1e-12, (n_max, total)
+                assert np.max(np.abs(block @ block - identity)) < 1e-13, (n_max, total)
+            for total, (rows, _) in enumerate(blocks[n_max + 1:], start=n_max + 1):
+                _block_modes(n_max, total, rows)
+    # An entry at n_max 200 is 43 MB; leave none behind for later tests.
+    _beamsplitter_blocks.cache_clear()
+
+
+def test_beamsplitter_is_its_own_inverse_at_many_photons():
+    # States with total photon number up to n_max 120 come back from two
+    # passes, each certified, since the splitter is its own inverse.
+    n_max = 120
+    rng = np.random.default_rng(n_max)
+    state = rng.normal(size=(n_max + 1, n_max + 1, 3)) + 1j * rng.normal(size=(n_max + 1, n_max + 1, 3))
+    state[np.add.outer(np.arange(n_max + 1), np.arange(n_max + 1)) > n_max] = 0.0
+    state /= np.linalg.norm(state, axis=(0, 1))
     for transmittance in (0.5, 0.37):
-        blocks = _beamsplitter_blocks(n_max, transmittance)
-        for total, (rows, block) in enumerate(blocks[: n_max + 1]):
-            n, _ = _block_modes(n_max, total, rows)
-            assert np.max(np.abs(block @ block.T - np.eye(n.size))) < 1e-12
-        for total, (rows, _) in enumerate(blocks[n_max + 1:], start=n_max + 1):
-            _block_modes(n_max, total, rows)
+        twice = beamsplitter_apply(beamsplitter_apply(state, transmittance), transmittance)
+        assert np.max(np.abs(twice - state)) < 1e-13, transmittance
 
 
 def _gather_scatter_reference(state: np.ndarray, transmittance: float) -> np.ndarray:
@@ -329,24 +349,34 @@ def test_batched_validation():
         mode_product(_vacuum_pair(), vacuum_state(N_MAX))
 
 
+CUTOFF_RULE = r"^n_max must be in \[1, 200\], got "
+
+
 @pytest.mark.parametrize(
-    "state",
+    ("state", "message"),
     [
-        vacuum_state(N_MAX),
-        np.zeros((N_MAX + 1,) * 3 + (1,), dtype=complex),
-        np.zeros((N_MAX + 1, N_MAX, 1), dtype=complex),
+        (vacuum_state(N_MAX), "two-mode batch of shape"),
+        (np.zeros((N_MAX + 1,) * 3 + (1,), dtype=complex), "two-mode batch of shape"),
+        (np.zeros((N_MAX + 1, N_MAX, 1), dtype=complex), "two-mode batch of shape"),
+        # The constructors' cutoff rule holds for a state's own cutoff, so an
+        # oversized state is refused before any splitter block is built.
+        (np.ones((MAX_N_MAX + 2, MAX_N_MAX + 2, 1), dtype=complex), CUTOFF_RULE),
+        (np.ones((1, 1, 1), dtype=complex), CUTOFF_RULE),
     ],
-    ids=["one-mode", "three-mode", "unequal-cutoffs"],
+    ids=["one-mode", "three-mode", "unequal-cutoffs", "past-MAX_N_MAX", "cutoff-0"],
 )
-def test_operations_take_only_two_mode_batches(state):
+def test_operations_take_only_two_mode_batches(state, message):
     operations = (
         lambda s: beamsplitter_apply(s, 0.5),
         lambda s: misalignment_rotate(s, 0.1),
         lambda s: threshold_detect(s, 0.0),
+        region_sums,
     )
+    _beamsplitter_blocks.cache_clear()
     for operation in operations:
-        with pytest.raises(ParameterError, match="two-mode batch of shape"):
+        with pytest.raises(ParameterError, match=message):
             operation(state)
+    assert _beamsplitter_blocks.cache_info().currsize == 0
 
 
 def test_beamsplitter_coherent_identity():
@@ -446,8 +476,8 @@ LOSS_ETAS = (1e-8, 1e-6, 0.05, 0.37, 0.5, 0.999, 1.0)
 @pytest.mark.parametrize("n_max", [30, 60])
 def test_loss_is_the_splitter_on_a_vacuum_environment(n_max):
     # loss_apply forms the vacuum column of each splitter block in closed
-    # form; the blocks' ladder adds positive terms along it, so both keep
-    # relative precision on every entry.
+    # form; on that column the blocks' recursion adds positive terms only, so
+    # both keep relative precision on every entry.
     states = _loss_inputs(n_max)
     for eta in LOSS_ETAS:
         lost = loss_apply(states, eta)
@@ -517,6 +547,9 @@ def test_loss_checks_its_input():
         loss_apply(vacuum_state(10), 1.5)
     with pytest.raises(ParameterError, match="one-mode batch"):
         loss_apply(_vacuum_pair(), 0.37)
+    for dim in (1, MAX_N_MAX + 2):
+        with pytest.raises(ParameterError, match=CUTOFF_RULE):
+            loss_apply(np.ones((dim, 1), dtype=complex), 0.37)
 
 
 def test_coherent_state_of_minus_alpha_negates_the_odd_rows_exactly():

@@ -230,7 +230,7 @@ def test_verify_point_does_not_depend_on_its_call_mates():
         assert repr(verify_grid(points=[point]).points[0]) == repr(shared)
 
 
-def test_splitter_block_cache_builds_only_the_central_splitter():
+def test_oracle_builds_no_splitter_blocks():
     # The oracle reads the central splitter at its edges and sends loss
     # through fock.loss_apply, so it builds no splitter blocks: no miss for
     # the grid, 20 off-grid etas or a second grid run.
@@ -655,10 +655,12 @@ def test_edge_readout_matches_the_formed_splitter_output(monkeypatch):
     # longer checks the edges.  Against region_sums of beamsplitter_apply's
     # output, combined from the four basis products: V12, only1 and only2
     # within 1e-14 of each product's mass (of the sum itself at eta 1e-8,
-    # where the edges are faint), and lit within 1e-14.
+    # where the edges are faint), and lit within 1e-14.  The bright points
+    # (mu 30 to 45) check the blocks at the largest cutoff.
     steps = _central_steps(monkeypatch)
     grid = sorted({(mu, eta, e_d, N_MAX) for mu, eta, _, e_d in acceptance_grid()})
-    cases = grid + _eta_floor_cases() + [(20.0, 0.5, 0.03, 120)]
+    bright = [(mu, 1.0, 0.01, oracle.MAX_N_MAX) for mu in (30.0, 35.0, 40.0, 45.0)]
+    cases = grid + _eta_floor_cases() + [(20.0, 0.5, 0.03, 120)] + bright
     assert len(grid) == 60
     for mu, eta, e_d, n_max in cases:
         oracle._optical_state(mu, eta, e_d, n_max)
