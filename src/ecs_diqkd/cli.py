@@ -11,12 +11,12 @@ import math
 import sys
 from pathlib import Path
 
-from .optimize import SweepConfig, SweepRow, find_crossover, sweep, sweep_row
+from .optimize import PROTOCOLS, SweepConfig, SweepRow, find_crossover, sweep, sweep_row
 from .params import DEFAULT_ETA_D_LITERAL, DEFAULT_N_MAX, DEFAULT_TOL, ParameterError
-from .rates import bell_state_stats, channel_efficiency
 
 # Unused here; bound because benchmarks/tracer.py wraps these names on this module.
 from .optimize import optimize_mu  # noqa: E402, F401
+from .rates import bell_state_stats, channel_efficiency  # noqa: E402, F401
 from .rates import ecs_misaligned_stats, key_rate, plob_bound  # noqa: E402, F401
 
 EXIT_OK = 0
@@ -26,6 +26,9 @@ EXIT_VERIFY = 3
 
 CSV_HEADER = "distance_km,mu,q_zz,s,e_zz,rate_ecs,rate_bell,rate_plob"
 CSV_FIELDS = tuple(CSV_HEADER.split(","))
+# The SweepRow fields ``rates`` prints for each protocol; protocols print in PROTOCOLS order.
+_RATES_FIELDS = {"ecs": ("mu", "q_zz", "s", "e_zz", "rate_ecs"), "plob": ("rate_plob",),
+                 "bell": ("bell_q_zz", "bell_s", "bell_e_zz", "rate_bell")}
 
 class UsageError(Exception):
     """Bad flags or flag values; maps to exit code 1."""
@@ -44,7 +47,7 @@ def _protocol_list(text: str) -> tuple[str, ...]:
 
 
 def _point(text: str) -> tuple[float, float, float, float]:
-    """One ``mu,eta,p_d,e_d`` tuple; :func:`oracle.check_verify_settings` checks its ranges."""
+    """One ``mu,eta,p_d,e_d`` tuple; :func:`oracle.verify_grid` checks its ranges."""
     parts = text.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError(f"expects mu,eta,p_d,e_d, got {text!r}")
@@ -260,17 +263,8 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     lines = [f"distance_km = {format_value(row.distance_km)}"]
     if row.flagged:
         lines.append("optimizer_flagged = True")
-    if "ecs" in protocols:
-        lines += [f"{key} = {format_value(getattr(row, key))}"
-                  for key in ("mu", "q_zz", "s", "e_zz", "rate_ecs")]
-    if "bell" in protocols:
-        eta = channel_efficiency(distance, config.beta_db_per_km, config.eta_d)
-        stats = bell_state_stats(eta, config.p_d)
-        lines += [f"bell_{key} = {format_value(getattr(stats, key))}"
-                  for key in ("q_zz", "s", "e_zz")]
-        lines.append(f"rate_bell = {format_value(row.rate_bell)}")
-    if "plob" in protocols:
-        lines.append(f"rate_plob = {format_value(row.rate_plob)}")
+    lines += [f"{key} = {format_value(getattr(row, key))}"
+              for name in PROTOCOLS if name in protocols for key in _RATES_FIELDS[name]]
     print("\n".join(lines))
     return EXIT_OK
 
@@ -287,12 +281,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from . import oracle  # the one subcommand that needs the oracle, and numpy
 
     try:
-        oracle.check_verify_settings(args.tol, args.n_max, args.eta_d, args.point or ())
-    except ParameterError as exc:
+        report = oracle.verify_grid(
+            points=args.point, tol=args.tol, n_max=args.n_max, eta_d_literal=args.eta_d
+        )
+    except ParameterError as exc:  # verify_grid raises one only for its settings
         raise _usage_error(exc, args.command) from exc
-    report = oracle.verify_grid(
-        points=args.point, tol=args.tol, n_max=args.n_max, eta_d_literal=args.eta_d
-    )
 
     def where(check: oracle.PointCheck) -> str:
         return f"at (mu={check.mu}, eta={check.eta}, p_d={check.p_d}, e_d={check.e_d})"

@@ -158,10 +158,15 @@ class SweepConfig(namedtuple(
 
 
 class SweepRow(namedtuple(
-    "SweepRow", "distance_km mu q_zz s e_zz rate_ecs rate_bell rate_plob flagged",
-    defaults=(None, None, None, None, None, None, None, False),
+    "SweepRow",
+    "distance_km mu q_zz s e_zz rate_ecs rate_bell rate_plob flagged bell_q_zz bell_s bell_e_zz",
+    defaults=(None, None, None, None, None, None, None, False, None, None, None),
 )):
-    """One distance point: float fields, None for protocols not requested."""
+    """One distance point: float fields, None for protocols not requested.
+
+    The CSV and JSON writers leave out ``flagged`` (the row took the placeholder
+    optimum) and ``bell_q_zz``, ``bell_s``, ``bell_e_zz``, the Bell statistics.
+    """
 
     __slots__ = ()
 
@@ -324,6 +329,7 @@ def sweep_row(config: SweepConfig, distance_km: float) -> SweepRow:
 
     The ECS fields come from one evaluation of the statistics at ``mu``,
     fixed or optimized; ``rate_ecs`` equals the optimizer's ``rate_star``.
+    The Bell fields and ``rate_bell`` come from one :func:`bell_state_stats`.
     It is the walk (:func:`_walk`) of one row, which never skips a search.
     """
     (row,) = _walk(config, (distance_km,))
@@ -402,6 +408,7 @@ def _walk(config: SweepConfig, distances: Sequence[float]) -> Iterator[SweepRow]
     for distance_km in distances:
         eta = channel_efficiency(distance_km, config.beta_db_per_km, config.eta_d)
         mu = q_zz = s = e_zz = rate_ecs = rate_bell = rate_plob = None
+        bell_q_zz = bell_s = bell_e_zz = None
         flagged = False
         if "ecs" in config.protocols:
             mu = config.mu
@@ -416,7 +423,8 @@ def _walk(config: SweepConfig, distances: Sequence[float]) -> Iterator[SweepRow]
             stats = ecs_misaligned_stats(mu, eta, config.p_d, config.e_d)
             q_zz, s, e_zz, rate_ecs = stats.q_zz, stats.s, stats.e_zz, key_rate(stats)
         if "bell" in config.protocols:
-            rate_bell = key_rate(bell_state_stats(eta, config.p_d))
+            bell = bell_state_stats(eta, config.p_d)
+            bell_q_zz, bell_s, bell_e_zz, rate_bell = bell.q_zz, bell.s, bell.e_zz, key_rate(bell)
         if "plob" in config.protocols:
             rate_plob = plob_bound(distance_km, config.beta_db_per_km, config.eta_d)
         yield SweepRow(
@@ -429,6 +437,9 @@ def _walk(config: SweepConfig, distances: Sequence[float]) -> Iterator[SweepRow]
             rate_bell=rate_bell,
             rate_plob=rate_plob,
             flagged=flagged,
+            bell_q_zz=bell_q_zz,
+            bell_s=bell_s,
+            bell_e_zz=bell_e_zz,
         )
 
 

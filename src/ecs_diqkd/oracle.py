@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Sequence
 
 import numpy as np
 
 from . import rates
 from .fock import (
-    MAX_N_MAX,
     TAIL_MASS_BOUND,
     CutoffError,
     _sqrt_binomials,
@@ -398,35 +396,27 @@ class VerificationReport(namedtuple("VerificationReport", "points tol n_max eta_
         return not self.failures and not self.errors
 
 
-def check_verify_settings(
-    tol: float,
-    n_max: int,
-    eta_d_literal: float,
-    points: Sequence[tuple[float, float, float, float]],
-) -> None:
-    """Reject bad ``verify_grid`` inputs before any oracle work.
-
-    The tolerance must be finite and > 0 (a NaN or infinite one would pass
-    every deviation), the cutoff an integer in [1, MAX_N_MAX], the literal
-    eta_d in (0, 1], and every point inside the ranges of :func:`check_point`.
-    """
-    if not 0.0 < tol < math.inf:
-        raise ParameterError(f"tol must be finite and > 0, got {tol}")
-    check_n_max(n_max)
-    check_point(eta=eta_d_literal, eta_name="eta_d")
-    for point in points:
-        check_point(*point)
-
-
 def verify_grid(
     points: list[tuple[float, float, float, float]] | None = None,
     tol: float = DEFAULT_TOL,
     n_max: int = DEFAULT_N_MAX,
     eta_d_literal: float = DEFAULT_ETA_D_LITERAL,
 ) -> VerificationReport:
-    """Compare closed forms with the oracle over a grid of parameter tuples."""
+    """Compare closed forms with the oracle over a grid of parameter tuples.
+
+    Bad settings raise ``ParameterError`` before any oracle work, and nothing
+    else does: the tolerance must be finite and > 0 (a NaN or infinite one would
+    pass every deviation), the cutoff an integer in [1, fock.MAX_N_MAX], the
+    literal eta_d in (0, 1], and every point inside the ranges of
+    :func:`check_point`.  A point that cannot be read out keeps its error.
+    """
     points = acceptance_grid() if points is None else points
-    check_verify_settings(tol, n_max, eta_d_literal, points)
+    if not 0.0 < tol < math.inf:
+        raise ParameterError(f"tol must be finite and > 0, got {tol}")
+    check_n_max(n_max)
+    check_point(eta=eta_d_literal, eta_name="eta_d")
+    for point in points:
+        check_point(*point)
     # Dark counts enter only the readout, so points that differ only in p_d
     # share one optical state.  It lives for one group of this call: optical
     # states are not cached across calls (only the loss binomials are, per
@@ -438,7 +428,7 @@ def verify_grid(
     for (mu, eta, e_d), members in groups.items():
         try:
             state, failure = _optical_state(mu, eta, e_d, n_max), None
-        except CutoffError as exc:
+        except ParameterError as exc:  # a CutoffError, or an input the state rejects
             state, failure = None, str(exc)
         except ArithmeticError as exc:
             state, failure = None, f"arithmetic failure ({exc!r})"

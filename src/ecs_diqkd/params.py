@@ -45,7 +45,7 @@ def check_point(
     ``eta_name`` names the efficiency in the message: ``eta`` for an arm
     transmittance, ``eta_d`` for a detector efficiency.  A rejection of one
     input begins with that input's name, here and in ``fock.check_n_max``,
-    ``oracle.check_verify_settings`` and ``SweepConfig``, so a caller can put
+    ``oracle.verify_grid`` and ``SweepConfig``, so a caller can put
     its own name in its place, as the CLI puts the flag.
     """
     if beta_db_per_km is not None and not 0.0 <= beta_db_per_km < math.inf:

@@ -124,6 +124,8 @@ CASES = [
     ("rates_optimize.txt", "bytes",
      lambda: cli_stdout("rates", "--optimize", "--distance", "100",
                         "--protocol", "ecs,bell,plob")),
+    ("rates_protocol_order.txt", "bytes",
+     lambda: cli_stdout("rates", "--mu", "0.1", "--distance", "50", "--protocol", "plob,bell")),
     ("crossover_ecs_plob.txt", "bytes",
      lambda: cli_stdout("crossover", "--pair", "ecs-vs-plob", "--bracket", "1", "700")),
     ("crossover_ecs_bell.txt", "bytes",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import importlib.util
 import io
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 import ecs_diqkd
 from ecs_diqkd import cli, optimize, oracle
 from ecs_diqkd.optimize import SweepConfig, sweep_row
-from ecs_diqkd.params import DetectorStats
+from ecs_diqkd.params import DetectorStats, ParameterError
 
 SRC = str(Path(ecs_diqkd.__file__).resolve().parents[1])
 
@@ -233,6 +234,25 @@ def test_rates_prints_the_sweep_row(mu_flags, mu, capsys):
         assert report[field] == getattr(row, field)
 
 
+def test_rates_evaluates_the_bell_statistics_once(monkeypatch, capsys):
+    # The Bell lines are the row's fields: sweep_row is the one rate path.
+    calls = []
+    bell_state_stats = optimize.bell_state_stats
+
+    def counted(*args):
+        calls.append(args)
+        return bell_state_stats(*args)
+
+    for module in (optimize, cli):
+        monkeypatch.setattr(module, "bell_state_stats", counted)
+    argv = ["rates", "--optimize", "--distance", "100", "--protocol", "ecs,bell,plob"]
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+    report = _parse_report(capsys.readouterr().out)
+    assert [report[f"bell_{key}"] for key in ("q_zz", "s", "e_zz")] == list(
+        bell_state_stats(*calls[0]))
+
+
 def test_plob_divergence_is_compute_error(capsys):
     code = cli.main(
         ["rates", "--protocol", "plob", "--distance", "0", "--beta", "0",
@@ -339,18 +359,52 @@ def test_closed_form_path_loads_no_numpy(argv, printed):
     assert after_lazy == ["numpy"]  # the lazy names still resolve, and bring numpy
 
 
-def test_library_keeps_every_binding_the_benchmark_tracer_wraps(monkeypatch):
-    """``benchmarks/tracer.py`` replaces module attributes by name; a rename
-    in the library would break its ``--trace 1`` runs, not these tests."""
+def _tracer_bindings(monkeypatch) -> tuple[tuple[str, str, str], ...]:
+    """The ``BINDINGS`` of ``benchmarks/tracer.py``: (module, name, span name)."""
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
     spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracer)
     spec.loader.exec_module(tracer)
     assert tracer.BINDINGS
-    for module_name, attr, _ in tracer.BINDINGS:
+    return tracer.BINDINGS
+
+
+def test_library_keeps_every_binding_the_benchmark_tracer_wraps(monkeypatch):
+    """``benchmarks/tracer.py`` replaces module attributes by name; a rename
+    in the library would break its ``--trace 1`` runs, not these tests."""
+    for module_name, attr, _ in _tracer_bindings(monkeypatch):
         module = importlib.import_module(f"ecs_diqkd.{module_name}")
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def _literal_all(tree: ast.Module) -> set[str]:
+    """The names a module's top-level ``__all__ = [...]`` lists; empty without one."""
+    for statement in tree.body:
+        if isinstance(statement, ast.Assign):
+            if [getattr(target, "id", None) for target in statement.targets] == ["__all__"]:
+                return set(ast.literal_eval(statement.value))
+    return set()
+
+
+def test_every_module_level_import_is_used_exported_or_traced(monkeypatch):
+    """A name a module imports at its top level is used there, listed in its
+    ``__all__``, or a binding ``benchmarks/tracer.py`` wraps on it."""
+    traced = {(module_name, attr) for module_name, attr, _ in _tracer_bindings(monkeypatch)}
+    unused = []
+    for path in sorted(Path(ecs_diqkd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exported = _literal_all(tree)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for statement in tree.body:
+            if isinstance(statement, ast.ImportFrom) and statement.module == "__future__":
+                continue
+            if isinstance(statement, (ast.Import, ast.ImportFrom)):
+                for alias in statement.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in used | exported and (path.stem, name) not in traced:
+                        unused.append(f"{path.name}: {name}")
+    assert unused == []
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -602,6 +656,30 @@ def test_verify_reports_an_arithmetic_failure_and_checks_the_other_points(capsys
     deviations = [float(line.partition("=")[2]) for line in lines if line.startswith("max |d")]
     assert len(deviations) == 3 and max(deviations) < 1e-12  # the other point's
     assert lines[-1] == "FAIL: the oracle could not read out 1 of 2 points"
+
+
+def test_verify_reads_a_parameter_error_of_the_optical_state_as_a_point_error(
+        monkeypatch, capsys):
+    # verify_grid raises a ParameterError only for its settings; one from a
+    # point's optical state is the error of each point of that group.
+    optical_state = oracle._optical_state
+
+    def refuse_faint(mu, eta, e_d, n_max):
+        if mu < 0.2:
+            raise ParameterError("no state for this point")
+        return optical_state(mu, eta, e_d, n_max)
+
+    monkeypatch.setattr(oracle, "_optical_state", refuse_faint)
+    points = [(0.1, 0.5, p_d, 0.01) for p_d in (0.0, 1e-7)] + [(0.25, 1.0, 0.0, 0.0)]
+    report = oracle.verify_grid(points=points)
+    assert [check.error for check in report.points] == ["no state for this point"] * 2 + [None]
+    argv = ["verify", *(f"--point={','.join(map(str, point))}" for point in points)]
+    assert cli.main(argv) == cli.EXIT_COMPUTE
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[1] == "ERROR at (mu=0.1, eta=0.5, p_d=0.0, e_d=0.01): no state for this point"
+    assert lines[-1] == "FAIL: the oracle could not read out 2 of 3 points"
 
 
 def test_crossover_found(capsys):

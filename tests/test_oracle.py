@@ -204,7 +204,7 @@ def test_oracle_rejects_bad_parameters():
     with pytest.raises(ParameterError, match="^mu must be"):
         cat_branch(math.inf, 0.0, +1)
     # The cutoff follows verify_grid's rule: an integer in [1, MAX_N_MAX].
-    for n_max in (0, oracle.MAX_N_MAX + 1, 1000):
+    for n_max in (0, fock.MAX_N_MAX + 1, 1000):
         with pytest.raises(ParameterError, match=r"^n_max must be in \[1, 200\]"):
             oracle_stats(0.1, 0.5, 0.0, 0.0, n_max=n_max)
     for n_max in (60.5, 30.0, True, "30"):
@@ -295,7 +295,7 @@ def test_verify_reads_out_bright_points_at_the_largest_cutoff():
     # The edge readout builds no splitter blocks, whose rounding at large
     # photon numbers once failed these points' norm certificate.
     points = [(mu, 1.0, 1e-7, 0.01) for mu in (30.0, 35.0, 40.0, 45.0)]
-    report = verify_grid(points=points, n_max=oracle.MAX_N_MAX)
+    report = verify_grid(points=points, n_max=fock.MAX_N_MAX)
     assert report.errors == []
     assert max(check.max_dev() for check in report.points) < 1e-8
 
@@ -659,7 +659,7 @@ def test_edge_readout_matches_the_formed_splitter_output(monkeypatch):
     # (mu 30 to 45) check the blocks at the largest cutoff.
     steps = _central_steps(monkeypatch)
     grid = sorted({(mu, eta, e_d, N_MAX) for mu, eta, _, e_d in acceptance_grid()})
-    bright = [(mu, 1.0, 0.01, oracle.MAX_N_MAX) for mu in (30.0, 35.0, 40.0, 45.0)]
+    bright = [(mu, 1.0, 0.01, fock.MAX_N_MAX) for mu in (30.0, 35.0, 40.0, 45.0)]
     cases = grid + _eta_floor_cases() + [(20.0, 0.5, 0.03, 120)] + bright
     assert len(grid) == 60
     for mu, eta, e_d, n_max in cases:
@@ -686,7 +686,7 @@ def test_oracle_working_set_stays_below_the_formed_batch():
     # and no splitter blocks, which are 43 MB.
     tracemalloc.start()
     try:
-        oracle_stats(0.3, 0.41, 1e-6, 0.02, n_max=oracle.MAX_N_MAX)
+        oracle_stats(0.3, 0.41, 1e-6, 0.02, n_max=fock.MAX_N_MAX)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -31,7 +31,8 @@ RECORDS = [
      "p_d=1e-07, e_d=0.0, mu=None, protocols=('ecs', 'bell', 'plob'))", "protocols"),
     (lambda: SweepRow(distance_km=5.0),
      "SweepRow(distance_km=5.0, mu=None, q_zz=None, s=None, e_zz=None, rate_ecs=None, "
-     "rate_bell=None, rate_plob=None, flagged=False)", "rate_ecs"),
+     "rate_bell=None, rate_plob=None, flagged=False, bell_q_zz=None, bell_s=None, "
+     "bell_e_zz=None)", "rate_ecs"),
     (lambda: PointCheck(mu=0.1, eta=0.5, p_d=0.0, e_d=0.01, error="cutoff"),
      "PointCheck(mu=0.1, eta=0.5, p_d=0.0, e_d=0.01, dev_q_zz=nan, dev_s=nan, dev_e_zz=nan, "
      "dev_e_zz_literal=nan, error='cutoff')", "error"),
