@@ -1,10 +1,11 @@
 """Truncated Fock-space optical states and linear-optics operations.
 
-The verifier in :mod:`ecs_diqkd.oracle` uses coherent-state construction, loss, a
-single-mode phase rotation and the dark-count map of the threshold-detector readout.
-It reads the two-mode beamsplitter at its output's edges, and its tests check that
-against ``beamsplitter_apply`` and ``region_sums``.  Nothing in this file knows about
-cat states or the closed forms.
+The verifier in :mod:`ecs_diqkd.oracle` uses coherent-state construction, loss and
+the dark-count map of the threshold-detector readout.  It applies Bob's misalignment
+phase to its one-mode basis itself and reads the two-mode beamsplitter at its
+output's edges; its tests check the first against ``misalignment_rotate`` of a
+``mode_product`` and the second against ``beamsplitter_apply`` and ``region_sums``.
+Nothing in this file knows about cat states or the closed forms.
 
 Conventions:
     * A state is a complex ndarray with one axis per mode, each of length
@@ -38,10 +39,10 @@ import numpy as np
 from .params import ParameterError, check_point
 
 # Largest Fock cutoff a state may have.  The oracle reads the central splitter's
-# edges through a (d, 2, d) Toeplitz array per optical state, d = n_max + 1, so its
-# working set grows about as n_max**2: one oracle_stats call at (mu, eta, p_d, e_d)
-# = (0.3, 0.37, 1e-6, 0.02) in a fresh process peaks at 44 MB resident at 200 and
-# 30 MB at 30 (2-vCPU Xeon, numpy 2.4).
+# edges through a (2, d, 2, d) Toeplitz array per optical state, d = n_max + 1, so
+# its working set grows about as n_max**2: one oracle_stats call at (mu, eta, p_d,
+# e_d) = (0.3, 0.37, 1e-6, 0.02) in a fresh process peaks at 45 MB resident at 200
+# and 31 MB at 30 (2-vCPU Xeon, numpy 2.4).
 MAX_N_MAX = 200
 # Certified bound on the photon-number tail mass lost to truncation.
 TAIL_MASS_BOUND = 1e-12
@@ -226,10 +227,13 @@ def beamsplitter_apply(state: np.ndarray, transmittance: float) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _sqrt_binomials(n_max: int) -> np.ndarray:
-    """sqrt(C(k + m, k)) at [k, m] for k + m <= n_max, 0 past the cutoff."""
+    """sqrt(C(k + m, k)) at [k, m] for k + m <= n_max, 0 past the cutoff; read-only,
+    as every caller at this n_max shares it."""
     n = range(n_max + 1)
     binomials = [[math.comb(k + m, k) if k + m <= n_max else 0 for m in n] for k in n]
-    return np.sqrt(np.array(binomials, dtype=float))
+    roots = np.sqrt(np.array(binomials, dtype=float))
+    roots.setflags(write=False)
+    return roots
 
 
 def loss_apply(state: np.ndarray, transmittance: float) -> np.ndarray:

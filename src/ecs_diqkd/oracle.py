@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,11 +32,9 @@ from .fock import (
     coherent_fock,
     dark_counts,
     loss_apply,
-    misalignment_rotate,
-    mode_product,
+    mode_product,  # noqa: F401  unused; bound because benchmarks/tracer.py wraps it
     poisson_tail,
     threshold_detect,  # noqa: F401  unused; bound because benchmarks/tracer.py wraps it
-    vacuum_state,
 )
 from .params import (
     DEFAULT_ETA_D_LITERAL,
@@ -151,15 +150,14 @@ def _optical_state(mu: float, eta: float, e_d: float, n_max: int) -> _OpticalSta
     delta0 = math.acos(1.0 - 2.0 * e_d)
     # |-alpha> is |alpha> with its odd rows negated, exactly: IEEE rounding
     # is sign-symmetric.
-    pulses = np.hstack([coherent_fock(alpha, n_max)] * 2)
-    pulses[1::2, 1] *= -1.0
+    pulses = coherent_fock(alpha, n_max) * _readout_tables(n_max).parity
     # lost[n, m, k]: signal n, environment m, pulse k (|alpha> first).
     lost = loss_apply(pulses, eta)
     basis_a, _ = np.linalg.qr(lost[:, 0, :])
     flat = lost.reshape(dim, 2 * dim)  # environment and pulse on one axis
     coords = basis_a.conj().T @ flat
     residuals = (flat - basis_a @ coords).reshape(dim * dim, 2)
-    basis_b = misalignment_rotate(mode_product(basis_a, vacuum_state(n_max)), delta0)[:, 0, :]
+    basis_b = basis_a * np.exp(1j * (np.arange(dim) * delta0))[:, np.newaxis]
 
     # psi[arm] = c_plus psi_plus + c_minus psi_minus of its side, as
     # (signal, environment); rho = psi psi+ = basis (arm_coords arm_coords+) basis+.
@@ -179,6 +177,40 @@ def _optical_state(mu: float, eta: float, e_d: float, n_max: int) -> _OpticalSta
     return _OpticalState(prior, _readout_sums(basis_a, basis_b, factor))
 
 
+# The arrays of an optical state and its readout that depend on n_max alone;
+# d = n_max + 1.
+#   parity[n, j]: 1 for j = 0 and (-1)^n for j = 1 (the pulses |alpha>, |-alpha>).
+#   gather[N, x, m]: the flat index of basis[N - m (mod d), x] in a C-ordered (d, 2) basis.
+#   weights[e, N, 0, m]: 2^(-N/2) sqrt(C(N, m)) on edge e = 0, times (-1)^m on edge
+#     e = 1; 0 where m > N, so the rows the index wraps to add nothing.
+#   regions[r, (e, N)]: 1 where row (e, N) of both edges belongs to region r of
+#     V12 (edge 0, N = 0), only1 (edge 0, N > 0) and only2 (edge 1, N > 0).
+#   in_cutoff[k, m]: 1 where k + m <= n_max.
+_ReadoutTables = namedtuple("_ReadoutTables", "parity gather weights regions in_cutoff")
+
+
+@lru_cache(maxsize=8)
+def _readout_tables(n_max: int) -> _ReadoutTables:
+    """The read-only :data:`_ReadoutTables` of one cutoff, built once per n_max."""
+    dim = n_max + 1
+    k = np.arange(dim)
+    antidiagonal = (k[:, np.newaxis] - k) % dim
+    weights = _sqrt_binomials(n_max)[antidiagonal, k] * 0.5 ** (k[:, np.newaxis] / 2.0)
+    parity = np.stack([np.ones(dim), (-1.0) ** k], axis=1)
+    regions = np.zeros((3, 2, dim))
+    regions[0, 0, 0] = regions[1, 0, 1:] = regions[2, 1, 1:] = 1.0
+    tables = _ReadoutTables(
+        parity=parity,
+        gather=2 * antidiagonal[:, np.newaxis, :] + np.arange(2)[:, np.newaxis],
+        weights=(parity.T[:, np.newaxis, :] * weights)[:, :, np.newaxis, :],
+        regions=regions.reshape(3, 2 * dim),
+        in_cutoff=(k[:, np.newaxis] + k <= n_max).astype(float),
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def _readout_sums(basis_a: np.ndarray, basis_b: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """The fock.region_sums, shape (4, 80), of every pair's four component products
     after the central splitter, pair-major, without forming the splitter's output.
@@ -189,29 +221,32 @@ def _readout_sums(basis_a: np.ndarray, basis_b: np.ndarray, factor: np.ndarray) 
         out[N, 0] = sum_{k+m=N} 2^(-N/2) sqrt(C(N, k)) u[k] v[m]
 
     for basis product u (x) v, and out[0, N] is that sum with the odd rows of v
-    negated.  Blocks with N <= n_max are not cropped, so lit is the mass at
-    k + m <= n_max less the edges; the herald-sum check certifies the rest.
+    negated.  One product of the Toeplitz array of both edges, rows (e, N, x),
+    with v_y gives both edges of all four basis products.  Blocks with
+    N <= n_max are not cropped, so lit is the mass at k + m <= n_max less the
+    edges; the herald-sum check certifies the rest.
     """
-    alice, bob = _PAIR_ARMS
-    n_max = len(basis_a) - 1
-    k = np.arange(n_max + 1)
-    # Basis products (x, y) in the order 00, 01, 10, 11, and the coefficients
-    # F_i[x, p] F_j[y, q] of product (p, q) of every pair (i, j).
-    coefficients = np.einsum("cxp,cyq->xycpq", factor[alice], factor[bob]).reshape(4, -1)
-    # toeplitz[N, x, m] = 2^(-N/2) sqrt(C(N, m)) u_x[N - m].  A negative N - m
-    # indexes from the end, past the cutoff, where the weights and padding are 0.
-    antidiagonal = k[:, np.newaxis] - k
-    weights = _sqrt_binomials(n_max)[antidiagonal, k] * 0.5 ** (k[:, np.newaxis] / 2.0)
-    padded = np.vstack([basis_a, np.zeros((n_max, 2))])
-    toeplitz = (weights[:, :, np.newaxis] * padded[antidiagonal]).swapaxes(1, 2)
-    d1, d2 = (((toeplitz @ v).reshape(-1, 4) @ coefficients).view(np.float64)
-              for v in (basis_b, basis_b * (-1.0) ** k[:, np.newaxis]))
-    v12, only1, only2 = _squared_sums(d1[:1]), _squared_sums(d1[1:]), _squared_sums(d2[1:])
+    dim = len(basis_a)
+    tables = _readout_tables(dim - 1)
+    # sides[s, c, x, p] is F_i[x, p] (s = 0) or F_j[x, p] (s = 1) of pair c = (i, j).
+    sides = factor[_PAIR_ARMS]
+    alice, bob = sides.transpose(0, 2, 1, 3)
+    # Coefficients F_i[x, p] F_j[y, q] of product (p, q) of every pair, rows (x, y).
+    coefficients = (alice[:, np.newaxis, :, :, np.newaxis]
+                    * bob[np.newaxis, :, :, np.newaxis, :]).reshape(4, -1)
+    # toeplitz[e, N, x, m] = 2^(-N/2) sqrt(C(N, m)) u_x[N - m], times (-1)^m on edge 1.
+    toeplitz = tables.weights * basis_a.take(tables.gather)
+    # Edge e at N of basis product (x, y) is row (e, N), column (x, y).
+    edges = (toeplitz.reshape(4 * dim, dim) @ basis_b).reshape(2 * dim, 4) @ coefficients
+    squares = tables.regions @ np.square(edges.view(np.float64))
+    v12, only1, only2 = squares[:, 0::2] + squares[:, 1::2]
     # Product (p, q) of pair (i, j) is u (x) v, u = basis_a F_i[:, p] and v = basis_b
-    # F_j[:, q]: its mass at k + m <= n_max is sum_k |u[k]|^2 sum_{m <= n_max-k} |v[m]|^2.
-    u_mass = np.abs(np.einsum("kx,cxp->kcp", basis_a, factor[alice])) ** 2
-    v_mass = np.cumsum(np.abs(np.einsum("ky,cyq->kcq", basis_b, factor[bob])) ** 2, axis=0)
-    mass = np.einsum("kcp,kcq->cpq", u_mass, v_mass[::-1]).reshape(-1)
+    # F_j[:, q]: its mass at k + m <= n_max is sum_{k+m <= n_max} |u[k]|^2 |v[m]|^2.
+    # Bob's phase has modulus 1, so |v| is read from basis_a too.
+    squares = np.square((basis_a @ sides.transpose(2, 0, 1, 3).reshape(2, -1)).view(np.float64))
+    u_mass, v_mass = (squares[:, 0::2] + squares[:, 1::2]).reshape(dim, 2, -1, 2).swapaxes(0, 1)
+    v_mass = (tables.in_cutoff @ v_mass.reshape(dim, -1)).reshape(u_mass.shape)
+    mass = (u_mass.transpose(1, 2, 0) @ v_mass.swapaxes(0, 1)).reshape(-1)
     return np.stack([v12, only1, only2, mass - v12 - only1 - only2])
 
 
@@ -318,15 +353,13 @@ def misaligned_e_zz_literal(
 
     Kept only so the verifier can adjudicate between the two readings; it
     does not reduce to the lossy formula at e_d = 0 unless eta_d == eta.
+    Numerator and denominator are divided by e^(2 mu (1 - eta)) and written
+    with expm1, so a faint pulse's denominator keeps its size instead of
+    cancelling to 0 as e^x + e^y - 2 e^z would.
     """
-    num = math.exp(2.0 * mu * (1.0 - eta_d + eta * e_d)) - (1.0 - p_d) * math.exp(
-        2.0 * mu * (1.0 - eta)
-    )
-    den = (
-        math.exp(2.0 * mu * (1.0 - eta * e_d))
-        + math.exp(2.0 * mu * (1.0 - eta + eta * e_d))
-        - 2.0 * (1.0 - p_d) * math.exp(2.0 * mu * (1.0 - eta))
-    )
+    num = math.expm1(2.0 * mu * (eta - eta_d + eta * e_d)) + p_d
+    den = (math.expm1(2.0 * mu * eta * (1.0 - e_d)) + math.expm1(2.0 * mu * eta * e_d)
+           + 2.0 * p_d)
     return num / den
 
 
@@ -419,8 +452,8 @@ def verify_grid(
         check_point(*point)
     # Dark counts enter only the readout, so points that differ only in p_d
     # share one optical state.  It lives for one group of this call: optical
-    # states are not cached across calls (only the loss binomials are, per
-    # n_max), and no batch spans two optical states.
+    # states are not cached across calls (only the loss binomials and the
+    # readout tables are, per n_max), and no batch spans two optical states.
     groups: dict[tuple[float, float, float], list[int]] = {}
     for index, (mu, eta, _, e_d) in enumerate(points):
         groups.setdefault((mu, eta, e_d), []).append(index)

@@ -642,16 +642,17 @@ def test_verify_reports_a_readout_out_of_range_and_checks_the_other_points(capsy
 
 
 def test_verify_reports_an_arithmetic_failure_and_checks_the_other_points(capsys):
-    # At mu 1e-17 the literal e_zz reading divides by a raw denominator that
-    # cancels to 0; that point carries the failure, and the other point is
-    # still compared.
-    code = cli.main(["verify", "--point", "1e-17,1,0,0", "--point", "0.25,1,0,0"])
+    # At mu 1e-300 and eta 1e-30 the oracle's gain underflows to 0 and its
+    # e_zz divides by it; that point carries the failure, and the other point
+    # is still compared.
+    code = cli.main(["verify", "--point", "1e-300,1e-30,0,0", "--point", "0.25,1,0,0"])
     assert code == cli.EXIT_COMPUTE
     lines = capsys.readouterr().out.splitlines()
     errors = [line for line in lines if line.startswith("ERROR")]
     assert len(errors) == 1
     assert errors[0].startswith(
-        "ERROR at (mu=1e-17, eta=1.0, p_d=0.0, e_d=0.0): arithmetic failure (ZeroDivisionError"
+        "ERROR at (mu=1e-300, eta=1e-30, p_d=0.0, e_d=0.0): arithmetic failure "
+        "(ZeroDivisionError"
     )
     deviations = [float(line.partition("=")[2]) for line in lines if line.startswith("max |d")]
     assert len(deviations) == 3 and max(deviations) < 1e-12  # the other point's

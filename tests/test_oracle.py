@@ -247,6 +247,30 @@ def test_oracle_builds_no_splitter_blocks():
     assert (info.misses, info.currsize) == (0, 0)
 
 
+def test_oracle_builds_its_readout_tables_once_per_cutoff():
+    # The n_max-only arrays of the readout are cached: one miss for two grid
+    # runs and 20 off-grid etas at one cutoff.
+    tables = oracle._readout_tables
+    tables.cache_clear()
+    assert verify_grid().passed
+    rng = np.random.default_rng(20261020)
+    for eta in rng.uniform(0.06, 0.99, size=20):
+        assert eta not in oracle.ACCEPTANCE_ETAS
+        verify_grid(points=[(0.1, float(eta), 1e-7, 0.01)])
+    assert verify_grid().passed
+    assert tables.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("n_max", [N_MAX, 60])
+def test_cached_cutoff_arrays_are_read_only(n_max):
+    # Every later oracle point at this cutoff shares them: a write must fail
+    # rather than corrupt them.
+    arrays = [fock._sqrt_binomials(n_max), *oracle._readout_tables(n_max)]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
 def test_verify_builds_one_optical_state_per_dark_count_group(monkeypatch):
     # p_d enters only the readout: the 180 grid points need 60 optical states.
     calls = []
@@ -309,13 +333,15 @@ def test_verify_reads_out_faint_points():
     report = verify_grid(points=points)
     assert report.errors == []
     assert max(check.max_dev() for check in report.points) < 1e-8
-    # Down to mu 1e-300.  At p_d 0 and mu <= 1e-16 the
-    # literal e_zz reading divides by zero, so verify_grid is checked at
-    # p_d 1e-7 and the oracle alone at p_d 0.
+    # Down to mu 1e-300, at p_d 1e-7 and at p_d 0.  The literal e_zz reading's
+    # denominator is written with expm1, so at p_d 0 it no longer cancels to
+    # 0 (and divides by zero) at mu <= 1e-16.
     faint = [10.0**-k for k in (15, 16, 17, 20, 30, 50, 100, 200, 300)]
-    report = verify_grid(points=[(mu, eta, 1e-7, e_d) for mu in faint for eta, e_d in channels])
-    assert report.errors == []
-    assert max(check.max_dev() for check in report.points) < 1e-8
+    for p_d in (1e-7, 0.0):
+        report = verify_grid(points=[(mu, eta, p_d, e_d) for mu in faint for eta, e_d in channels])
+        assert report.errors == []
+        assert max(check.max_dev() for check in report.points) < 1e-8
+        assert all(math.isfinite(check.dev_e_zz_literal) for check in report.points)
     for mu in faint:
         for eta, e_d in channels:
             expected = ecs_misaligned_stats(mu, eta, 0.0, e_d)
@@ -647,6 +673,23 @@ def _eta_floor_cases() -> list[tuple[float, float, float, int]]:
     rng = np.random.default_rng(20261020)
     return [(float(10.0 ** rng.uniform(-3.0, 0.0)), 1e-8, float(rng.uniform(0.0, 0.5)), n_max)
             for n_max in (30, 60) for _ in range(4)]
+
+
+def test_bob_basis_is_alice_basis_after_the_misalignment_rotation(monkeypatch):
+    # The oracle writes Bob's basis as Alice's with the phase e^(i n delta0)
+    # on row n; fock's two-mode rotation of her basis with a vacuum second
+    # mode is the reference, equal to the last bit.  Only the sign of a zero
+    # may differ (amplitudes that underflow at eta 1e-8, n_max 60), and no
+    # sum sees it.
+    steps = _central_steps(monkeypatch)
+    grid = sorted({(mu, eta, e_d, N_MAX) for mu, eta, _, e_d in acceptance_grid()})
+    assert len(grid) == 60
+    for mu, eta, e_d, n_max in grid + _eta_floor_cases():
+        oracle._optical_state(mu, eta, e_d, n_max)
+        (basis_a, basis_b), _, _ = steps.pop()
+        delta0 = math.acos(1.0 - 2.0 * e_d)
+        rotated = misalignment_rotate(mode_product(basis_a, vacuum_state(n_max)), delta0)
+        assert np.array_equal(basis_b, rotated[:, 0, :]), (mu, eta, e_d, n_max)
 
 
 def test_edge_readout_matches_the_formed_splitter_output(monkeypatch):
