@@ -383,7 +383,8 @@ def _walk(config: SweepConfig, distances: Sequence[float]) -> Iterator[SweepRow]
        2 - margin + 4e-14, so by step 1 exactly below that at eta <= eta_h,
        and computed below 2 - margin + 8e-14 < 2: no seed passes the search's
        s > 2 test, and the search returns the placeholder.
-    3. No raise.  The bracket is at least expm1(x_bright) > 0.  q_zz is
+    3. No raise.  The bracket is at least expm1(x_bright) >= 1e-294, a
+       normal double.  q_zz is
        k (X + Y) - 2 k^2 XY with k = 1 - p_d, X + Y <= 1 + XY and
        XY = e^-t >= e^-2, so at most 1 - e^-2.  e_zz is in [0, 1], as
        rounding is monotone.  s >= -sqrt2, since the numerator is at least
@@ -402,7 +403,7 @@ def _walk(config: SweepConfig, distances: Sequence[float]) -> Iterator[SweepRow]
     Rows below _HORIZON_ETA_MIN keep their search: there the kernel's
     products are subnormal and s rounds far off (s = 2.67 at p_d 0 and
     e_d 0.3 near 32,000 km), and the search raises as it always did, e.g.
-    ``degenerate denominator`` where the bracket rounds to 0.
+    ``degenerate denominator`` where the bracket is subnormal or 0.
     """
     horizon_eta = 0.0  # eta_h; no row is past the horizon while it is 0
     for distance_km in distances:
@@ -462,10 +463,12 @@ def find_crossover(
 ) -> float | None:
     """Distance where the rate difference changes sign, to +-0.5 km.
 
-    A coarse scan locates the first strict sign change inside the bracket
-    (both rates can be identically zero at an endpoint, e.g. past every
-    cutoff distance), then bisection narrows it.  Returns None when the
-    difference never changes sign, including a protocol against itself.
+    A coarse scan locates the first change between strictly opposite signs
+    inside the bracket, the same in both pair orders, then bisection narrows
+    it.  A zero followed by a nonzero value is the crossing; two zeros (e.g.
+    past every cutoff distance, or where PLOB underflows) end the scan.
+    Returns None when the difference never changes sign, including a
+    protocol against itself.
     The scan walks its 65 points in ascending order as :func:`sweep` walks
     its rows, so scan points past the CHSH horizon skip the intensity search,
     and it stops at the first bracketed sign change: later scan points, and
@@ -491,7 +494,8 @@ def find_crossover(
     f_next = diff(next(rows))
     for i in range(len(grid) - 1):
         f_i, f_next = f_next, diff(next(rows))
-        if f_i == 0.0 or (f_i > 0.0) != (f_next > 0.0):
+        # Signs, not the product, which underflows for two tiny rates.
+        if f_i == 0.0 or (f_next != 0.0 and (f_i > 0.0) != (f_next > 0.0)):
             break
     else:
         return None

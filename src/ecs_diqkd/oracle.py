@@ -121,9 +121,9 @@ _PARITY = np.array([a * b for a, b in OUTCOME_PAIRS])
 _FLIP = np.array([[-1.0 if SETTING_ANGLES[role_b] == 0.0 else 1.0] for _, role_b in ROLE_PAIRS])
 
 # The p_d-free part of one point: the spin-outcome prior of each (role pair, outcome
-# pair), and the fock.region_sums, shape (4, 80), of every pair's four component
-# products after the central splitter, as _readout_sums reads them from the four
-# basis products without forming the splitter's output.
+# pair), and the fock.region_sums, shape (4, 20), of each pair after the central
+# splitter: the sums of its four component products, which _readout_sums reads
+# from the four basis products without forming the splitter's output.
 _OpticalState = namedtuple("_OpticalState", "prior sums")
 
 
@@ -141,8 +141,9 @@ def _optical_state(mu: float, eta: float, e_d: float, n_max: int) -> _OpticalSta
     C C+.  With C+ = Q R, F = R+ is a 2x2 factor with F F+ = C C+, so the
     pair (i, j) is the sum of the four pure products F_i[:, p] (x) F_j[:, q],
     whatever the arms' ranks.  The detector formulas are linear in the joint
-    photon-number distribution, so a pair's readout sums its products'
-    readouts, each a map of four region sums (:func:`_readout_sums`).
+    photon-number distribution, so a pair's readout maps the sums of its
+    products' four region sums (:func:`_readout_sums`).  Whatever p_d, its
+    heralds add up to those four, so their sum is checked here, once.
     """
     certify_cutoff(mu, n_max)
     dim = n_max + 1
@@ -174,7 +175,17 @@ def _optical_state(mu: float, eta: float, e_d: float, n_max: int) -> _OpticalSta
     factor = np.linalg.qr(arm_coords.conj().swapaxes(1, 2), mode="r").conj().swapaxes(1, 2)
     alice, bob = _PAIR_ARMS
     prior = (branches[alice, 2] * branches[bob, 2]).reshape(len(ROLE_PAIRS), len(OUTCOME_PAIRS))
-    return _OpticalState(prior, _readout_sums(basis_a, basis_b, factor))
+    sums = _readout_sums(basis_a, basis_b, factor).reshape(4, prior.size, -1).sum(axis=-1)
+    mass = sums.sum(axis=0)
+    # Written so that a NaN mass fails the check too.
+    bad = np.flatnonzero(~(abs(mass - 1.0) <= 1e-10))
+    if bad.size:
+        r, o = divmod(bad[0], len(OUTCOME_PAIRS))
+        raise CutoffError(
+            f"herald probabilities of {(*ROLE_PAIRS[r], *OUTCOME_PAIRS[o])} sum to "
+            f"{mass[bad[0]]:.12g}; cutoff too small"
+        )
+    return _OpticalState(prior, sums)
 
 
 # The arrays of an optical state and its readout that depend on n_max alone;
@@ -224,7 +235,7 @@ def _readout_sums(basis_a: np.ndarray, basis_b: np.ndarray, factor: np.ndarray) 
     negated.  One product of the Toeplitz array of both edges, rows (e, N, x),
     with v_y gives both edges of all four basis products.  Blocks with
     N <= n_max are not cropped, so lit is the mass at k + m <= n_max less the
-    edges; the herald-sum check certifies the rest.
+    edges; the mass check of :func:`_optical_state` certifies the rest.
     """
     dim = len(basis_a)
     tables = _readout_tables(dim - 1)
@@ -250,29 +261,6 @@ def _readout_sums(basis_a: np.ndarray, basis_b: np.ndarray, factor: np.ndarray) 
     return np.stack([v12, only1, only2, mass - v12 - only1 - only2])
 
 
-def _pair_heralds(state: _OpticalState, p_d: float) -> np.ndarray:
-    """Herald probabilities of every (role pair, outcome pair): the dark-count readout.
-
-    Maps every component product's region sums through the dark counts,
-    then sums each pair's four; the readout is linear in the photon-number
-    distribution, so the sum is the pair's readout.  Returns
-    shape ``(4, len(ROLE_PAIRS), len(OUTCOME_PAIRS))``; axis 0 follows the
-    rows of :func:`fock.dark_counts` (d1_only, d2_only, none, both).
-    """
-    heralds = dark_counts(state.sums, p_d)
-    sums = heralds.reshape(len(heralds), len(ROLE_PAIRS), len(OUTCOME_PAIRS), 4).sum(axis=-1)
-    total = sum(sums)  # d1_only + d2_only + none + both, in that order
-    # Written so that a NaN sum fails the check too.
-    bad = np.argwhere(~(abs(total - 1.0) <= 1e-10))
-    if bad.size:
-        r, o = bad[0]
-        raise CutoffError(
-            f"herald probabilities of {(*ROLE_PAIRS[r], *OUTCOME_PAIRS[o])} sum to "
-            f"{total[r, o]:.12g}; cutoff too small"
-        )
-    return sums
-
-
 def certify_cutoff(mu: float, n_max: int) -> None:
     """Require tail mass below the bound for the brightest mode involved.
 
@@ -288,7 +276,7 @@ def certify_cutoff(mu: float, n_max: int) -> None:
 
 def _detector_stats(state: _OpticalState, p_d: float) -> DetectorStats:
     """The statistics of :func:`oracle_stats` from one optical state and dark counts p_d."""
-    d1, d2 = _pair_heralds(state, p_d)[:2]
+    d1, d2 = dark_counts(state.sums, p_d)[:2].reshape(2, len(ROLE_PAIRS), len(OUTCOME_PAIRS))
     prior = state.prior
     # Summed as Python floats in outcome order: ndarray.sum adds in another
     # order, and a zero gain must raise ZeroDivisionError, not warn.
@@ -473,7 +461,7 @@ def verify_grid(
                     actual = _detector_stats(state, p_d)
                     closed = ecs_misaligned_stats(mu, eta, p_d, e_d)
                     literal = misaligned_e_zz_literal(mu, eta, eta_d_literal, p_d, e_d)
-                except ParameterError as exc:  # a CutoffError, or a triple out of range
+                except ParameterError as exc:  # a triple out of range, or a closed form's refusal
                     outcome = dict(error=str(exc))
                 except ArithmeticError as exc:
                     outcome = dict(error=f"arithmetic failure ({exc!r})")

@@ -14,12 +14,15 @@ small ``mu * eta``.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 
 from .params import DetectorStats, KeyRatePoint, ParameterError, ProtocolParams, check_point
 
 _LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
+_MU_MAX = 350.0  # the brightest pulse of ecs_misaligned_stats; see there
+_MIN_NORMAL = sys.float_info.min
 
 
 def binary_entropy(x: float) -> float:
@@ -123,9 +126,11 @@ def ecs_misaligned_stats(mu: float, eta: float, p_d: float, e_d: float) -> Detec
     in cancellation-free form.  The e_zz numerator uses eta throughout: at
     e_d = 0 these are the lossy expressions, so :func:`ecs_lossy_stats` is
     this function there, and the Fock-space oracle confirms this reading
-    (see the verify command).
+    (see the verify command).  It refuses mu > 350: its terms overflow from 354.5.
     """
     check_point(mu, eta, p_d, e_d)
+    if mu > _MU_MAX:
+        raise ParameterError(f"mu must be at most {_MU_MAX:g} for the ECS statistics, got {mu}")
     (triple,) = _ecs_misaligned((mu,), eta, p_d, e_d)
     return DetectorStats(*triple)
 
@@ -139,7 +144,7 @@ def _ecs_misaligned(
     of the misaligned closed form.  Each triple is bit-identical to the
     scalar expression, since the loop does its floating-point operations in
     its order.  The caller checks the inputs with ``check_point`` and the
-    triples with ``check_stats``.
+    triples with ``check_stats``.  A subnormal bracket has lost digits, so it raises.
     """
     # Row constants, hoisted unchanged: the same operation on the same
     # operands rounds the same way wherever it is done.
@@ -164,7 +169,7 @@ def _ecs_misaligned(
         x_bright = me2 * bright  # intensity routed to the bright port
         dim = math.expm1(x_dim)
         bracket = dim + math.expm1(x_bright) + two_p_d
-        if bracket <= 0.0:
+        if not bracket >= _MIN_NORMAL:
             raise ParameterError("degenerate denominator in misaligned statistics")
         q_zz = kept * math.exp(-me2) * bracket
         # Exactly, q_zz = k (X + Y - 2 k XY) with k = 1 - p_d, X = e^(-x_dim),

@@ -264,7 +264,8 @@ def test_plob_divergence_is_compute_error(capsys):
 def test_sweep_past_the_horizon_still_fails_where_eta_underflows(capsys):
     # At p_d 0 and e_d 0.4 no seed reaches s > 2 from 0 km on, so most rows
     # skip the search; near 32,300 km the arm transmittance is subnormal, the
-    # search runs again, and its bracket rounds to 0 at the smallest seed.
+    # search runs again, and its bracket is below the smallest normal double
+    # at the smallest seed.
     argv = ["sweep", "--l-min", "0", "--l-max", "32300", "--l-step", "100",
             "--p-d", "0", "--e-d", "0.4", "--protocols", "ecs"]
     assert cli.main(argv) == cli.EXIT_COMPUTE

@@ -545,6 +545,18 @@ def test_crossover_none_without_sign_change():
     assert find_crossover(("ecs", "bell"), config, (5.0, 30.0)) is None
 
 
+def test_crossover_treats_exact_zeros_alike_in_both_pair_orders():
+    # At p_d 0 and e_d 0.3 the ECS rate is 0 and the PLOB bound underflows
+    # to 0 near 16,200 km: a positive or negative difference meets a zero,
+    # which has no sign, so neither order reports a crossing there.
+    config = SweepConfig(p_d=0.0, e_d=0.3)
+    for pair in (("plob", "ecs"), ("ecs", "plob")):
+        assert find_crossover(pair, config, (0.0, 20000.0)) is None, pair
+    config = SweepConfig(**FIG2)
+    assert (find_crossover(("plob", "ecs"), config, (100.0, 250.0))
+            == find_crossover(("ecs", "plob"), config, (100.0, 250.0)))
+
+
 def test_crossover_brackets_a_real_sign_change():
     config = SweepConfig(**FIG2)
     crossing = find_crossover(("ecs", "plob"), config, (100.0, 250.0))

@@ -174,21 +174,33 @@ def test_oracle_cutoff_certificate():
 
 
 def test_oracle_herald_sum_check_fails_nan_heralds(monkeypatch):
-    def nan_readout(sums, p_d):
-        return np.full(sums.shape, np.nan)
+    def nan_readout(basis_a, basis_b, factor):
+        return np.full((4, 4 * len(oracle.ROLE_PAIRS) * len(oracle.OUTCOME_PAIRS)), np.nan)
 
-    monkeypatch.setattr(oracle, "dark_counts", nan_readout)
+    monkeypatch.setattr(oracle, "_readout_sums", nan_readout)
     with pytest.raises(CutoffError, match="sum to nan"):
         oracle_stats(0.25, 0.5, 1e-5, 0.01)
 
 
 def test_oracle_herald_sum_message_prints_a_huge_sum_in_short_form(monkeypatch):
-    def huge_readout(sums, p_d):
-        return np.full(sums.shape, 1e267)
+    def huge_readout(basis_a, basis_b, factor):
+        return np.full((4, 4 * len(oracle.ROLE_PAIRS) * len(oracle.OUTCOME_PAIRS)), 1e267)
 
-    monkeypatch.setattr(oracle, "dark_counts", huge_readout)
+    monkeypatch.setattr(oracle, "_readout_sums", huge_readout)
     with pytest.raises(CutoffError, match=r"sum to 1\.6e\+268; cutoff too small$"):
         oracle_stats(0.25, 0.5, 1e-5, 0.01)
+
+
+@pytest.mark.parametrize("mu, eta, e_d", [(0.01, 0.05, 0.0), (0.1, 0.2, 0.07),
+                                          (0.25, 0.5, 0.01), (0.5, 1.0, 0.0)])
+def test_dark_counts_keep_each_pairs_mass(mu, eta, e_d):
+    # The four heralds of a pair add up to its four regions whatever p_d, so
+    # the state's mass check certifies the heralds at every p_d.
+    state = oracle._optical_state(mu, eta, e_d, N_MAX)
+    mass = state.sums.sum(axis=0)
+    for p_d in (0.0, 1e-7, 0.5, 0.99):
+        heralds = fock.dark_counts(state.sums, p_d).sum(axis=0)
+        assert np.max(np.abs(heralds - mass)) <= 1e-15, p_d
 
 
 def test_oracle_rejects_bad_parameters():

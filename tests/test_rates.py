@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import decimal
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -314,16 +317,16 @@ def test_nan_chsh_value_is_rejected(monkeypatch):
     with pytest.raises(ParameterError, match=message):
         DetectorStats(q_zz=0.5, s=math.nan, e_zz=0.1)
     # A NaN CHSH value from the oracle's readout is a per-point error of the
-    # comparison, not a pass.  Only the CHSH setting pairs (rows 1 on) are
-    # spoiled, so the gain and error rate stay finite.
-    pair_heralds = oracle._pair_heralds
+    # comparison, not a pass.  Only the CHSH setting pairs (the columns after
+    # the raw-key pair's four) are spoiled, so the gain and error rate stay finite.
+    dark_counts = oracle.dark_counts
 
-    def nan_chsh(state, p_d):
-        heralds = pair_heralds(state, p_d).copy()
-        heralds[:2, 1:] = math.nan
+    def nan_chsh(sums, p_d):
+        heralds = dark_counts(sums, p_d)
+        heralds[:, len(oracle.OUTCOME_PAIRS):] = math.nan
         return heralds
 
-    monkeypatch.setattr(oracle, "_pair_heralds", nan_chsh)
+    monkeypatch.setattr(oracle, "dark_counts", nan_chsh)
     report = verify_grid([(0.25, 0.5, 1e-5, 0.01)])
     assert not report.passed
     (point,) = report.errors
@@ -336,7 +339,7 @@ def _scalar_misaligned(mu, eta, p_d, e_d):
     x_bright = 2.0 * mu * eta * (1.0 - e_d)
     dim = math.expm1(x_dim)
     bracket = dim + math.expm1(x_bright) + 2.0 * p_d
-    if bracket <= 0.0:
+    if not bracket >= sys.float_info.min:
         raise ParameterError("degenerate denominator in misaligned statistics")
     q_zz = (1.0 - p_d) * math.exp(-2.0 * mu * eta) * bracket
     w = (
@@ -350,9 +353,9 @@ def _scalar_misaligned(mu, eta, p_d, e_d):
 
 def test_list_kernel_is_the_scalar_expression_bit_for_bit():
     # Arm transmittances from 1 down to the 700 km value at 0.2 dB/km, plus
-    # subnormal ones, where 2*mu*eta underflows at the small seeds.
+    # one where 2*mu*eta is subnormal at the small seeds only, and subnormal ones.
     etas = [channel_efficiency(d, 0.2, eta_d) for eta_d in (1.0, 0.8) for d in range(0, 701, 50)]
-    etas += [1e-310, 5e-324]
+    etas += [1e-305, 1e-310, 5e-324]
     # The default channel, e_d at 0 and 1/2, p_d at 0 and 1e-5; both seed
     # orders, so that a degenerate denominator can follow good points.
     channels = [(p_d, e_d) for p_d in (1e-7, 0.0, 1e-5) for e_d in (0.0, 0.03, 0.5)]
@@ -373,9 +376,41 @@ def test_list_kernel_is_the_scalar_expression_bit_for_bit():
                     raised_after.append(first)
                     with pytest.raises(ParameterError, match="^degenerate denominator"):
                         rates._ecs_misaligned(mus[: first + 1], *args)
-    # p_d = 0 at eta = 5e-324, for each e_d: at the first seed in order,
-    # and after some good points in reverse.
-    assert len(raised_after) == 6 and raised_after.count(0) == 3
+    # p_d = 0, for each e_d: at 1e-310 and 5e-324 at the first seed in both
+    # orders; at 1e-305 at the first seed in order, and after good points in
+    # reverse.
+    assert len(raised_after) == 18 and raised_after.count(0) == 15
+
+
+def _decimal_misaligned(mu, eta, p_d, e_d):
+    """The raw expressions of :func:`ecs_misaligned_stats`' docstring in
+    50-digit decimal arithmetic, from the exact values of the floats."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        mu, eta, p_d, e_d = map(decimal.Decimal, (mu, eta, p_d, e_d))
+        k = 1 - p_d
+        dim, bright = 2 * mu * (1 - eta * e_d), 2 * mu * (1 - eta + eta * e_d)
+        q_zz = k * ((-2 * mu * eta * e_d).exp() + (2 * mu * (eta * e_d - eta)).exp()
+                    - 2 * k * (-2 * mu * eta).exp())
+        denom = dim.exp() + bright.exp() - 2 * k * (2 * mu * (1 - eta)).exp()
+        w = (dim.exp() - (-dim).exp() - bright.exp() - (-bright).exp()
+             + 2 * k * (-2 * mu * (1 - eta)).exp())
+        s = decimal.Decimal(2).sqrt() * w / denom
+        e_zz = (bright.exp() - k * (2 * mu * (1 - eta)).exp()) / denom
+        return float(q_zz), float(s), float(e_zz)
+
+
+def test_bright_pulses_are_computed_or_refused_by_name():
+    # The expressions overflow from mu 354.5; every mu past 350 is refused
+    # with a message that names the limit, not the CHSH bound.
+    for mu in (354.75, 400.0, 1e6, 1e300):
+        with pytest.raises(ParameterError, match=r"^mu must be at most 350 .*, got "):
+            ecs_misaligned_stats(mu, 0.5, 1e-7, 0.02)
+    for mu, eta, p_d, e_d in itertools.product(
+            (300.0, 350.0), (1.0, 0.5, 1e-3, 1e-8), (0.0, 1e-7, 0.5), (0.0, 0.02, 0.5)):
+        actual = ecs_misaligned_stats(mu, eta, p_d, e_d)
+        for value, reference in zip(actual, _decimal_misaligned(mu, eta, p_d, e_d)):
+            assert math.isclose(value, reference, rel_tol=1e-12), (mu, eta, p_d, e_d)
 
 
 def test_ecs_point_pipeline():
