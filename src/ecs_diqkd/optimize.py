@@ -227,7 +227,7 @@ def optimize_mu(
     ``e_d``, in the order and with the messages of
     :func:`ecs_misaligned_stats`.  Each evaluated ``(q_zz, s, e_zz)`` passes
     :func:`params.check_stats`, as a :class:`DetectorStats` would; the seeds
-    the screen's stop leaves out would pass it too.
+    the screen's stop leaves out would pass it too, or be refused by the kernel.
     """
     eta = channel_efficiency(distance_km, beta_db_per_km, eta_d)
     return _search(eta, p_d, e_d)[0]
@@ -287,20 +287,19 @@ def _screen(eta: float, p_d: float, e_d: float) -> tuple[int, float, float]:
     rises with mu, at every lower seed.  So once the best score exceeds
     the bound at a block's top seed, no seed of that block or below can
     reach it, and the walk stops.  The best score then exceeds 0, which
-    only a seed with s > 2 gives.  The ulp counts hold at
-    eta >= _HORIZON_ETA_MIN: there t >= 2e-294 is a normal float, and a
-    subnormal term, off by at most 2**-1075, is negligible beside it.  By
-    step 3 of :func:`_walk` no seed raises there either, so the seeds the
-    walk leaves out would have raised nothing.  Below
-    _HORIZON_ETA_MIN the walk is one block of all 200 seeds without a
-    stop, so kernel errors and ``check_stats`` messages arise in the order
-    of the ascending seeds.
+    only a seed with s > 2 gives.  The ulp counts hold at every seed the
+    kernel takes: it raises unless the bracket is a normal double
+    (>= 2**-1022), beside which a subnormal product, off by at most
+    2**-1075, is about an ulp, as beside the larger bound; a few ulp in
+    all against _GAIN_SLACK.  So a seed the stop leaves out cannot beat
+    the best: its bracket is normal and its score below the bound, or the
+    kernel refuses it.  At eta >= _HORIZON_ETA_MIN none is refused (step 3
+    of :func:`_walk`); below it a search raises only where its walk does.
     """
-    stops = eta >= _HORIZON_ETA_MIN
-    block = _SCREEN_BLOCK if stops else len(SEEDS)
+    block = _SCREEN_BLOCK
     best, best_value, top_s = -1, -math.inf, -math.inf
     for start in range(len(SEEDS) - block, -1, -block):
-        if stops and best_value > _gain_bound(SEEDS[start + block - 1], eta, p_d):
+        if best_value > _gain_bound(SEEDS[start + block - 1], eta, p_d):
             break
         triples = _ecs_misaligned(SEEDS[start:start + block], eta, p_d, e_d)
         for q_zz, s, e_zz in triples:
@@ -400,10 +399,9 @@ def _walk(config: SweepConfig, distances: Sequence[float]) -> Iterator[SweepRow]
        So ``check_stats`` passes every seed, and the seed screen
        (:func:`_screen`) may leave out the seeds below its stop.
 
-    Rows below _HORIZON_ETA_MIN keep their search: there the kernel's
-    products are subnormal and s rounds far off (s = 2.67 at p_d 0 and
-    e_d 0.3 near 32,000 km), and the search raises as it always did, e.g.
-    ``degenerate denominator`` where the bracket is subnormal or 0.
+    Rows below _HORIZON_ETA_MIN keep their search: there a search may
+    raise ``degenerate denominator`` on its smallest seeds, whose brackets
+    can be subnormal, and a placeholder would not.
     """
     horizon_eta = 0.0  # eta_h; no row is past the horizon while it is 0
     for distance_km in distances:

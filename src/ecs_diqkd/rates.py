@@ -198,7 +198,7 @@ def bell_state_stats(eta: float, p_d: float) -> DetectorStats:
         + 8.0 * p_d**2
         + eta**2 * (1.0 - 6.0 * p_d + 8.0 * p_d**2)
     )
-    if denom == 0.0:
+    if not denom >= _MIN_NORMAL:
         raise ParameterError("degenerate denominator in Bell-state statistics")
     s = 2.0 * _SQRT2 * eta**2 * (1.0 - p_d) / denom
     e_zz = 0.5 * (1.0 - eta**2 * (1.0 - 2.0 * p_d) / denom)

@@ -428,6 +428,12 @@ def test_sweep_csv_round_trip(tmp_path, capsys):
     rows = cli.rows_from_csv(text)
     assert len(rows) == 3
     assert cli.rows_to_csv(rows) == text  # byte-identical re-emission
+    header, first, *_ = text.splitlines()
+    with pytest.raises(ParameterError, match="^unrecognized CSV header$"):
+        cli.rows_from_csv(header.replace("mu", "intensity") + "\n" + first + "\n")
+    short = first.rsplit(",", 1)[0]
+    with pytest.raises(ParameterError, match="^malformed CSV row: "):
+        cli.rows_from_csv(f"{header}\n{short}\n")
 
 
 def test_sweep_json_isomorphism(tmp_path, capsys):
@@ -552,6 +558,19 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert cli.main(["rates", "--config", str(config)]) == cli.EXIT_USAGE
 
 
+def test_unreadable_config_file_is_a_usage_error(tmp_path, capsys):
+    for text, message in (
+        (None, "usage error: cannot read config file: "),
+        ("{mu: 0.25}", "usage error: cannot read config file: "),
+        ("[0.25]", "usage error: config file must hold a JSON object"),
+    ):
+        config = tmp_path / "run.json"
+        if text is not None:
+            config.write_text(text)
+        assert cli.main(["rates", "--config", str(config)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith(message)
+
+
 def test_verify_single_ideal_point(capsys):
     code = cli.main(["verify", "--point", "0.25,1,0,0"])
     assert code == 0
@@ -563,6 +582,8 @@ def test_verify_single_ideal_point(capsys):
 
 def test_verify_malformed_point(capsys):
     assert cli.main(["verify", "--point", "0.25,1,0"]) == cli.EXIT_USAGE
+    assert cli.main(["verify", "--point", "0.25,x,0,0"]) == cli.EXIT_USAGE
+    assert "bad value '0.25,x,0,0'" in capsys.readouterr().err
 
 
 def test_verify_catches_corrupted_closed_form(monkeypatch, capsys):

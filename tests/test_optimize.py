@@ -175,9 +175,10 @@ def test_search_on_bare_triples_equals_the_checked_search():
         assert repr(optimize_mu(*args)) == repr(expected), args
         flagged += expected.flagged
     assert 0 < flagged < len(searches)
-    # Rows on both sides of _HORIZON_ETA_MIN, where the screen's walk changes
-    # from stopping blocks to one block, and a seeded sample of extreme
-    # searches, errors included.
+    # Rows on both sides of _HORIZON_ETA_MIN, and a seeded sample of extreme
+    # searches, errors included.  The reference takes all 200 seeds, so it
+    # parts from the screen only where a seed below the screen's stop has a
+    # subnormal bracket (see test_search_reads_out_where_only_seeds_below_its_stop_underflow).
     around = [(_HORIZON_ETA_KM + offset, 0.2, 0.8, p_d, e_d)
               for offset in (-20.0, -1e-6, 1e-6, 20.0, 3000.0)
               for p_d, e_d in ((0.0, 0.0), (0.0, 0.3), (1e-7, 0.02), (0.5, 0.5))]
@@ -228,16 +229,61 @@ def _sampled_rows(count):
             for _ in range(count)]
 
 
+def _floor_rows(count):
+    """Rows below _HORIZON_ETA_MIN, down to 1e-308, at no to subnormal dark counts."""
+    rng = np.random.default_rng(20261022)
+    fixed = [(eta, p_d, e_d) for eta in (1e-300, 1e-305, 1e-308)
+             for p_d in (0.0, 5e-324, 1e-310) for e_d in (0.0, 0.02, 0.3, 0.5)]
+    return fixed + [(float(10.0 ** rng.uniform(-308, -290)),
+                     float(rng.choice([0.0, 10.0 ** rng.uniform(-323, -290)])),
+                     float(rng.uniform(0.0, 0.5)))
+                    for _ in range(count)]
+
+
 def test_seed_gains_lie_below_the_screens_stop_bound():
     # Exactly, q_zz <= (1 - p_d)(2 mu eta + 2 p_d); the stop bound adds
     # _GAIN_SLACK for rounding, which here never needs more than a few ulp.
+    # Below _HORIZON_ETA_MIN some products are subnormal; a seed the kernel
+    # takes has a normal bracket, beside which their rounding is an ulp or so.
     worst = 0.0
-    for eta, p_d, e_d in _EXTREME_ROWS + _sampled_rows(200):
-        triples = _ecs_misaligned(optimize.SEEDS, eta, p_d, e_d)
-        for mu, (q_zz, _, _) in zip(optimize.SEEDS, triples):
+    taken = 0
+    for eta, p_d, e_d in _EXTREME_ROWS + _sampled_rows(200) + _floor_rows(100):
+        for mu in optimize.SEEDS:
+            try:
+                ((q_zz, _, _),) = _ecs_misaligned((mu,), eta, p_d, e_d)
+            except ParameterError:
+                assert eta < optimize._HORIZON_ETA_MIN
+                continue
+            taken += eta < optimize._HORIZON_ETA_MIN
             assert q_zz <= optimize._gain_bound(mu, eta, p_d), (mu, eta, p_d, e_d)
             worst = max(worst, q_zz / (2.0 * mu * eta + 2.0 * p_d))
+    assert taken > 1000
     assert 0.99 < worst <= 1.0 + 1e-14
+
+
+def test_search_reads_out_where_only_seeds_below_its_stop_underflow():
+    # At p_d 0 the smallest seeds' brackets are subnormal past about 30,386 km,
+    # but the screen stops well above them, so the optimum still reads out.
+    optimum = optimize_mu(30500.0, 0.2, 0.8, 0.0, 0.0)
+    assert optimum.mu_star == 0.08557353937837865 and not optimum.flagged
+    # At 31,000 km a seed the screen walks has a subnormal bracket.
+    with pytest.raises(ParameterError,
+                       match="^degenerate denominator in misaligned statistics$"):
+        optimize_mu(31000.0, 0.2, 0.8, 0.0, 0.0)
+
+
+def test_sweep_keeps_the_search_below_the_horizon_transmittance():
+    # No seed violates CHSH at e_d 0.3, so rows after the first take the
+    # placeholder, but only down to _HORIZON_ETA_MIN (29,000 km at eta_d 1);
+    # below it each row searches, and where the search walks a subnormal
+    # bracket it raises, as sweep_row does.
+    config = SweepConfig(l_min_km=28_900.0, l_max_km=30_700.0, l_step_km=50.0,
+                         eta_d=1.0, p_d=0.0, e_d=0.3, protocols=("ecs",))
+    message = "^degenerate denominator in misaligned statistics$"
+    with pytest.raises(ParameterError, match=message):
+        sweep_row(config, 30_400.0)
+    with pytest.raises(ParameterError, match=message):
+        sweep(config)
 
 
 def test_every_seed_passes_check_stats_above_the_horizon_transmittance():

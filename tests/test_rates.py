@@ -249,6 +249,12 @@ def test_bell_state_known_points():
 def test_bell_state_rejects_zero_efficiency():
     with pytest.raises(ParameterError):
         bell_state_stats(0.0, 0.0)
+    # At p_d 0 the denominator is eta**2: a subnormal one has lost digits, and
+    # s could round past 2*sqrt(2) (to 3.0 at 3.5e-162), so it is refused too.
+    for eta in (1.1e-155, 1e-160, 3.5e-162, 1.6e-162):
+        with pytest.raises(ParameterError,
+                           match="^degenerate denominator in Bell-state statistics$"):
+            bell_state_stats(eta, 0.0)
     # Nor is a transmittance formed from a NaN distance or an infinite loss.
     for call, field in (
         (lambda: channel_efficiency(math.nan, 0.2, 0.8), "distance_km"),
@@ -308,6 +314,8 @@ def test_param_validation():
         DetectorStats(q_zz=1.2, s=0.0, e_zz=0.0)
     with pytest.raises(ParameterError):
         DetectorStats(q_zz=0.5, s=SQRT8 + 1e-6, e_zz=0.0)
+    with pytest.raises(ParameterError, match="^e_zz must be"):
+        DetectorStats(q_zz=0.5, s=2.5, e_zz=1.5)
 
 
 def test_nan_chsh_value_is_rejected(monkeypatch):
